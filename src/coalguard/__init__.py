@@ -50,7 +50,6 @@ from .model import (
     SystemState,
     ValidationResult,
     Violation,
-    controller_of,
     diamond_holds,
     is_secure,
     validate_model,

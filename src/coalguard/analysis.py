@@ -27,7 +27,7 @@ from .formula import (
     to_horn_disjunction,
     vars_of,
 )
-from .model import Model, PartialValuation, SystemState, diamond_holds
+from .model import Model, PartialValuation, SystemState, first_witness
 
 GRAPH_VARIABLE_CAP = 16
 AUDIT_AGENT_CAP = 12
@@ -96,12 +96,12 @@ def build_state_graph(model: Model) -> StateGraph:
             f"{n} variables exceed the state-graph cap of {GRAPH_VARIABLE_CAP}"
         )
     labels = tuple(model.owner_of(v) for v in model.variables)
+    evaluators = model.compiled.evaluators
+    names = model.variables[::-1]  # product's last position, variables[0], is bit 0
     secure = []
-    for index in range(1 << n):
-        valuation = {v: bool((index >> j) & 1) for j, v in enumerate(model.variables)}
-        secure.append(
-            not any(eval_formula(f, model, valuation) for f in model.critical_formulas)
-        )
+    for combo in itertools.product((False, True), repeat=n):
+        valuation = dict(zip(names, combo))
+        secure.append(not any(evaluate(valuation) for evaluate in evaluators))
     return StateGraph(tuple(model.variables), labels, tuple(secure))
 
 
@@ -224,6 +224,7 @@ def audit_vulnerabilities(model: Model, state: SystemState) -> tuple[Vulnerabili
     for f in model.critical_formulas:
         if has_diamond(f):
             raise ModalFormulaError("the audit requires propositional critical formulas")
+    compiled = model.compiled
     findings = []
     for index, f in enumerate(model.critical_formulas):
         minimal: list[frozenset[str]] = []
@@ -232,9 +233,12 @@ def audit_vulnerabilities(model: Model, state: SystemState) -> tuple[Vulnerabili
                 members = frozenset(combo)
                 if any(found <= members for found in minimal):
                     continue
-                holds, witness = diamond_holds(model, state, combo, f)
-                if holds:
+                owned = model.coalition_variables(members)
+                relevant = tuple(v for v in owned if v in compiled.variables[index])
+                assignment = first_witness(compiled.evaluators[index], state.valuation, relevant)
+                if assignment is not None:
                     minimal.append(members)
+                    witness = PartialValuation(members, assignment)
                     findings.append(VulnerabilityFinding(index, f, combo, witness))
     return tuple(findings)
 

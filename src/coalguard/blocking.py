@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import BudgetExceededError, PreconditionError
-from .formula import eval_formula, vars_of
 from .model import Model, SystemState
-from .engine import ActionRequest, SimulationReport, simulate
+from .engine import ActionRequest, SimulationReport, apply_actions, simulate
 
 SUBSET_SEARCH_CAP = 16
 
@@ -44,14 +43,9 @@ class BlockingMatrix:
 def build_matrix(model: Model, report: SimulationReport) -> BlockingMatrix:
     rows = report.became_true
     cols = report.implicated_agents
-    marks = tuple(
-        tuple(
-            not model.owned_set(agent).isdisjoint(vars_of(model.critical_formulas[index]))
-            for agent in cols
-        )
-        for index in rows
-    )
-    counters = tuple(sum(row[j] for row in marks) for j in range(len(cols)))
+    agents = model.compiled.agents
+    marks = tuple(tuple(map(agents[index].__contains__, cols)) for index in rows)
+    counters = tuple(map(sum, zip(*marks))) if rows else (0,) * len(cols)
     return BlockingMatrix(rows, cols, marks, counters)
 
 
@@ -98,7 +92,6 @@ class BlockReport:
     blocked: tuple[str, ...]
     allowed_batch: tuple[ActionRequest, ...]
     iterations: tuple
-    initial_report: Optional[SimulationReport] = None
 
 
 def greedy_block(
@@ -116,11 +109,8 @@ def greedy_block(
     blocked: list[str] = []
     iterations: list[GreedyIteration] = []
     current = tuple(batch)
-    initial: Optional[SimulationReport] = None
     while True:
         report = simulate(model, state, current)
-        if initial is None:
-            initial = report
         if not report.became_true:
             break
         matrix = build_matrix(model, report)
@@ -131,7 +121,7 @@ def greedy_block(
             GreedyIteration(report.became_true, report.implicated_agents, matrix, ranking, top)
         )
         current = tuple(r for r in current if r.agent != top)
-    return BlockReport("greedy", tuple(blocked), current, tuple(iterations), initial)
+    return BlockReport("greedy", tuple(blocked), current, tuple(iterations))
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +152,8 @@ class OracleRound:
 
 
 def _false_count(model: Model, state: SystemState, batch: Sequence[ActionRequest]) -> int:
-    after = simulate(model, state, batch).simulated_state
-    return sum(1 for f in model.critical_formulas if not eval_formula(f, model, after))
+    after = apply_actions(state, batch).valuation
+    return sum(1 for evaluate in model.compiled.evaluators if not evaluate(after))
 
 
 def _evaluation_order(candidates: list) -> list:
@@ -238,7 +228,7 @@ def nondet_block(
     rng = rng if rng is not None else random.Random(seed)
     initial = simulate(model, state, batch)
     if not initial.became_true:
-        return BlockReport("nondeterministic", (), tuple(batch), (), initial)
+        return BlockReport("nondeterministic", (), tuple(batch), ())
 
     requesters = tuple(a for a in model.agents if a in {r.agent for r in batch})
     if len(requesters) > SUBSET_SEARCH_CAP:
@@ -268,7 +258,7 @@ def nondet_block(
     keep = set(chosen)
     blocked = tuple(a for a in requesters if a not in keep)
     allowed = tuple(r for r in batch if r.agent in keep)
-    return BlockReport("nondeterministic", blocked, allowed, tuple(rounds), initial)
+    return BlockReport("nondeterministic", blocked, allowed, tuple(rounds))
 
 
 def brute_force_min_block(

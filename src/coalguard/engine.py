@@ -13,15 +13,16 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import OwnershipViolationError, QueueOrderError
-from .formula import eval_formula, vars_of
 from .model import Model, SystemState, is_secure
 
 POLICIES = ("none", "greedy", "nondeterministic")
 TIE_BREAKS = ("fifo", "lex")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActionRequest:
+    """One single-variable write. Slotted: a queue holds tens of thousands."""
+
     agent: str
     variable: str
     new_value: bool
@@ -190,21 +191,24 @@ class SimulationReport:
 
 
 def simulate(model: Model, state: SystemState, batch: Sequence[ActionRequest]) -> SimulationReport:
+    """Only formulas mentioning a variable the batch changes can flip, so
+    only those are evaluated."""
     after = apply_actions(state, batch)
+    compiled = model.compiled
+    before, now = state.valuation, after.valuation
+    touched = set(compiled.invalid)
+    for request in batch:
+        if before.get(request.variable) != now[request.variable]:
+            touched.update(compiled.by_variable.get(request.variable, ()))
+    evaluators = compiled.evaluators
     became = tuple(
         index
-        for index, f in enumerate(model.critical_formulas)
-        if not eval_formula(f, model, state) and eval_formula(f, model, after)
+        for index in sorted(touched)
+        if not evaluators[index](before) and evaluators[index](now)
     )
     requesters = {request.agent for request in batch}
-    flipped_vars = set()
-    for index in became:
-        flipped_vars |= vars_of(model.critical_formulas[index])
-    implicated = tuple(
-        agent
-        for agent in model.agents
-        if agent in requesters and not model.owned_set(agent).isdisjoint(flipped_vars)
-    )
+    flipped = set().union(*(compiled.agents[index] for index in became))
+    implicated = tuple(a for a in model.agents if a in requesters and a in flipped)
     return SimulationReport(became, implicated, after)
 
 
@@ -260,7 +264,7 @@ def tick(
         batch, _, remaining = queue.take_batch_excluding(n, registry)
 
     if config.policy == "none":
-        report = blocking.BlockReport("none", (), batch, (), None)
+        report = blocking.BlockReport("none", (), batch, ())
     elif config.policy == "greedy":
         report = blocking.greedy_block(model, state, batch, tie_break=config.tie_break)
     else:

@@ -248,7 +248,7 @@ def format_formula(f: Formula) -> str:
 _DISJ, _CONJ, _UNARY = 0, 1, 2  # binding strength, loosest first
 
 
-def _as_conjunction(f: Formula) -> Optional[tuple[Formula, Formula]]:
+def as_conjunction(f: Formula) -> Optional[tuple[Formula, Formula]]:
     if (
         isinstance(f, Not)
         and isinstance(f.child, Or)
@@ -264,7 +264,7 @@ def _fmt(f: Formula, need: int) -> str:
         return "true"
     if isinstance(f, Var):
         return f.name
-    pair = _as_conjunction(f)
+    pair = as_conjunction(f)
     if pair is not None:
         left, right = pair
         text = f"{_fmt(left, _CONJ)} & {_fmt(right, _UNARY)}"
@@ -318,15 +318,6 @@ def coalitions_of(f: Formula) -> frozenset[frozenset[str]]:
 
 def has_diamond(f: Formula) -> bool:
     return bool(coalitions_of(f))
-
-
-def agents_of(f: Formula, model) -> tuple[str, ...]:
-    """Agents controlling at least one variable of f, in model agent order."""
-    used = vars_of(f)
-    unknown = used - set(model.variables)
-    if unknown:
-        raise UnknownVariableError(f"unknown variables: {sorted(unknown)}")
-    return tuple(a for a in model.agents if not model.owned_set(a).isdisjoint(used))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from functools import partial
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -20,13 +22,20 @@ from .errors import (
 )
 from .formula import (
     DIAMOND_VARIABLE_CAP,
+    Diamond,
     Formula,
-    agents_of,
+    Not,
+    Or,
+    Top,
+    Var,
+    as_conjunction,
     coalitions_of,
     eval_formula,
     has_diamond,
     vars_of,
 )
+
+Evaluator = Callable[[Mapping[str, bool]], bool]
 
 
 @dataclass(frozen=True)
@@ -39,6 +48,7 @@ class Model:
     _owned_sets: dict = field(init=False, repr=False, compare=False)
     _variable_set: frozenset = field(init=False, repr=False, compare=False)
     _agent_set: frozenset = field(init=False, repr=False, compare=False)
+    _compiled: Optional["CompiledModel"] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "agents", tuple(self.agents))
@@ -56,6 +66,7 @@ class Model:
         )
         object.__setattr__(self, "_variable_set", frozenset(self.variables))
         object.__setattr__(self, "_agent_set", frozenset(self.agents))
+        object.__setattr__(self, "_compiled", None)
 
     @property
     def variable_set(self) -> frozenset[str]:
@@ -93,10 +104,107 @@ class Model:
             owned |= self._owned_sets[agent]
         return tuple(v for v in self.variables if v in owned)
 
+    @property
+    def compiled(self) -> "CompiledModel":
+        """The critical formulas compiled once, on first use."""
+        if self._compiled is None:
+            object.__setattr__(self, "_compiled", compile_model(self))
+        return self._compiled
 
-def controller_of(model: Model, variable: str) -> str:
-    """The unique agent whose partition cell contains the variable."""
-    return model.owner_of(variable)
+
+# ---------------------------------------------------------------------------
+# compiled formulas
+
+
+class CompiledModel(NamedTuple):
+    """The critical formulas compiled once, shared by engine, blocking and analysis.
+
+    Position i of evaluators, variables and agents belongs to critical
+    formula i; its agents are those whose owned set meets its variables.
+    by_variable maps a variable to the ascending indices of the formulas
+    mentioning it. invalid lists the formulas naming an undeclared variable
+    or agent: their evaluator is eval_formula itself, which raises, and
+    simulate evaluates them whatever the batch writes.
+    """
+
+    evaluators: tuple[Evaluator, ...]
+    variables: tuple[frozenset[str], ...]
+    agents: tuple[frozenset[str], ...]
+    by_variable: Mapping[str, tuple[int, ...]]
+    invalid: tuple[int, ...]
+
+
+def compile_model(model: Model) -> CompiledModel:
+    """Build the compiled form; Model.compiled builds it once and caches it."""
+    formulas = model.critical_formulas
+    variables = tuple(vars_of(f) for f in formulas)
+    invalid = tuple(
+        index
+        for index, f in enumerate(formulas)
+        if not variables[index] <= model.variable_set
+        or any(not coalition <= model.agent_set for coalition in coalitions_of(f))
+    )
+    evaluators = tuple(
+        partial(eval_formula, f, model) if index in invalid else compile_formula(f, model)
+        for index, f in enumerate(formulas)
+    )
+    agents = tuple(
+        frozenset(a for a in model.agents if not model.owned_set(a).isdisjoint(used))
+        for used in variables
+    )
+    by_variable: dict[str, tuple[int, ...]] = {}
+    for index, used in enumerate(variables):
+        for variable in used:
+            by_variable[variable] = by_variable.get(variable, ()) + (index,)
+    return CompiledModel(evaluators, variables, agents, by_variable, invalid)
+
+
+def compile_formula(f: Formula, model: Model) -> Evaluator:
+    """A closure evaluating f over a valuation mapping as eval_formula does,
+    without its name checks, which callers make once. A Diamond node checks
+    its budget only when it is evaluated."""
+    if isinstance(f, Top):
+        return lambda valuation: True
+    if isinstance(f, Var):
+        return itemgetter(f.name)
+    pair = as_conjunction(f)
+    if pair is not None:  # the ~(~a | ~b) that & builds, in one call instead of four
+        left, right = compile_formula(pair[0], model), compile_formula(pair[1], model)
+        return lambda valuation: left(valuation) and right(valuation)
+    if isinstance(f, Not):
+        child = compile_formula(f.child, model)
+        return lambda valuation: not child(valuation)
+    if isinstance(f, Or):
+        left, right = compile_formula(f.left, model), compile_formula(f.right, model)
+        return lambda valuation: left(valuation) or right(valuation)
+    if isinstance(f, Diamond):
+        child = compile_formula(f.child, model)
+        inner = vars_of(f.child)
+        relevant = tuple(v for v in model.coalition_variables(f.coalition) if v in inner)
+        return lambda valuation: first_witness(child, valuation, relevant) is not None
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def first_witness(
+    evaluate: Evaluator, valuation: Mapping[str, bool], relevant: Sequence[str]
+) -> Optional[dict[str, bool]]:
+    """The first assignment to ``relevant`` making ``evaluate`` true, or None.
+
+    Assignments are tried in itertools.product order, False before True, the
+    rest of the valuation held fixed. Capped at DIAMOND_VARIABLE_CAP variables.
+    """
+    if len(relevant) > DIAMOND_VARIABLE_CAP:
+        raise BudgetExceededError(
+            f"coalition controls {len(relevant)} variables of the formula, "
+            f"cap is {DIAMOND_VARIABLE_CAP}"
+        )
+    trial = dict(valuation)
+    for combo in itertools.product((False, True), repeat=len(relevant)):
+        assignment = dict(zip(relevant, combo))
+        trial.update(assignment)
+        if evaluate(trial):
+            return assignment
+    return None
 
 
 @dataclass(frozen=True)
@@ -230,7 +338,8 @@ def validate_model(model: Model, strict_formula_control: bool = True) -> Validat
 
 def is_secure(model: Model, state: SystemState) -> bool:
     """True when every critical formula evaluates false at the state."""
-    return all(not eval_formula(f, model, state) for f in model.critical_formulas)
+    valuation = getattr(state, "valuation", state)
+    return not any(evaluate(valuation) for evaluate in model.compiled.evaluators)
 
 
 def diamond_holds(
@@ -250,14 +359,7 @@ def diamond_holds(
     if unknown:
         raise UnknownVariableError(f"unknown variables: {sorted(unknown)}")
     relevant = tuple(v for v in owned if v in vars_of(f))
-    if len(relevant) > DIAMOND_VARIABLE_CAP:
-        raise BudgetExceededError(
-            f"coalition controls {len(relevant)} variables of the formula, "
-            f"cap is {DIAMOND_VARIABLE_CAP}"
-        )
-    for combo in itertools.product((False, True), repeat=len(relevant)):
-        assignment = dict(zip(relevant, combo))
-        trial = state.with_updates(assignment)
-        if eval_formula(f, model, trial):
-            return True, PartialValuation(members, assignment)
-    return False, None
+    assignment = first_witness(compile_formula(f, model), state.valuation, relevant)
+    if assignment is None:
+        return False, None
+    return True, PartialValuation(members, assignment)

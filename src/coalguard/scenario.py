@@ -190,7 +190,7 @@ def scenario_from_mapping(data: Mapping, allow_insecure_start: bool = False) -> 
         raw_queue = []
     if not isinstance(raw_queue, list):
         raise ScenarioError("queue must be a list of requests")
-    queue = ActionQueue(model)
+    requests: list[ActionRequest] = []
     for index, item in enumerate(raw_queue):
         item = _require_mapping(item, f"queue[{index}]")
         extra = set(item) - _QUEUE_KEYS
@@ -200,10 +200,13 @@ def scenario_from_mapping(data: Mapping, allow_insecure_start: bool = False) -> 
         if missing:
             raise ScenarioError(f"queue[{index}]: missing keys {sorted(missing)}")
         value = _require_bool(item["value"], f"queue[{index}].value")
-        try:
-            queue = queue.push(item["agent"], item["var"], value)
+        request = ActionRequest(item["agent"], item["var"], value, index)
+        try:  # enqueue's checks, against the previous request only: no copying
+            ActionQueue(model, tuple(requests[-1:])).enqueue(request)
         except CoalGuardError as exc:
             raise ScenarioError(f"queue[{index}]: {exc}") from exc
+        requests.append(request)
+    queue = ActionQueue(model, tuple(requests))
 
     return Scenario(model, state, queue, config_from_mapping(data.get("config")))
 

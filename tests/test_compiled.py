@@ -1,0 +1,166 @@
+"""The compiled model form against the reference evaluator and full re-evaluation."""
+
+import random
+
+import pytest
+from hypothesis import assume, given, strategies as st
+
+from coalguard import (
+    ActionRequest,
+    BudgetExceededError,
+    Diamond,
+    Model,
+    Not,
+    Or,
+    SystemState,
+    UnknownAgentError,
+    UnknownVariableError,
+    build_matrix,
+    eval_formula,
+    is_secure,
+    parse_formula,
+    simulate,
+)
+from coalguard.model import compile_formula
+from helpers import (
+    random_formula,
+    random_model,
+    random_requests,
+    random_secure_state,
+    run_batch,
+    vars_in,
+)
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+def modal_formula(rng, model, depth=3):
+    """Like helpers.random_formula, but with <>{C} nodes over random coalitions."""
+    if depth == 0 or rng.random() < 0.25:
+        return random_formula(rng, list(model.variables), depth=1)
+    pick = rng.random()
+    if pick < 0.3:
+        coalition = rng.sample(model.agents, rng.randint(1, len(model.agents)))
+        return Diamond(coalition, modal_formula(rng, model, depth - 1))
+    if pick < 0.5:
+        return Not(modal_formula(rng, model, depth - 1))
+    left = modal_formula(rng, model, depth - 1)
+    right = modal_formula(rng, model, depth - 1)
+    return Or(left, right) if pick < 0.75 else left & right
+
+
+@given(seeds)
+def test_compiled_evaluator_matches_eval_formula(seed):
+    rng = random.Random(seed)
+    model = random_model(rng, max_vars=7, max_agents=4)
+    f = modal_formula(rng, model)
+    evaluate = compile_formula(f, model)
+    critical = Model(model.agents, model.variables, model.partition, (f,))
+    for _ in range(8):
+        valuation = {v: rng.random() < 0.5 for v in model.variables}
+        expected = eval_formula(f, model, valuation)
+        assert bool(evaluate(valuation)) == expected
+        assert bool(critical.compiled.evaluators[0](valuation)) == expected
+
+
+def reference_simulate(model, state, batch):
+    """Every critical formula re-evaluated before and after the batch."""
+    after = run_batch(state.valuation, batch)
+    became = tuple(
+        index
+        for index, f in enumerate(model.critical_formulas)
+        if not eval_formula(f, model, state) and eval_formula(f, model, after)
+    )
+    flipped = set().union(*(vars_in(model.critical_formulas[i]) for i in became))
+    requesters = {r.agent for r in batch}
+    implicated = tuple(
+        a for a in model.agents if a in requesters and model.owned_set(a) & flipped
+    )
+    return became, implicated, after
+
+
+@given(seeds)
+def test_indexed_simulate_matches_full_reevaluation(seed):
+    rng = random.Random(seed)
+    model = random_model(rng, max_formulas=6)
+    state = random_secure_state(rng, model)
+    assume(state is not None)
+    batch = random_requests(rng, model)
+    # write one variable twice, the second write winning
+    first = rng.choice(batch)
+    batch += (
+        ActionRequest(first.agent, first.variable, not first.new_value, len(batch)),
+    )
+    report = simulate(model, state, batch)
+    became, implicated, after = reference_simulate(model, state, batch)
+    assert report.became_true == became
+    assert report.implicated_agents == implicated
+    assert dict(report.simulated_state.valuation) == after
+
+
+@given(seeds)
+def test_matrix_marks_follow_owned_sets_with_a_doubly_owned_variable(seed):
+    rng = random.Random(seed)
+    base = random_model(rng)
+    shared = rng.choice(base.variables)
+    second = rng.choice([a for a in base.agents if shared not in base.owned(a)])
+    partition = {
+        a: owned + (shared,) if a == second else owned for a, owned in base.partition.items()
+    }
+    model = Model(base.agents, base.variables, partition, base.critical_formulas)
+    state = SystemState(0, {v: rng.random() < 0.5 for v in model.variables})
+    batch = random_requests(rng, model, max_requests=12)
+    batch += (ActionRequest(second, shared, not state.value(shared), len(batch)),)
+    report = simulate(model, state, batch)
+    matrix = build_matrix(model, report)
+    for row, index in zip(matrix.marks, matrix.formula_indices):
+        used = vars_in(model.critical_formulas[index])
+        assert row == tuple(bool(model.owned_set(a) & used) for a in matrix.agents)
+    assert matrix.counters == tuple(
+        sum(row[j] for row in matrix.marks) for j in range(len(matrix.agents))
+    )
+
+
+# ---------------------------------------------------------------------------
+# error edges
+
+
+def two_agent_model(*formulas):
+    return Model(
+        ("a1", "a2"), ("x", "y"), {"a1": ("x",), "a2": ("y",)},
+        tuple(parse_formula(text) for text in formulas),
+    )
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [("x & zz", UnknownVariableError), ("<>{ghost} x & y", UnknownAgentError)],
+)
+def test_unknown_names_still_raise(text, error):
+    model = two_agent_model("x & y", text)
+    state = SystemState(0, {"x": False, "y": False})
+    with pytest.raises(error):
+        is_secure(model, state)
+    # an empty batch touches no formula, yet simulate raises as before
+    with pytest.raises(error):
+        simulate(model, state, ())
+    with pytest.raises(error):
+        simulate(model, state, (ActionRequest("a2", "y", True, 0),))
+
+
+def test_diamond_budget_raises_only_when_evaluated():
+    big = tuple(f"y{i}" for i in range(21))
+    model = Model(
+        ("a1", "big"), ("x",) + big, {"a1": ("x",), "big": big},
+        (parse_formula("x | <>{big} (" + " | ".join(big) + ")"),),
+    )
+    evaluate = model.compiled.evaluators[0]
+    quiet = {v: False for v in model.variables}
+    assert evaluate({**quiet, "x": True})
+    alarmed = SystemState(0, {**quiet, "x": True})
+    assert not is_secure(model, alarmed)
+    assert simulate(model, alarmed, (ActionRequest("big", "y0", True, 0),)).became_true == ()
+    with pytest.raises(BudgetExceededError):
+        evaluate(quiet)
+    with pytest.raises(BudgetExceededError):
+        is_secure(model, SystemState(0, quiet))
