@@ -32,10 +32,10 @@ from .formula import (
     Or,
     Top,
     Var,
+    compile_formula,
     conjoin,
     disjoin,
     eval_formula,
-    evaluate_propositional,
     find_horn_labeling,
     format_formula,
     has_diamond,
@@ -63,7 +63,6 @@ from .engine import (
     DropTick,
     EngineConfig,
     RunResult,
-    SilentFreeze,
     SimulationReport,
     TickOutcome,
     TickRecord,
@@ -76,15 +75,12 @@ from .blocking import (
     BlockReport,
     BlockingMatrix,
     GreedyIteration,
-    OracleFrontier,
     OracleRound,
     brute_force_min_block,
     build_matrix,
     greedy_block,
-    merge_frontiers,
     nondet_block,
     rank_agents,
-    scan_oracle,
 )
 from .analysis import (
     ConnectivitySurvey,

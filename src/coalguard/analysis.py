@@ -23,11 +23,12 @@ from .formula import (
     disjoin,
     eval_formula,
     find_horn_labeling,
+    first_witness,
     has_diamond,
     to_horn_disjunction,
     vars_of,
 )
-from .model import Model, PartialValuation, SystemState, first_witness
+from .model import Model, PartialValuation, SystemState
 
 GRAPH_VARIABLE_CAP = 16
 AUDIT_AGENT_CAP = 12
@@ -128,10 +129,9 @@ def _connected(members: Sequence[bool], num_vars: int) -> bool:
 
 def is_connected(graph: StateGraph, restrict_to_secure: bool = False) -> bool:
     """Connectivity of the full graph or of its secure-vertex subgraph."""
-    n = len(graph.variables)
     if restrict_to_secure:
-        return _connected(list(graph.secure), n)
-    return _connected([True] * graph.num_vertices, n)
+        return _connected(list(graph.secure), len(graph.variables))
+    return True  # the full graph is a hypercube, and every hypercube is connected
 
 
 def secure_path(

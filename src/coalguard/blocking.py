@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceededError, PreconditionError
 from .model import Model, SystemState
@@ -32,12 +32,6 @@ class BlockingMatrix:
     agents: tuple[str, ...]
     marks: tuple[tuple[bool, ...], ...]
     counters: tuple[int, ...]
-
-    def counter_of(self, agent: str) -> int:
-        return self.counters[self.agents.index(agent)]
-
-    def marked(self, formula_index: int, agent: str) -> bool:
-        return self.marks[self.formula_indices.index(formula_index)][self.agents.index(agent)]
 
 
 def build_matrix(model: Model, report: SimulationReport) -> BlockingMatrix:
@@ -129,20 +123,6 @@ def greedy_block(
 
 
 @dataclass(frozen=True)
-class OracleFrontier:
-    """The best equal-cardinality keep-sets found by one scan.
-
-    subsets are canonically ordered agent tuples; false_count is the shared
-    number of critical formulas left false; evaluated keeps every candidate's
-    count for audit.
-    """
-
-    subsets: tuple[tuple[str, ...], ...]
-    false_count: int
-    evaluated: tuple[tuple[tuple[str, ...], int], ...]
-
-
-@dataclass(frozen=True)
 class OracleRound:
     cardinality: int
     evaluated: tuple[tuple[tuple[str, ...], int], ...]
@@ -176,41 +156,6 @@ def _evaluate_candidates(
     return counts
 
 
-def _frontier_from_counts(counts: dict[tuple[str, ...], int]) -> OracleFrontier:
-    evaluated = tuple(sorted(counts.items()))
-    best = max(counts.values())
-    subsets = tuple(sorted(keep for keep, count in counts.items() if count == best))
-    return OracleFrontier(subsets, best, evaluated)
-
-
-def scan_oracle(
-    model: Model,
-    state: SystemState,
-    batch: Sequence[ActionRequest],
-    subset: Iterable[str],
-) -> OracleFrontier:
-    """Evaluate every one-smaller keep-set of ``subset``.
-
-    Each candidate restricts the batch to its members and counts the critical
-    formulas still false afterwards; the frontier keeps the candidates
-    achieving the maximum, duplicates removed.
-    """
-    members = tuple(a for a in model.agents if a in set(subset))
-    candidates = [tuple(c) for c in itertools.combinations(members, max(len(members) - 1, 0))]
-    counts = _evaluate_candidates(model, state, batch, candidates)
-    return _frontier_from_counts(counts)
-
-
-def merge_frontiers(frontiers: Sequence[OracleFrontier]) -> OracleFrontier:
-    """Union several scans, keeping the overall best keep-sets once each."""
-    if not frontiers:
-        raise PreconditionError("nothing to merge")
-    counts: dict[tuple[str, ...], int] = {}
-    for frontier in frontiers:
-        counts.update(dict(frontier.evaluated))
-    return _frontier_from_counts(counts)
-
-
 def nondet_block(
     model: Model,
     state: SystemState,
@@ -242,14 +187,12 @@ def nondet_block(
     for cardinality in range(len(requesters) - 1, -1, -1):
         candidates = [tuple(c) for c in itertools.combinations(requesters, cardinality)]
         counts = _evaluate_candidates(model, state, batch, candidates)
-        frontier = _frontier_from_counts(counts)
-        representative = rng.choice(list(frontier.subsets))
-        success = frontier.false_count == total
-        rounds.append(
-            OracleRound(
-                cardinality, frontier.evaluated, frontier.subsets, representative, success
-            )
-        )
+        best = max(counts.values())
+        frontier = tuple(sorted(keep for keep, count in counts.items() if count == best))
+        representative = rng.choice(frontier)
+        success = best == total
+        evaluated = tuple(sorted(counts.items()))
+        rounds.append(OracleRound(cardinality, evaluated, frontier, representative, success))
         if success:
             chosen = representative
             break

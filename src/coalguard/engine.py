@@ -54,12 +54,6 @@ class ActionQueue:
         next_index = self.requests[-1].arrival_index + 1 if self.requests else 0
         return self.enqueue(ActionRequest(agent, variable, bool(new_value), next_index))
 
-    def take_batch(self, n: int) -> tuple[tuple[ActionRequest, ...], "ActionQueue"]:
-        """Remove and return the first n requests."""
-        if n < 1:
-            raise ValueError("batch size must be at least 1")
-        return self.requests[:n], ActionQueue(self.model, self.requests[n:])
-
     def take_batch_excluding(
         self, n: int, blocked: Iterable[str]
     ) -> tuple[tuple[ActionRequest, ...], tuple[ActionRequest, ...], "ActionQueue"]:
@@ -106,13 +100,6 @@ class DropTick(BlockingStrategy):
     """Remove the agent's requests for this tick; it may ask again next tick."""
 
     name = "drop_tick"
-
-
-@dataclass(frozen=True)
-class SilentFreeze(BlockingStrategy):
-    """Like drop_tick, but the agent is not told its writes were withheld."""
-
-    name = "silent_freeze"
 
 
 @dataclass(frozen=True)
@@ -196,7 +183,7 @@ def simulate(model: Model, state: SystemState, batch: Sequence[ActionRequest]) -
     after = apply_actions(state, batch)
     compiled = model.compiled
     before, now = state.valuation, after.valuation
-    touched = set(compiled.invalid)
+    touched = set()
     for request in batch:
         if before.get(request.variable) != now[request.variable]:
             touched.update(compiled.by_variable.get(request.variable, ()))
@@ -256,12 +243,7 @@ def tick(
         if release > forming
     }
 
-    n = config.batch_size(model)
-    if n == 0:
-        batch: tuple[ActionRequest, ...] = ()
-        remaining = queue
-    else:
-        batch, _, remaining = queue.take_batch_excluding(n, registry)
+    batch, _, remaining = queue.take_batch_excluding(config.batch_size(model), registry)
 
     if config.policy == "none":
         report = blocking.BlockReport("none", (), batch, ())

@@ -22,7 +22,8 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -37,6 +38,11 @@ _RESERVED = {"true"}
 
 DIAMOND_VARIABLE_CAP = 20
 HORN_VARIABLE_CAP = 16
+# Deepest formula parse_formula accepts; evaluators and printers recurse on
+# trees, so this keeps them far from Python's recursion limit.
+FORMULA_DEPTH_CAP = 256
+
+Evaluator = Callable[[Mapping[str, bool]], bool]
 
 
 class Formula:
@@ -175,62 +181,65 @@ class _Parser:
         return self.advance()
 
     def parse(self) -> Formula:
-        node = self.disjunction()
+        node, height = self.expression(_DISJ, 0)
         token = self.peek()
         if token.kind != "end":
             raise FormulaSyntaxError(f"unexpected {token.text!r}", token.pos)
+        if height > FORMULA_DEPTH_CAP:
+            raise _too_deep()
         return node
 
-    def disjunction(self) -> Formula:
-        node = self.conjunction()
-        while self.peek().kind == "|":
-            self.advance()
-            node = Or(node, self.conjunction())
-        return node
+    def expression(self, floor: int, nesting: int) -> tuple[Formula, int]:
+        """Operands joined by binary operators binding at least as tightly as
+        floor, with the height of their tree. A chain loops instead of
+        recursing, so only ~, <> and ( nest calls."""
+        node, height = self.operand(nesting)
+        while _BINDING.get(self.peek().kind, -1) >= floor:
+            op = self.advance().kind
+            right, right_height = self.expression(_BINDING[op] + 1, nesting)  # left associative
+            if op == "|":
+                node, height = Or(node, right), max(height, right_height) + 1
+            else:  # ~(~a | ~b) puts three levels above a and b
+                node, height = node & right, max(height, right_height) + 3
+        return node, height
 
-    def conjunction(self) -> Formula:
-        node = self.unary()
-        while self.peek().kind == "&":
-            self.advance()
-            node = node & self.unary()
-        return node
-
-    def unary(self) -> Formula:
-        token = self.peek()
+    def operand(self, nesting: int) -> tuple[Formula, int]:
+        token = self.advance()
+        if token.kind in ("~", "<>", "(") and nesting == FORMULA_DEPTH_CAP:
+            raise _too_deep()  # checked before recursing, unlike the height
         if token.kind == "~":
-            self.advance()
-            return Not(self.unary())
+            child, height = self.operand(nesting + 1)
+            return Not(child), height + 1
         if token.kind == "<>":
-            self.advance()
             self.expect("{", "'{' after '<>'")
             names = [self.expect("ident", "agent name").text]
             while self.peek().kind == ",":
                 self.advance()
                 names.append(self.expect("ident", "agent name").text)
             self.expect("}", "'}' closing the coalition")
-            return Diamond(names, self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        token = self.peek()
-        if token.kind == "true":
-            self.advance()
-            return TOP
-        if token.kind == "ident":
-            self.advance()
-            return Var(token.text)
+            child, height = self.operand(nesting + 1)
+            return Diamond(names, child), height + 1
         if token.kind == "(":
-            self.advance()
-            node = self.disjunction()
+            inner = self.expression(_DISJ, nesting + 1)
             self.expect(")", "')'")
-            return node
+            return inner
+        if token.kind == "true":
+            return TOP, 1
+        if token.kind == "ident":
+            return Var(token.text), 1
         raise FormulaSyntaxError("expected a formula", token.pos)
+
+
+def _too_deep() -> BudgetExceededError:
+    return BudgetExceededError(f"formula nests deeper than {FORMULA_DEPTH_CAP} levels")
 
 
 def parse_formula(text: str) -> Formula:
     """Parse surface syntax into a five-node-kind AST.
 
-    Raises FormulaSyntaxError with a character position on malformed input.
+    Raises FormulaSyntaxError with a character position on malformed input,
+    and BudgetExceededError when the tree has more levels, or the text nests
+    ~, <> or parentheses more deeply, than FORMULA_DEPTH_CAP.
     """
     return _Parser(_tokenize(text)).parse()
 
@@ -246,6 +255,7 @@ def format_formula(f: Formula) -> str:
 
 
 _DISJ, _CONJ, _UNARY = 0, 1, 2  # binding strength, loosest first
+_BINDING = {"|": _DISJ, "&": _CONJ}
 
 
 def as_conjunction(f: Formula) -> Optional[tuple[Formula, Formula]]:
@@ -331,7 +341,12 @@ def eval_formula(f: Formula, model, state) -> bool:
     variables, everything else held fixed. ``state`` may be a SystemState or
     a plain variable -> bool mapping.
     """
-    valuation = getattr(state, "valuation", state)
+    check_names(f, model)
+    return _eval(f, model, getattr(state, "valuation", state))
+
+
+def check_names(f: Formula, model) -> None:
+    """Raise for the first undeclared variable or agent that f names."""
     unknown = vars_of(f) - model.variable_set
     if unknown:
         raise UnknownVariableError(f"unknown variables: {sorted(unknown)}")
@@ -339,7 +354,6 @@ def eval_formula(f: Formula, model, state) -> bool:
         missing = coalition - model.agent_set
         if missing:
             raise UnknownAgentError(f"unknown agents: {sorted(missing)}")
-    return _eval(f, model, valuation)
 
 
 def _eval(f: Formula, model, valuation: Mapping[str, bool]) -> bool:
@@ -367,21 +381,54 @@ def _eval(f: Formula, model, valuation: Mapping[str, bool]) -> bool:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def evaluate_propositional(f: Formula, assignment: Mapping[str, bool]) -> bool:
-    """Evaluate a Diamond-free formula under a plain assignment."""
+def compile_formula(f: Formula, model=None) -> Evaluator:
+    """A closure evaluating f over a valuation mapping as eval_formula does,
+    without its name checks, which callers make once. Only <> nodes need the
+    model; such a node checks its budget only when it is evaluated."""
     if isinstance(f, Top):
-        return True
+        return lambda valuation: True
     if isinstance(f, Var):
-        return assignment[f.name]
+        return itemgetter(f.name)
+    pair = as_conjunction(f)
+    if pair is not None:  # the ~(~a | ~b) that & builds, in one call instead of four
+        left, right = compile_formula(pair[0], model), compile_formula(pair[1], model)
+        return lambda valuation: left(valuation) and right(valuation)
     if isinstance(f, Not):
-        return not evaluate_propositional(f.child, assignment)
+        child = compile_formula(f.child, model)
+        return lambda valuation: not child(valuation)
     if isinstance(f, Or):
-        return evaluate_propositional(f.left, assignment) or evaluate_propositional(
-            f.right, assignment
-        )
+        left, right = compile_formula(f.left, model), compile_formula(f.right, model)
+        return lambda valuation: left(valuation) or right(valuation)
     if isinstance(f, Diamond):
-        raise ModalFormulaError("modality not allowed here")
+        if model is None:
+            raise ModalFormulaError("a <> node needs a model to evaluate")
+        child = compile_formula(f.child, model)
+        inner = vars_of(f.child)
+        relevant = tuple(v for v in model.coalition_variables(f.coalition) if v in inner)
+        return lambda valuation: first_witness(child, valuation, relevant) is not None
     raise TypeError(f"not a formula: {f!r}")
+
+
+def first_witness(
+    evaluate: Evaluator, valuation: Mapping[str, bool], relevant: Sequence[str]
+) -> Optional[dict[str, bool]]:
+    """The first assignment to ``relevant`` making ``evaluate`` true, or None.
+
+    Assignments are tried in itertools.product order, False before True, the
+    rest of the valuation held fixed. Capped at DIAMOND_VARIABLE_CAP variables.
+    """
+    if len(relevant) > DIAMOND_VARIABLE_CAP:
+        raise BudgetExceededError(
+            f"coalition controls {len(relevant)} variables of the formula, "
+            f"cap is {DIAMOND_VARIABLE_CAP}"
+        )
+    trial = dict(valuation)
+    for combo in itertools.product((False, True), repeat=len(relevant)):
+        assignment = dict(zip(relevant, combo))
+        trial.update(assignment)
+        if evaluate(trial):
+            return assignment
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -501,10 +548,11 @@ def to_horn_disjunction(f: Formula, model=None) -> HornDisjunction:
         raise BudgetExceededError(
             f"formula has {len(order)} variables, minterm cap is {HORN_VARIABLE_CAP}"
         )
+    evaluate = compile_formula(f)
     disjuncts = []
     for combo in itertools.product((False, True), repeat=len(order)):
         assignment = dict(zip(order, combo))
-        if evaluate_propositional(f, assignment):
+        if evaluate(assignment):
             literals = [Var(v) if assignment[v] else Not(Var(v)) for v in order]
             disjuncts.append(conjoin(literals))
     return HornDisjunction(order, tuple(disjuncts))

@@ -8,34 +8,20 @@ is secure exactly when all of them evaluate false.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from functools import partial
-from operator import itemgetter
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .errors import (
-    BudgetExceededError,
-    ModalFormulaError,
-    UnknownAgentError,
-    UnknownVariableError,
-)
+from .errors import ModalFormulaError, UnknownAgentError, UnknownVariableError
 from .formula import (
-    DIAMOND_VARIABLE_CAP,
-    Diamond,
+    Evaluator,
     Formula,
-    Not,
-    Or,
-    Top,
-    Var,
-    as_conjunction,
+    check_names,
     coalitions_of,
-    eval_formula,
+    compile_formula,
+    first_witness,
     has_diamond,
     vars_of,
 )
-
-Evaluator = Callable[[Mapping[str, bool]], bool]
 
 
 @dataclass(frozen=True)
@@ -122,32 +108,26 @@ class CompiledModel(NamedTuple):
     Position i of evaluators, variables and agents belongs to critical
     formula i; its agents are those whose owned set meets its variables.
     by_variable maps a variable to the ascending indices of the formulas
-    mentioning it. invalid lists the formulas naming an undeclared variable
-    or agent: their evaluator is eval_formula itself, which raises, and
-    simulate evaluates them whatever the batch writes.
+    mentioning it.
     """
 
     evaluators: tuple[Evaluator, ...]
     variables: tuple[frozenset[str], ...]
     agents: tuple[frozenset[str], ...]
     by_variable: Mapping[str, tuple[int, ...]]
-    invalid: tuple[int, ...]
 
 
 def compile_model(model: Model) -> CompiledModel:
-    """Build the compiled form; Model.compiled builds it once and caches it."""
+    """Build the compiled form; Model.compiled builds it once and caches it.
+
+    Raises what eval_formula would for the first formula, in index order,
+    naming an undeclared variable or agent.
+    """
     formulas = model.critical_formulas
+    for f in formulas:
+        check_names(f, model)
     variables = tuple(vars_of(f) for f in formulas)
-    invalid = tuple(
-        index
-        for index, f in enumerate(formulas)
-        if not variables[index] <= model.variable_set
-        or any(not coalition <= model.agent_set for coalition in coalitions_of(f))
-    )
-    evaluators = tuple(
-        partial(eval_formula, f, model) if index in invalid else compile_formula(f, model)
-        for index, f in enumerate(formulas)
-    )
+    evaluators = tuple(compile_formula(f, model) for f in formulas)
     agents = tuple(
         frozenset(a for a in model.agents if not model.owned_set(a).isdisjoint(used))
         for used in variables
@@ -156,55 +136,7 @@ def compile_model(model: Model) -> CompiledModel:
     for index, used in enumerate(variables):
         for variable in used:
             by_variable[variable] = by_variable.get(variable, ()) + (index,)
-    return CompiledModel(evaluators, variables, agents, by_variable, invalid)
-
-
-def compile_formula(f: Formula, model: Model) -> Evaluator:
-    """A closure evaluating f over a valuation mapping as eval_formula does,
-    without its name checks, which callers make once. A Diamond node checks
-    its budget only when it is evaluated."""
-    if isinstance(f, Top):
-        return lambda valuation: True
-    if isinstance(f, Var):
-        return itemgetter(f.name)
-    pair = as_conjunction(f)
-    if pair is not None:  # the ~(~a | ~b) that & builds, in one call instead of four
-        left, right = compile_formula(pair[0], model), compile_formula(pair[1], model)
-        return lambda valuation: left(valuation) and right(valuation)
-    if isinstance(f, Not):
-        child = compile_formula(f.child, model)
-        return lambda valuation: not child(valuation)
-    if isinstance(f, Or):
-        left, right = compile_formula(f.left, model), compile_formula(f.right, model)
-        return lambda valuation: left(valuation) or right(valuation)
-    if isinstance(f, Diamond):
-        child = compile_formula(f.child, model)
-        inner = vars_of(f.child)
-        relevant = tuple(v for v in model.coalition_variables(f.coalition) if v in inner)
-        return lambda valuation: first_witness(child, valuation, relevant) is not None
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def first_witness(
-    evaluate: Evaluator, valuation: Mapping[str, bool], relevant: Sequence[str]
-) -> Optional[dict[str, bool]]:
-    """The first assignment to ``relevant`` making ``evaluate`` true, or None.
-
-    Assignments are tried in itertools.product order, False before True, the
-    rest of the valuation held fixed. Capped at DIAMOND_VARIABLE_CAP variables.
-    """
-    if len(relevant) > DIAMOND_VARIABLE_CAP:
-        raise BudgetExceededError(
-            f"coalition controls {len(relevant)} variables of the formula, "
-            f"cap is {DIAMOND_VARIABLE_CAP}"
-        )
-    trial = dict(valuation)
-    for combo in itertools.product((False, True), repeat=len(relevant)):
-        assignment = dict(zip(relevant, combo))
-        trial.update(assignment)
-        if evaluate(trial):
-            return assignment
-    return None
+    return CompiledModel(evaluators, variables, agents, by_variable)
 
 
 @dataclass(frozen=True)

@@ -32,10 +32,10 @@ from .engine import (
     BlockingStrategy,
     DropTick,
     EngineConfig,
-    SilentFreeze,
     TickRecord,
 )
 from .errors import (
+    BudgetExceededError,
     CoalGuardError,
     FormulaSyntaxError,
     InsecureStartError,
@@ -70,12 +70,10 @@ def _require_bool(value, what: str) -> bool:
 
 
 def parse_strategy(value) -> BlockingStrategy:
-    """Accepts "drop_tick", "silent_freeze", {block_until_tick: T}, or
-    {block_for_random_interval: {low, high, seed?}}."""
-    if value == "drop_tick":
+    """Accepts "drop_tick", "silent_freeze" (a synonym of drop_tick),
+    {block_until_tick: T}, or {block_for_random_interval: {low, high, seed?}}."""
+    if value in ("drop_tick", "silent_freeze"):
         return DropTick()
-    if value == "silent_freeze":
-        return SilentFreeze()
     if isinstance(value, Mapping) and len(value) == 1:
         (name, body), = value.items()
         if name == "block_until_tick":
@@ -158,7 +156,7 @@ def scenario_from_mapping(data: Mapping, allow_insecure_start: bool = False) -> 
     for index, text in enumerate(raw_formulas):
         try:
             formulas.append(parse_formula(text))
-        except FormulaSyntaxError as exc:
+        except (FormulaSyntaxError, BudgetExceededError) as exc:
             raise ScenarioError(f"formulas[{index}]: {exc}") from exc
 
     model = Model(tuple(agents), tuple(variables), partition, tuple(formulas))

@@ -25,6 +25,7 @@ from coalguard import (
     survey_secure_connectivity,
     to_cnf,
 )
+from coalguard.analysis import _connected
 from helpers import random_model, truth_eval
 
 
@@ -77,6 +78,16 @@ def test_edge_count_formula_up_to_five():
         assert graph.num_edges == n * 2 ** (n - 1)
         assert sum(1 for _ in graph.edges()) == graph.num_edges
         assert is_connected(graph)
+
+
+def test_full_graph_is_connected_as_the_search_finds():
+    # is_connected answers True for every full graph without a search; the
+    # breadth-first search over all vertices agrees on each hypercube size
+    for n in range(0, 7):
+        variables = tuple(f"x{i}" for i in range(n))
+        graph = build_state_graph(Model(("a1",), variables, {"a1": variables}))
+        assert is_connected(graph) is True
+        assert _connected([True] * graph.num_vertices, n) is True
 
 
 def test_graph_budget():

@@ -13,11 +13,9 @@ from coalguard import (
     brute_force_min_block,
     build_matrix,
     greedy_block,
-    merge_frontiers,
     nondet_block,
     parse_formula,
     rank_agents,
-    scan_oracle,
     simulate,
 )
 from helpers import oracle_min_block, random_scenario, stays_secure
@@ -89,46 +87,6 @@ def test_greedy_no_threat_blocks_nobody(example1_model, example1_state):
 
 
 # ---------------------------------------------------------------------------
-# oracle scan
-
-
-def test_scan_oracle_golden_subsets(example1_model, example1_state, example1_batch):
-    scan3 = scan_oracle(
-        example1_model, example1_state, example1_batch, ("a1", "a2", "a4")
-    )
-    assert scan3.evaluated == (
-        (("a1", "a2"), 2),
-        (("a1", "a4"), 2),
-        (("a2", "a4"), 4),
-    )
-    assert scan3.subsets == (("a2", "a4"),)
-    assert scan3.false_count == 4
-
-    scan4 = scan_oracle(
-        example1_model, example1_state, example1_batch, ("a2", "a3", "a4")
-    )
-    assert scan4.evaluated == (
-        (("a2", "a3"), 2),
-        (("a2", "a4"), 4),
-        (("a3", "a4"), 2),
-    )
-    merged = merge_frontiers([scan3, scan4])
-    assert merged.subsets == (("a2", "a4"),)
-    assert merged.false_count == 4
-
-
-def test_scan_oracle_singleton_reaches_empty_set(example1_model, example1_state, example1_batch):
-    scan = scan_oracle(example1_model, example1_state, example1_batch, ("a1",))
-    assert scan.subsets == ((),)
-    assert scan.false_count == 4
-
-
-def test_merge_frontiers_rejects_empty():
-    with pytest.raises(PreconditionError):
-        merge_frontiers([])
-
-
-# ---------------------------------------------------------------------------
 # nondeterministic search
 
 
@@ -144,6 +102,21 @@ def test_nondet_golden_trace(example1_model, example1_state, example1_batch):
     ]
     rounds = report.iterations
     assert [r.cardinality for r in rounds] == [3, 2]
+    # every keep-set with the number of critical formulas it leaves false
+    assert rounds[0].evaluated == (
+        (("a1", "a2", "a3"), 0),
+        (("a1", "a2", "a4"), 2),
+        (("a1", "a3", "a4"), 0),
+        (("a2", "a3", "a4"), 2),
+    )
+    assert rounds[1].evaluated == (
+        (("a1", "a2"), 2),
+        (("a1", "a3"), 1),
+        (("a1", "a4"), 2),
+        (("a2", "a3"), 2),
+        (("a2", "a4"), 4),
+        (("a3", "a4"), 2),
+    )
     assert rounds[0].frontier == (("a1", "a2", "a4"), ("a2", "a3", "a4"))
     assert not rounds[0].success
     assert rounds[1].frontier == (("a2", "a4"),)

@@ -8,6 +8,7 @@ from hypothesis import assume, given, strategies as st
 from coalguard import (
     ActionRequest,
     BudgetExceededError,
+    CoalGuardError,
     Diamond,
     Model,
     Not,
@@ -15,13 +16,17 @@ from coalguard import (
     SystemState,
     UnknownAgentError,
     UnknownVariableError,
+    Var,
     build_matrix,
+    build_state_graph,
+    compile_formula,
     eval_formula,
     is_secure,
     parse_formula,
     simulate,
+    vars_of,
 )
-from coalguard.model import compile_formula
+from coalguard.formula import coalitions_of
 from helpers import (
     random_formula,
     random_model,
@@ -164,3 +169,47 @@ def test_diamond_budget_raises_only_when_evaluated():
         evaluate(quiet)
     with pytest.raises(BudgetExceededError):
         is_secure(model, SystemState(0, quiet))
+
+
+def rename(f, old, new):
+    """f with the variable or coalition member ``old`` renamed to ``new``."""
+    if isinstance(f, Var):
+        return Var(new) if f.name == old else f
+    if isinstance(f, Not):
+        return Not(rename(f.child, old, new))
+    if isinstance(f, Or):
+        return Or(rename(f.left, old, new), rename(f.right, old, new))
+    if isinstance(f, Diamond):
+        coalition = {new if agent == old else agent for agent in f.coalition}
+        return Diamond(coalition, rename(f.child, old, new))
+    return f
+
+
+@given(seeds)
+def test_undeclared_names_raise_what_eval_formula_raises(seed):
+    rng = random.Random(seed)
+    base = random_model(rng, max_formulas=3)
+    formulas = list(base.critical_formulas)
+    index = rng.randrange(len(formulas))
+    if rng.random() < 0.5:
+        formulas[index] = modal_formula(rng, base)
+    f = formulas[index]
+    names = sorted(vars_of(f) | set().union(*coalitions_of(f)))
+    assume(names)
+    formulas[index] = rename(f, rng.choice(names), "ghost")
+    model = Model(base.agents, base.variables, base.partition, formulas)
+    state = SystemState(0, {v: rng.random() < 0.5 for v in model.variables})
+    with pytest.raises(CoalGuardError) as reference:
+        eval_formula(formulas[index], model, state)
+    expected = type(reference.value)
+    assert expected in (UnknownVariableError, UnknownAgentError)
+    batch = random_requests(rng, model)
+    for attempt in (
+        lambda: model.compiled,
+        lambda: is_secure(model, state),
+        lambda: simulate(model, state, batch),
+        lambda: build_state_graph(model),
+    ):
+        with pytest.raises(expected) as raised:
+            attempt()
+        assert str(raised.value) == str(reference.value)

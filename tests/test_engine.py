@@ -1,6 +1,7 @@
 import random
 
 import pytest
+import yaml
 from hypothesis import given, strategies as st
 
 from coalguard import (
@@ -12,12 +13,13 @@ from coalguard import (
     EngineConfig,
     OwnershipViolationError,
     QueueOrderError,
-    SilentFreeze,
     SystemState,
     apply_actions,
     run_ticks,
+    scenario_from_mapping,
     simulate,
     tick,
+    trace_text,
 )
 from helpers import random_model, random_requests, replay_matches, truth_eval
 
@@ -41,14 +43,6 @@ def test_enqueue_rejects_stale_arrival(example1_model):
     q = ActionQueue(example1_model).push("a1", "v1", True)
     with pytest.raises(QueueOrderError):
         q.enqueue(ActionRequest("a1", "v7", True, 0))
-
-
-def test_take_batch_is_fifo(example1_queue, example1_batch):
-    batch, rest = example1_queue.take_batch(2)
-    assert batch == example1_batch[:2]
-    assert tuple(rest) == example1_batch[2:]
-    with pytest.raises(ValueError):
-        example1_queue.take_batch(0)
 
 
 def test_take_batch_excluding_consumes_dropped(example1_queue, example1_batch):
@@ -198,14 +192,19 @@ def test_block_until_tick_holds_requests_back():
     assert result.all_secure
 
 
-def test_silent_freeze_drops_like_drop_tick():
-    m = _single_formula_model()
-    state = SystemState(0, {"x": False, "y": True})
-    q = ActionQueue(m).push("a1", "x", True)
-    for strategy in (DropTick(), SilentFreeze()):
-        result = run_ticks(m, state, q, EngineConfig(policy="greedy", blocking_strategy=strategy), 1)
-        assert result.records[0].blocked == ("a1",)
-        assert result.final_state.value("x") is False
+def test_silent_freeze_drops_like_drop_tick(scenario_dir):
+    # scenario files may still say silent_freeze: it is a synonym of drop_tick
+    data = yaml.safe_load((scenario_dir / "example1.yaml").read_text())
+    for policy in ("greedy", "nondeterministic"):
+        traces = []
+        for strategy in ("drop_tick", "silent_freeze"):
+            data["config"].update(policy=policy, blocking_strategy=strategy)
+            scenario = scenario_from_mapping(data)
+            result = run_ticks(
+                scenario.model, scenario.initial_state, scenario.queue, scenario.config, 3
+            )
+            traces.append(trace_text(result.records))
+        assert traces[0] == traces[1]
 
 
 def test_random_interval_schedule_bounds():

@@ -1,29 +1,35 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from coalguard import (
+    BudgetExceededError,
     ClauseSet,
     Diamond,
     FormulaSyntaxError,
     HornLabeling,
     Literal,
     ModalFormulaError,
+    Model,
     Not,
     Or,
     TOP,
     Top,
     Var,
-    evaluate_propositional,
+    compile_formula,
+    eval_formula,
     find_horn_labeling,
     format_formula,
     has_diamond,
     parse_formula,
     to_cnf,
     to_horn_disjunction,
+    validate_model,
     vars_of,
 )
+from coalguard.formula import FORMULA_DEPTH_CAP
 from helpers import enumerate_labelings, random_formula, truth_eval, vars_in
 
 
@@ -66,6 +72,29 @@ def test_syntax_errors_carry_position():
             parse_formula(text)
 
 
+@pytest.mark.parametrize(
+    "at_cap, past_cap",
+    [
+        # 252 negations over x & y, whose tree ~(~x | ~y) has four levels
+        ("~" * 252 + "(x & y)", "~" * 253 + "(x & y)"),
+        # a left-leaning chain of n terms has n levels
+        (" | ".join(["x", "y"] * 128), " | ".join(["x", "y"] * 128 + ["x"])),
+    ],
+    ids=["negations", "or-chain"],
+)
+def test_formula_at_depth_cap_is_usable(at_cap, past_cap):
+    assert FORMULA_DEPTH_CAP == 256
+    f = parse_formula(at_cap)
+    model = Model(("a1", "a2"), ("x", "y"), {"a1": ("x",), "a2": ("y",)}, (f,))
+    assert validate_model(model).ok
+    for x, y in itertools.product((False, True), repeat=2):
+        valuation = {"x": x, "y": y}
+        assert model.compiled.evaluators[0](valuation) == eval_formula(f, model, valuation)
+    assert parse_formula(format_formula(f)) == f
+    with pytest.raises(BudgetExceededError, match="deeper than 256"):
+        parse_formula(past_cap)
+
+
 def test_format_examples():
     assert format_formula(parse_formula("v1 & v2 & (~v3 | v5 | ~v4)")) == "v1 & v2 & (~v3 | v5 | ~v4)"
     assert format_formula(parse_formula("(~v5 | ~v3) & ~v6")) == "(~v5 | ~v3) & ~v6"
@@ -100,7 +129,7 @@ def test_vars_of_matches_reference(f):
 @given(formulas(), st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()))
 def test_evaluate_matches_reference(f, bits):
     valuation = dict(zip(("p", "q", "r", "s"), bits))
-    assert evaluate_propositional(f, valuation) == truth_eval(f, valuation)
+    assert compile_formula(f)(valuation) == truth_eval(f, valuation)
 
 
 def test_has_diamond():

@@ -8,7 +8,6 @@ from coalguard import (
     DropTick,
     InsecureStartError,
     ScenarioError,
-    SilentFreeze,
     load_scenario,
     run_ticks,
     scenario_from_mapping,
@@ -155,7 +154,7 @@ def test_load_errors(tmp_path):
 
 def test_parse_strategy_variants():
     assert isinstance(parse_strategy("drop_tick"), DropTick)
-    assert isinstance(parse_strategy("silent_freeze"), SilentFreeze)
+    assert parse_strategy("silent_freeze") == DropTick()
     until = parse_strategy({"block_until_tick": 7})
     assert isinstance(until, BlockUntilTick) and until.release_tick == 7
     interval = parse_strategy(
@@ -285,6 +284,46 @@ def test_cli_run_missing_file(capsys, tmp_path):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "formula",
+    ["~" * 4000 + "x | y", " | ".join(["x", "y"] * 1500)],
+    ids=["4000-nested-not", "3000-term-or"],
+)
+def test_cli_rejects_formulas_past_the_depth_cap(capsys, tmp_path, formula):
+    deep = tmp_path / "deep.yaml"
+    deep.write_text(
+        "agents: {a1: [x], a2: [y]}\n"
+        f"formulas: ['{formula}']\n"
+        "initial: {x: false, y: false}\nqueue: []\n"
+    )
+    assert main(["validate", str(deep)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("invalid: formulas[0]: formula nests deeper than 256 levels")
+    assert main(["run", str(deep)]) == 2
+    assert capsys.readouterr().err.startswith("error: formulas[0]:")
+
+
+def test_cli_zero_formulas_admit_nothing_under_auto(capsys, tmp_path):
+    # "auto" caps a batch at the number of critical formulas: with none, no
+    # request is ever admitted and the queue never drains
+    text = (
+        "agents: {a1: [x], a2: [y]}\nformulas: []\n"
+        "initial: {x: false, y: false}\n"
+        "queue: [{agent: a1, var: x, value: true}, {agent: a2, var: y, value: true}]\n"
+    )
+    idle = tmp_path / "idle.yaml"
+    idle.write_text(text)
+    assert main(["run", str(idle), "--ticks", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == [f"tick {t}: batch=0 blocked=[-] executed=0 secure" for t in (1, 2, 3)]
+    # an explicit cap drains it
+    drained = tmp_path / "drained.yaml"
+    drained.write_text(text + "config: {max_actions_per_tick: 1}\n")
+    assert main(["run", str(drained), "--ticks", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[2] for line in lines[:3]] == ["batch=1", "batch=1", "batch=0"]
 
 
 def test_cli_analyze_xor(capsys, scenario_dir, tmp_path):
