@@ -11,7 +11,8 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import BudgetExceededError, ModalFormulaError, PreconditionError, UnknownVariableError
 from .formula import (
@@ -26,6 +27,8 @@ from .formula import (
     first_witness,
     has_diamond,
     to_horn_disjunction,
+    truth_tables,
+    valuation_masks,
     vars_of,
 )
 from .model import Model, PartialValuation, SystemState
@@ -40,13 +43,14 @@ class StateGraph:
     """Hypercube of valuations; bit j of a vertex index is variables[j].
 
     Edges are implicit: vertex i joins i XOR (1 << j) for every j, labeled
-    edge_labels[j] (the controller of variables[j]). secure[i] records
-    whether every critical formula is false at vertex i.
+    edge_labels[j] (the controller of variables[j]). Bit i of secure_bits is
+    set when every critical formula is false at vertex i; secure[i] is that
+    bit as a bool.
     """
 
     variables: tuple[str, ...]
     edge_labels: tuple[str, ...]
-    secure: tuple[bool, ...]
+    secure_bits: int
 
     @property
     def num_vertices(self) -> int:
@@ -56,6 +60,11 @@ class StateGraph:
     def num_edges(self) -> int:
         n = len(self.variables)
         return n * (1 << (n - 1)) if n else 0
+
+    @cached_property
+    def secure(self) -> tuple[bool, ...]:
+        bits = format(self.secure_bits, f"0{self.num_vertices}b")[::-1]  # bit 0 first
+        return tuple(map("1".__eq__, bits))
 
     def valuation_of(self, index: int) -> dict[str, bool]:
         return {v: bool((index >> j) & 1) for j, v in enumerate(self.variables)}
@@ -90,47 +99,46 @@ class StateGraph:
 
 
 def build_state_graph(model: Model) -> StateGraph:
-    """Enumerate all valuations and flag the ones where no formula holds."""
+    """Flag the valuations where no critical formula holds.
+
+    The secure set is the complement of the OR of the formulas' truth tables.
+    """
     n = len(model.variables)
     if n > GRAPH_VARIABLE_CAP:
         raise BudgetExceededError(
             f"{n} variables exceed the state-graph cap of {GRAPH_VARIABLE_CAP}"
         )
     labels = tuple(model.owner_of(v) for v in model.variables)
-    evaluators = model.compiled.evaluators
-    names = model.variables[::-1]  # product's last position, variables[0], is bit 0
-    secure = []
-    for combo in itertools.product((False, True), repeat=n):
-        valuation = dict(zip(names, combo))
-        secure.append(not any(evaluate(valuation) for evaluate in evaluators))
-    return StateGraph(tuple(model.variables), labels, tuple(secure))
+    model.compiled  # compiling checks names once, raising as eval_formula would
+    insecure = 0
+    for table in truth_tables(model.critical_formulas, model):
+        insecure |= table
+    return StateGraph(tuple(model.variables), labels, ((1 << (1 << n)) - 1) ^ insecure)
 
 
-def _connected(members: Sequence[bool], num_vars: int) -> bool:
-    """Is the induced subgraph on the flagged vertices connected?"""
-    total = sum(members)
-    if total <= 1:
+def _connected(members: int, num_vars: int) -> bool:
+    """Is the subgraph induced on the vertices set in the members bitset connected?
+
+    Floods from the lowest member. Each sweep adds, for every variable j,
+    the members one flip of variable j away from the region reached so far.
+    """
+    reached = members & -members
+    if reached == members:  # at most one member
         return True
-    start = members.index(True)
-    seen = bytearray(len(members))
-    seen[start] = 1
-    frontier = deque([start])
-    reached = 1
-    while frontier:
-        current = frontier.popleft()
-        for j in range(num_vars):
-            neighbor = current ^ (1 << j)
-            if members[neighbor] and not seen[neighbor]:
-                seen[neighbor] = 1
-                reached += 1
-                frontier.append(neighbor)
-    return reached == total
+    masks = valuation_masks(num_vars)
+    while True:
+        before = reached
+        for j, mask in enumerate(masks):
+            shift = 1 << j
+            reached |= (((reached >> shift) & ~mask) | ((reached << shift) & mask)) & members
+        if reached == before:
+            return reached == members
 
 
 def is_connected(graph: StateGraph, restrict_to_secure: bool = False) -> bool:
     """Connectivity of the full graph or of its secure-vertex subgraph."""
     if restrict_to_secure:
-        return _connected(list(graph.secure), len(graph.variables))
+        return _connected(graph.secure_bits, len(graph.variables))
     return True  # the full graph is a hypercube, and every hypercube is connected
 
 
@@ -215,7 +223,11 @@ def audit_vulnerabilities(model: Model, state: SystemState) -> tuple[Vulnerabili
 
     Coalitions are enumerated by ascending size; supersets of an already
     reported coalition are skipped, which is exact because ability is
-    monotone under adding agents.
+    monotone under adding agents. An agent owning none of a formula's
+    variables adds nothing to a coalition, so only the formula's own agents
+    are combined, in model order, and an agent able alone joins no larger
+    coalition. A formula already true at the state is the exception: there
+    every agent alone is able.
     """
     if len(model.agents) > AUDIT_AGENT_CAP:
         raise BudgetExceededError(
@@ -227,9 +239,13 @@ def audit_vulnerabilities(model: Model, state: SystemState) -> tuple[Vulnerabili
     compiled = model.compiled
     findings = []
     for index, f in enumerate(model.critical_formulas):
+        if compiled.evaluators[index](state.valuation):
+            candidates = model.agents
+        else:
+            candidates = tuple(a for a in model.agents if a in compiled.agents[index])
         minimal: list[frozenset[str]] = []
-        for size in range(1, len(model.agents) + 1):
-            for combo in itertools.combinations(model.agents, size):
+        for size in range(1, len(candidates) + 1):
+            for combo in itertools.combinations(candidates, size):
                 members = frozenset(combo)
                 if any(found <= members for found in minimal):
                     continue
@@ -240,6 +256,8 @@ def audit_vulnerabilities(model: Model, state: SystemState) -> tuple[Vulnerabili
                     minimal.append(members)
                     witness = PartialValuation(members, assignment)
                     findings.append(VulnerabilityFinding(index, f, combo, witness))
+            if size == 1:  # an agent able alone is in no larger minimal coalition
+                candidates = tuple(a for a in candidates if frozenset((a,)) not in minimal)
     return tuple(findings)
 
 
@@ -346,10 +364,7 @@ def survey_secure_connectivity(
     for table in chosen:
         if not 0 <= table < (1 << states):
             raise ValueError(f"table {table} out of range for {num_vars} variables")
-        if reading == "falsifying":
-            members = [not ((table >> m) & 1) for m in range(states)]
-        else:
-            members = [bool((table >> m) & 1) for m in range(states)]
+        members = table if reading == "satisfying" else ((1 << states) - 1) ^ table
         connected = _connected(members, num_vars)
         relabelable = find_horn_labeling(formula_from_truth_table(num_vars, table)) is not None
         rows.append(SurveyRow(table, connected, relabelable))

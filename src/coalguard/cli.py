@@ -133,7 +133,7 @@ def cmd_run(args) -> int:
 
 def _print_graph_section(scenario, export_path: Optional[str]) -> None:
     graph = build_state_graph(scenario.model)
-    secure_count = sum(graph.secure)
+    secure_count = graph.secure_bits.bit_count()
     print("state graph:")
     print(f"  vertices: {graph.num_vertices}")
     print(f"  edges: {graph.num_edges}")

@@ -38,6 +38,9 @@ _RESERVED = {"true"}
 
 DIAMOND_VARIABLE_CAP = 20
 HORN_VARIABLE_CAP = 16
+# Most clauses one step of to_cnf may build: a | b distributes p clauses of a
+# over q of b into p * q, so k two-literal conjunctions joined by | need 2^k.
+CNF_CLAUSE_CAP = 4096
 # Deepest formula parse_formula accepts; evaluators and printers recurse on
 # trees, so this keeps them far from Python's recursion limit.
 FORMULA_DEPTH_CAP = 256
@@ -432,6 +435,69 @@ def first_witness(
 
 
 # ---------------------------------------------------------------------------
+# truth tables (Knuth, TAOCP Vol. 4A, 7.1.1-7.1.3)
+
+
+def valuation_masks(num_vars: int) -> tuple[int, ...]:
+    """Mask j has bit i set exactly when bit j of i is set, for i < 2^num_vars.
+
+    Numbering valuations so that bit j of valuation i is the value of the
+    j-th variable makes mask j that variable's truth table.
+    """
+    size = 1 << num_vars
+    full = (1 << size) - 1
+    masks = [0] * num_vars
+    zeros = full
+    for j in reversed(range(num_vars)):
+        # halve the runs of set bits: zeros marks the valuations with variable j false
+        zeros = (zeros ^ (zeros << (1 << j))) & full
+        masks[j] = full ^ zeros
+    return tuple(masks)
+
+
+def truth_tables(formulas: Iterable[Formula], model) -> tuple[int, ...]:
+    """Each formula's value at all 2^n valuations of model.variables, as one int.
+
+    Bit i is the value where variables[j] is bit j of i. <>{C} g cofactors
+    g's table over each variable of C that g mentions. A table takes 2^n
+    bits, so callers bound n (up to DIAMOND_VARIABLE_CAP the tables agree
+    with eval_formula) and check names once.
+    """
+    variables = model.variables
+    masks = valuation_masks(len(variables))
+    full = (1 << (1 << len(variables))) - 1
+    slot: dict[str, int] = {}
+    for j, variable in enumerate(variables):
+        slot.setdefault(variable, j)  # a repeated name reads its first position
+
+    def table(f: Formula) -> int:
+        if isinstance(f, Top):
+            return full
+        if isinstance(f, Var):
+            return masks[slot[f.name]]
+        pair = as_conjunction(f)
+        if pair is not None:
+            return table(pair[0]) & table(pair[1])
+        if isinstance(f, Not):
+            return full ^ table(f.child)
+        if isinstance(f, Or):
+            return table(f.left) | table(f.right)
+        if isinstance(f, Diamond):
+            result = table(f.child)
+            inner = vars_of(f.child)
+            for variable in model.coalition_variables(f.coalition):
+                if variable in inner:
+                    # valuation i may take the value of its neighbour across variable j
+                    j = slot[variable]
+                    mask, shift = masks[j], 1 << j
+                    result |= ((result >> shift) & ~mask) | ((result << shift) & mask)
+            return result
+        raise TypeError(f"not a formula: {f!r}")
+
+    return tuple(table(f) for f in formulas)
+
+
+# ---------------------------------------------------------------------------
 # clause form
 
 
@@ -486,7 +552,11 @@ class ClauseSet:
 
 
 def to_cnf(f: Formula) -> ClauseSet:
-    """Convert a Diamond-free formula to an equivalent clause set."""
+    """Convert a Diamond-free formula to an equivalent clause set.
+
+    Raises BudgetExceededError before distributing | over two clause lists
+    whose product exceeds CNF_CLAUSE_CAP clauses.
+    """
     if has_diamond(f):
         raise ModalFormulaError("cannot convert a modal formula to clauses")
     return ClauseSet.from_clauses(_cnf(f, False))
@@ -504,6 +574,11 @@ def _cnf(f: Formula, negated: bool) -> list[frozenset[Literal]]:
             return _cnf(f.left, True) + _cnf(f.right, True)
         left = _cnf(f.left, False)
         right = _cnf(f.right, False)
+        if len(left) * len(right) > CNF_CLAUSE_CAP:
+            raise BudgetExceededError(
+                f"clause form needs {len(left)} x {len(right)} clauses, "
+                f"cap is {CNF_CLAUSE_CAP}"
+            )
         return [l | r for l in left for r in right]
     raise TypeError(f"not a formula: {f!r}")
 

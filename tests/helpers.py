@@ -1,7 +1,6 @@
 """Shared test oracles, deliberately independent of the library internals."""
 
 import itertools
-import random
 
 from coalguard import (
     ActionRequest,

@@ -10,8 +10,6 @@ import random
 import time
 import warnings
 
-import pytest
-
 from coalguard import (
     ActionRequest,
     HornLabeling,

@@ -6,15 +6,18 @@ from hypothesis import given, strategies as st
 
 from coalguard import (
     BudgetExceededError,
+    Diamond,
     Model,
     ModalFormulaError,
+    Or,
     PreconditionError,
+    StateGraph,
     SystemState,
     UnknownVariableError,
     audit_vulnerabilities,
     build_state_graph,
+    diamond_holds,
     eval_formula,
-    find_horn_labeling,
     formula_from_truth_table,
     is_connected,
     is_secure,
@@ -26,7 +29,7 @@ from coalguard import (
     to_cnf,
 )
 from coalguard.analysis import _connected
-from helpers import random_model, truth_eval
+from helpers import random_formula, random_model, random_secure_state, truth_eval
 
 
 def two_var_model():
@@ -87,7 +90,7 @@ def test_full_graph_is_connected_as_the_search_finds():
         variables = tuple(f"x{i}" for i in range(n))
         graph = build_state_graph(Model(("a1",), variables, {"a1": variables}))
         assert is_connected(graph) is True
-        assert _connected([True] * graph.num_vertices, n) is True
+        assert _connected((1 << 2**n) - 1, n) is True
 
 
 def test_graph_budget():
@@ -95,6 +98,107 @@ def test_graph_budget():
     m = Model(("a1",), variables, {"a1": variables})
     with pytest.raises(BudgetExceededError):
         build_state_graph(m)
+
+
+def with_diamonds(rng, model):
+    """The model with <>{C} nodes, some nested, mixed into each critical formula."""
+
+    def ability(depth):
+        coalition = rng.sample(model.agents, rng.randint(1, len(model.agents)))
+        inner = random_formula(rng, model.variables, depth=2)
+        if depth and rng.random() < 0.5:
+            nested = ability(depth - 1)
+            inner = Or(inner, nested) if rng.random() < 0.5 else inner & ~nested
+        return Diamond(coalition, inner)
+
+    formulas = []
+    for f in model.critical_formulas:
+        pick = rng.random()
+        if pick < 0.3:
+            formulas.append(Or(f, ability(1)))
+        elif pick < 0.7:
+            formulas.append(f & ~ability(1))
+        else:
+            formulas.append(ability(1) & random_formula(rng, model.variables, depth=2))
+    return Model(model.agents, model.variables, model.partition, tuple(formulas))
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_truth_table_secure_set_matches_eval_formula(seed, modal):
+    rng = random.Random(seed)
+    model = random_model(rng, max_vars=7, max_agents=4, max_formulas=3)
+    if modal:
+        model = with_diamonds(rng, model)
+    graph = build_state_graph(model)
+    expected = tuple(
+        not any(eval_formula(f, model, graph.valuation_of(i)) for f in model.critical_formulas)
+        for i in range(graph.num_vertices)
+    )
+    assert graph.secure == expected
+    assert graph.secure_bits == sum(1 << i for i, flag in enumerate(expected) if flag)
+
+
+def union_find_connected(graph, members):
+    parent = {i: i for i in range(graph.num_vertices) if (members >> i) & 1}
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, k, _ in graph.edges():
+        if i in parent and k in parent:
+            parent[find(i)] = find(k)
+    return len({find(i) for i in parent}) <= 1
+
+
+@given(st.integers(0, 8), st.data())
+def test_bitset_flood_matches_union_find(n, data):
+    full = (1 << (1 << n)) - 1
+    members = data.draw(st.integers(0, full))
+    for _ in range(data.draw(st.integers(0, 3))):  # thinner sets fall apart more often
+        members &= data.draw(st.integers(0, full))
+    variables = tuple(f"x{j}" for j in range(n))
+    graph = StateGraph(variables, ("a1",) * n, members)
+    expected = union_find_connected(graph, members)
+    assert _connected(members, n) == expected
+    assert is_connected(graph, restrict_to_secure=True) == expected
+
+
+def reference_audit(model, state):
+    """diamond_holds on every coalition of every agent, then the minimal ones."""
+    found = []
+    for index, f in enumerate(model.critical_formulas):
+        able = {}
+        for size in range(1, len(model.agents) + 1):
+            for combo in itertools.combinations(model.agents, size):
+                verdict, witness = diamond_holds(model, state, combo, f)
+                if verdict:
+                    able[combo] = dict(witness.assignment)
+        for combo, assignment in able.items():
+            if not any(set(other) < set(combo) for other in able):
+                found.append((index, combo, assignment))
+    return found
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_audit_matches_exhaustive_reference(seed):
+    rng = random.Random(seed)
+    model = random_model(rng, max_vars=7, max_agents=5, max_formulas=3)
+    starts = [random_secure_state(rng, model)]
+    masks = list(range(1 << len(model.variables)))
+    rng.shuffle(masks)
+    for mask in masks:  # an insecure start, where some formula already holds
+        valuation = {v: bool((mask >> j) & 1) for j, v in enumerate(model.variables)}
+        if any(truth_eval(f, valuation) for f in model.critical_formulas):
+            starts.append(SystemState(0, valuation))
+            break
+    for state in starts:
+        if state is None:
+            continue
+        findings = audit_vulnerabilities(model, state)
+        compact = [(f.formula_index, f.coalition, dict(f.witness.assignment)) for f in findings]
+        assert compact == reference_audit(model, state)
 
 
 def test_xor_secure_set_disconnected(xor_model):

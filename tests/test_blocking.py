@@ -1,8 +1,7 @@
-import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from coalguard import (
     ActionRequest,

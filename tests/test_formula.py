@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from coalguard import (
     BudgetExceededError,
-    ClauseSet,
     Diamond,
     FormulaSyntaxError,
     HornLabeling,
@@ -16,7 +15,6 @@ from coalguard import (
     Not,
     Or,
     TOP,
-    Top,
     Var,
     compile_formula,
     eval_formula,
@@ -29,7 +27,7 @@ from coalguard import (
     validate_model,
     vars_of,
 )
-from coalguard.formula import FORMULA_DEPTH_CAP
+from coalguard.formula import CNF_CLAUSE_CAP, FORMULA_DEPTH_CAP, valuation_masks
 from helpers import enumerate_labelings, random_formula, truth_eval, vars_in
 
 
@@ -158,6 +156,27 @@ def test_to_cnf_of_contradiction_is_empty_clause():
 def test_to_cnf_rejects_modal():
     with pytest.raises(ModalFormulaError):
         to_cnf(parse_formula("<>{a} p"))
+
+
+def test_valuation_masks_are_variable_truth_tables():
+    for n in range(0, 9):
+        expected = tuple(sum(1 << i for i in range(1 << n) if (i >> j) & 1) for j in range(n))
+        assert valuation_masks(n) == expected
+
+
+def test_to_cnf_clause_cap():
+    # (p1 & ... & pk) | (q1 & ... & qm) distributes to k * m two-literal clauses
+    def conjunction(prefix, k):
+        parts = [Var(f"{prefix}{i}") for i in range(k)]
+        while len(parts) > 1:  # balanced, so the tree stays shallow
+            parts = [a & b for a, b in zip(parts[::2], parts[1::2])] + parts[len(parts) // 2 * 2:]
+        return parts[0]
+
+    assert CNF_CLAUSE_CAP == 64 * 64 == 17 * 241 - 1
+    at_cap = to_cnf(conjunction("p", 64) | conjunction("q", 64))
+    assert len(at_cap.clauses) == CNF_CLAUSE_CAP
+    with pytest.raises(BudgetExceededError, match="17 x 241 clauses, cap is 4096"):
+        to_cnf(conjunction("p", 17) | conjunction("q", 241))
 
 
 @given(formulas(names=("p", "q", "r", "s", "t", "u"), max_depth=4))

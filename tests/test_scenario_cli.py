@@ -351,6 +351,22 @@ def test_cli_analyze_sections_are_selectable(capsys, scenario_dir):
     assert "vulnerability audit" not in out
 
 
+def test_cli_analyze_horn_past_the_clause_cap(capsys, tmp_path):
+    # (x0&y0) | ... | (x17&y17) distributes to 2^18 clauses
+    xs, ys = [f"x{i}" for i in range(18)], [f"y{i}" for i in range(18)]
+    wide = tmp_path / "wide.yaml"
+    wide.write_text(
+        f"agents: {{a: [{', '.join(xs)}], b: [{', '.join(ys)}]}}\n"
+        f"formulas: ['{' | '.join(f'({x}&{y})' for x, y in zip(xs, ys))}']\n"
+        f"initial: {{{', '.join(f'{v}: false' for v in xs + ys)}}}\nqueue: []\n"
+    )
+    assert main(["analyze", str(wide), "--horn"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "Horn relabelings:\n"
+    assert captured.err.startswith("error: clause form needs ")
+    assert captured.err.count("\n") == 1
+
+
 def test_cli_bench(capsys):
     code = main(["bench", "--sizes", "5,8,12", "--seed", "0"])
     out = capsys.readouterr().out
