@@ -26,7 +26,6 @@ from .formula import (
     find_horn_labeling,
     first_witness,
     has_diamond,
-    to_horn_disjunction,
     truth_tables,
     valuation_masks,
     vars_of,
@@ -185,18 +184,19 @@ def single_flip_agents(
     """Agents able to make a currently-false formula true with one flip.
 
     Candidate variables are those mentioned by the rewriting's disjuncts
-    (default: the formula's full minterm expansion). An agent qualifies when
-    it controls a candidate variable whose lone flip satisfies the formula.
+    (default: the formula's own variables, which every minterm of its full
+    expansion names, so the expansion itself is never built). An agent
+    qualifies when it controls a candidate variable whose lone flip satisfies
+    the formula.
     """
     if has_diamond(formula):
         raise ModalFormulaError("single-flip analysis takes a propositional formula")
     if eval_formula(formula, model, state):
         raise PreconditionError("formula is already true at this state")
     if rewriting is None:
-        rewriting = to_horn_disjunction(formula, model)
-    mentioned = set()
-    for disjunct in rewriting.disjuncts:
-        mentioned |= vars_of(disjunct)
+        mentioned = vars_of(formula)
+    else:
+        mentioned = set().union(*(vars_of(disjunct) for disjunct in rewriting.disjuncts))
     unknown = mentioned - set(model.variables)
     if unknown:
         raise UnknownVariableError(f"unknown variables in rewriting: {sorted(unknown)}")

@@ -8,6 +8,7 @@ the surviving writes in arrival order, and records what happened.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
@@ -29,29 +30,44 @@ class ActionRequest:
     arrival_index: int
 
 
-@dataclass(frozen=True)
+def check_request(model: Model, request: ActionRequest, last: Optional[ActionRequest]) -> None:
+    """What enqueueing checks: the requester owns the variable, and the
+    arrival index comes after that of the last pending request, if any."""
+    owner = model.owner_of(request.variable)
+    if owner != request.agent:
+        raise OwnershipViolationError(
+            f"{request.agent!r} does not control {request.variable!r} "
+            f"(owned by {owner!r})"
+        )
+    if last is not None and request.arrival_index <= last.arrival_index:
+        raise QueueOrderError(
+            f"arrival index {request.arrival_index} not after {last.arrival_index}"
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class ActionQueue:
-    """FIFO queue of requests, validated against the model's partition."""
+    """FIFO queue of requests, validated against the model's partition.
+
+    An immutable view: the pending requests are ``buffer[start:]``, so taking
+    a batch advances ``start`` instead of copying the rest of the queue.
+    ``requests``, ``len``, iteration and equality all see only what is pending.
+    """
 
     model: Model
-    requests: tuple[ActionRequest, ...] = ()
+    buffer: tuple[ActionRequest, ...] = ()
+    start: int = 0
+
+    @property
+    def requests(self) -> tuple[ActionRequest, ...]:
+        return self.buffer[self.start:]
 
     def enqueue(self, request: ActionRequest) -> "ActionQueue":
-        owner = self.model.owner_of(request.variable)
-        if owner != request.agent:
-            raise OwnershipViolationError(
-                f"{request.agent!r} does not control {request.variable!r} "
-                f"(owned by {owner!r})"
-            )
-        if self.requests and request.arrival_index <= self.requests[-1].arrival_index:
-            raise QueueOrderError(
-                f"arrival index {request.arrival_index} not after "
-                f"{self.requests[-1].arrival_index}"
-            )
+        check_request(self.model, request, self.buffer[-1] if len(self) else None)
         return ActionQueue(self.model, self.requests + (request,))
 
     def push(self, agent: str, variable: str, new_value: bool) -> "ActionQueue":
-        next_index = self.requests[-1].arrival_index + 1 if self.requests else 0
+        next_index = self.buffer[-1].arrival_index + 1 if len(self) else 0
         return self.enqueue(ActionRequest(agent, variable, bool(new_value), next_index))
 
     def take_batch_excluding(
@@ -66,18 +82,23 @@ class ActionQueue:
         blocked = set(blocked)
         batch: list[ActionRequest] = []
         dropped: list[ActionRequest] = []
-        index = 0
-        while index < len(self.requests) and len(batch) < n:
-            request = self.requests[index]
+        buffer, index = self.buffer, self.start
+        while index < len(buffer) and len(batch) < n:
+            request = buffer[index]
             (dropped if request.agent in blocked else batch).append(request)
             index += 1
-        return tuple(batch), tuple(dropped), ActionQueue(self.model, self.requests[index:])
+        return tuple(batch), tuple(dropped), ActionQueue(self.model, buffer, index)
 
     def __len__(self) -> int:
-        return len(self.requests)
+        return len(self.buffer) - self.start
 
     def __iter__(self):
-        return iter(self.requests)
+        return itertools.islice(self.buffer, self.start, None)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ActionQueue):
+            return NotImplemented
+        return self.model == other.model and self.requests == other.requests
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .engine import (
     DropTick,
     EngineConfig,
     TickRecord,
+    check_request,
 )
 from .errors import (
     BudgetExceededError,
@@ -199,8 +200,8 @@ def scenario_from_mapping(data: Mapping, allow_insecure_start: bool = False) -> 
             raise ScenarioError(f"queue[{index}]: missing keys {sorted(missing)}")
         value = _require_bool(item["value"], f"queue[{index}].value")
         request = ActionRequest(item["agent"], item["var"], value, index)
-        try:  # enqueue's checks, against the previous request only: no copying
-            ActionQueue(model, tuple(requests[-1:])).enqueue(request)
+        try:
+            check_request(model, request, requests[-1] if requests else None)
         except CoalGuardError as exc:
             raise ScenarioError(f"queue[{index}]: {exc}") from exc
         requests.append(request)

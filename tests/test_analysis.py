@@ -27,6 +27,7 @@ from coalguard import (
     single_flip_agents,
     survey_secure_connectivity,
     to_cnf,
+    to_horn_disjunction,
 )
 from coalguard.analysis import _connected
 from helpers import random_formula, random_model, random_secure_state, truth_eval
@@ -314,6 +315,38 @@ def test_single_flip_agents_match_reference(seed):
         if truth_eval(formula, flipped):
             expected.add(model.owner_of(v))
     assert single_flip_agents(model, state, formula) == frozenset(expected)
+
+
+def pairs_model(pairs):
+    """Agent a<i> owns x<i>; the formula is (x0 & x<pairs>) | ... over 2 * pairs variables."""
+    names = tuple(f"x{i}" for i in range(2 * pairs))
+    agents = tuple(f"a{i}" for i in range(2 * pairs))
+    text = " | ".join(f"(x{i} & x{i + pairs})" for i in range(pairs))
+    return Model(agents, names, {a: (v,) for a, v in zip(agents, names)}, (parse_formula(text),))
+
+
+@pytest.mark.parametrize("pairs", [7, 9])
+def test_single_flip_agents_on_wide_formulas(pairs):
+    # 14 variables (an expansion of 2^14 valuations), and 18, past HORN_VARIABLE_CAP
+    model = pairs_model(pairs)
+    formula = model.critical_formulas[0]
+    low = SystemState(0, {v: False for v in model.variables})
+    assert single_flip_agents(model, low, formula) == frozenset()
+    near = low.with_updates({"x0": True, "x2": True})
+    assert single_flip_agents(model, near, formula) == frozenset({f"a{pairs}", f"a{pairs + 2}"})
+
+
+def test_single_flip_agents_default_matches_the_rewriting():
+    model = pairs_model(3)
+    formula = model.critical_formulas[0]
+    rewriting = to_horn_disjunction(formula, model)
+    for mask in range(1 << 6):
+        state = SystemState(0, {f"x{j}": bool((mask >> j) & 1) for j in range(6)})
+        if eval_formula(formula, model, state):
+            continue
+        assert single_flip_agents(model, state, formula) == single_flip_agents(
+            model, state, formula, rewriting
+        )
 
 
 # ---------------------------------------------------------------------------

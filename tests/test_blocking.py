@@ -1,23 +1,29 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from coalguard import (
     ActionRequest,
     BudgetExceededError,
+    Diamond,
+    GreedyIteration,
     Model,
     PreconditionError,
     SystemState,
+    Var,
+    apply_actions,
     brute_force_min_block,
+    build_cycle_instance,
     build_matrix,
+    eval_formula,
     greedy_block,
     nondet_block,
     parse_formula,
     rank_agents,
     simulate,
 )
-from helpers import oracle_min_block, random_scenario, stays_secure
+from helpers import oracle_min_block, random_model, random_requests, random_scenario, stays_secure
 
 
 # ---------------------------------------------------------------------------
@@ -269,3 +275,98 @@ def test_blocked_agents_are_requesters(seed):
         assert set(report.blocked) <= requesters
         allowed_agents = {r.agent for r in report.allowed_batch}
         assert allowed_agents.isdisjoint(report.blocked)
+
+
+# ---------------------------------------------------------------------------
+# batch locality against the references: keep-pattern tables in the oracle,
+# incremental rounds in greedy
+
+
+def modal_case(rng):
+    """A random model whose formulas include ``lit & <>{C} conj`` nodes, a
+    secure start, and a batch that writes one variable twice; in about half
+    the cases a second agent also owns, and writes, one variable."""
+    base = random_model(rng, max_vars=7, max_agents=4, max_formulas=3)
+    partition = dict(base.partition)
+    extra = ()
+    if rng.random() < 0.5:
+        shared = rng.choice(base.variables)
+        second = rng.choice([a for a in base.agents if shared not in base.owned(a)])
+        partition[second] = partition[second] + (shared,)
+        extra = ((second, shared),)
+    formulas = list(base.critical_formulas)
+    for _ in range(rng.randint(1, 2)):
+        guard = Var(rng.choice(base.variables))
+        coalition = rng.sample(base.agents, rng.randint(1, len(base.agents)))
+        span = rng.sample(base.variables, rng.randint(1, min(3, len(base.variables))))
+        inner = span[0] if rng.random() < 0.5 else "~" + span[0]
+        for name in span[1:]:
+            inner += (" & " if rng.random() < 0.7 else " | ") + name
+        formulas.append(guard & Diamond(coalition, parse_formula(inner)))
+    model = Model(base.agents, base.variables, partition, tuple(formulas))
+    for _ in range(256):
+        valuation = {v: rng.random() < 0.5 for v in model.variables}
+        if not any(eval_formula(f, model, valuation) for f in model.critical_formulas):
+            break
+    else:
+        return None
+    state = SystemState(0, valuation)
+    batch = random_requests(rng, model, max_requests=7)
+    first = rng.choice(batch)
+    batch += (ActionRequest(first.agent, first.variable, not first.new_value, len(batch)),)
+    for agent, variable in extra:
+        batch += (ActionRequest(agent, variable, not valuation[variable], len(batch)),)
+    return model, state, batch
+
+
+def reference_greedy(model, state, batch, tie_break):
+    """Greedy as one full simulate, matrix and ranking per surviving batch."""
+    current, iterations = tuple(batch), []
+    while True:
+        report = simulate(model, state, current)
+        if not report.became_true:
+            return tuple(iterations), current
+        matrix = build_matrix(model, report)
+        ranking = rank_agents(matrix, tie_break, current)
+        top = ranking[0]
+        iterations.append(
+            GreedyIteration(report.became_true, report.implicated_agents, matrix, ranking, top)
+        )
+        current = tuple(r for r in current if r.agent != top)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_oracle_counts_match_reference_evaluation(seed):
+    rng = random.Random(seed)
+    case = modal_case(rng)
+    assume(case is not None)
+    model, state, batch = case
+    report = nondet_block(model, state, batch, seed=seed)
+    for round_ in report.iterations:
+        for keep, count in round_.evaluated:
+            restricted = tuple(r for r in batch if r.agent in set(keep))
+            after = apply_actions(state, restricted)
+            assert count == sum(
+                not eval_formula(f, model, after) for f in model.critical_formulas
+            )
+    exact = brute_force_min_block(model, state, batch)
+    assert len(report.blocked) == len(exact.blocked)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(("fifo", "lex")))
+def test_greedy_rounds_match_full_resimulation(seed, tie_break):
+    rng = random.Random(seed)
+    case = modal_case(rng)
+    assume(case is not None)
+    model, state, batch = case
+    report = greedy_block(model, state, batch, tie_break)
+    iterations, allowed = reference_greedy(model, state, batch, tie_break)
+    assert report.iterations == iterations
+    assert report.blocked == tuple(item.blocked_agent for item in iterations)
+    assert report.allowed_batch == allowed
+
+
+def test_greedy_rounds_on_the_cycle_match_full_resimulation():
+    model, state, batch = build_cycle_instance(30, seed=3)
+    report = greedy_block(model, state, batch)
+    assert report.iterations == reference_greedy(model, state, batch, "fifo")[0]

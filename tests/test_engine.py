@@ -52,6 +52,40 @@ def test_take_batch_excluding_consumes_dropped(example1_queue, example1_batch):
     assert tuple(rest) == example1_batch[3:]
 
 
+def test_chained_takes_match_tuple_slicing():
+    rng = random.Random(11)
+    model = random_model(rng, max_vars=10, max_agents=6)
+    requests = []
+    for arrival in range(3000):
+        agent = rng.choice(model.agents)
+        variable = rng.choice(model.owned(agent))
+        requests.append(ActionRequest(agent, variable, rng.random() < 0.5, arrival))
+    pending = tuple(requests)
+    queue = ActionQueue(model, pending)
+    pushed = False
+    while pending:
+        n = rng.randint(1, 9)
+        blocked = set(rng.sample(model.agents, rng.randint(0, 2)))
+        expected_batch, expected_dropped, index = [], [], 0
+        while index < len(pending) and len(expected_batch) < n:
+            request = pending[index]
+            (expected_dropped if request.agent in blocked else expected_batch).append(request)
+            index += 1
+        pending = pending[index:]
+        batch, dropped, queue = queue.take_batch_excluding(n, blocked)
+        assert batch == tuple(expected_batch)
+        assert dropped == tuple(expected_dropped)
+        assert queue.requests == tuple(queue) == pending
+        assert len(queue) == len(pending)
+        assert queue == ActionQueue(model, pending)
+        if pending and not pushed:  # a push after a take continues the arrival order
+            pushed = True
+            agent = rng.choice(model.agents)
+            grown = queue.push(agent, model.owned(agent)[0], True)
+            assert grown.requests[:-1] == pending
+            assert grown.requests[-1].arrival_index == requests[-1].arrival_index + 1
+
+
 # ---------------------------------------------------------------------------
 # apply + simulate
 
