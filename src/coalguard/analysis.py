@@ -227,12 +227,9 @@ def audit_vulnerabilities(model: Model, state: SystemState) -> tuple[Vulnerabili
     variables adds nothing to a coalition, so only the formula's own agents
     are combined, in model order, and an agent able alone joins no larger
     coalition. A formula already true at the state is the exception: there
-    every agent alone is able.
+    every agent alone is able, so no larger coalition is tried.
+    AUDIT_AGENT_CAP bounds the agents combined for one formula.
     """
-    if len(model.agents) > AUDIT_AGENT_CAP:
-        raise BudgetExceededError(
-            f"{len(model.agents)} agents exceed the audit cap of {AUDIT_AGENT_CAP}"
-        )
     for f in model.critical_formulas:
         if has_diamond(f):
             raise ModalFormulaError("the audit requires propositional critical formulas")
@@ -243,6 +240,11 @@ def audit_vulnerabilities(model: Model, state: SystemState) -> tuple[Vulnerabili
             candidates = model.agents
         else:
             candidates = tuple(a for a in model.agents if a in compiled.agents[index])
+            if len(candidates) > AUDIT_AGENT_CAP:
+                raise BudgetExceededError(
+                    f"formula {index}: {len(candidates)} agents exceed the audit cap "
+                    f"of {AUDIT_AGENT_CAP}"
+                )
         minimal: list[frozenset[str]] = []
         for size in range(1, len(candidates) + 1):
             for combo in itertools.combinations(candidates, size):

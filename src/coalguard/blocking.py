@@ -108,8 +108,8 @@ class BlockReport:
 def _writes_by_variable(batch: Sequence[ActionRequest]) -> dict[str, list[ActionRequest]]:
     """Each written variable's requests in batch order; the last one kept wins.
 
-    Derived from the writes, not from ownership, so a doubly-owned variable,
-    two writers of one variable and an agent writing twice all stay exact.
+    Derived from the writes, not from ownership, so two writers of one
+    variable and an agent writing twice both stay exact.
     """
     writes: dict[str, list[ActionRequest]] = {}
     for request in batch:

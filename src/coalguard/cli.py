@@ -191,9 +191,7 @@ def _print_audit_section(scenario) -> None:
 def cmd_analyze(args) -> int:
     scenario = load_scenario(args.scenario, allow_insecure_start=True)
     chosen = args.state_graph or args.horn or args.audit
-    if args.state_graph or not chosen:
-        _print_graph_section(scenario, args.export_edges)
-    elif args.export_edges:
+    if args.state_graph or args.export_edges or not chosen:
         _print_graph_section(scenario, args.export_edges)
     if args.horn or not chosen:
         _print_horn_section(scenario)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -110,19 +110,29 @@ class Diamond(Formula):
         object.__setattr__(self, "child", child)
 
 
+def _halves(parts: Sequence[Formula], join: Callable[[Formula, Formula], Formula]) -> Formula:
+    """Join nonempty ``parts`` as a tree split in halves, so n parts nest
+    only ceil(log2 n) joins deep and the recursive walkers stay shallow."""
+    if len(parts) == 1:
+        return parts[0]
+    half = (len(parts) + 1) // 2
+    return join(_halves(parts[:half], join), _halves(parts[half:], join))
+
+
 def conjoin(parts: Iterable[Formula]) -> Formula:
-    """Left-associated conjunction of ``parts``; Top for an empty sequence."""
-    parts = list(parts)
+    """Conjunction of ``parts``; Top for an empty sequence."""
+    parts = tuple(parts)
     if not parts:
         return TOP
-    return reduce(lambda a, b: a & b, parts)
+    return _halves(parts, lambda a, b: a & b)
 
 
 def disjoin(parts: Iterable[Formula]) -> Formula:
-    parts = list(parts)
+    """Disjunction of ``parts``; ~true for an empty sequence."""
+    parts = tuple(parts)
     if not parts:
         return Not(TOP)
-    return reduce(Or, parts)
+    return _halves(parts, Or)
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +476,7 @@ def truth_tables(formulas: Iterable[Formula], model) -> tuple[int, ...]:
     variables = model.variables
     masks = valuation_masks(len(variables))
     full = (1 << (1 << len(variables))) - 1
-    slot: dict[str, int] = {}
-    for j, variable in enumerate(variables):
-        slot.setdefault(variable, j)  # a repeated name reads its first position
+    slot = {variable: j for j, variable in enumerate(variables)}
 
     def table(f: Formula) -> int:
         if isinstance(f, Top):

@@ -11,7 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .errors import ModalFormulaError, UnknownAgentError, UnknownVariableError
+from .errors import (
+    ModalFormulaError,
+    OwnershipViolationError,
+    PreconditionError,
+    UnknownAgentError,
+    UnknownVariableError,
+)
 from .formula import (
     Evaluator,
     Formula,
@@ -31,27 +37,43 @@ class Model:
     partition: Mapping[str, tuple[str, ...]]
     critical_formulas: tuple[Formula, ...] = ()
     _owner: dict = field(init=False, repr=False, compare=False)
-    _owned_sets: dict = field(init=False, repr=False, compare=False)
     _variable_set: frozenset = field(init=False, repr=False, compare=False)
     _agent_set: frozenset = field(init=False, repr=False, compare=False)
     _compiled: Optional["CompiledModel"] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "agents", tuple(self.agents))
-        object.__setattr__(self, "variables", tuple(self.variables))
+        """Enforce the partition: every declared variable is listed exactly
+        once, by a declared agent, and no agent or variable name repeats."""
+        agents, variables = tuple(self.agents), tuple(self.variables)
+        agent_set, variable_set = frozenset(agents), frozenset(variables)
+        declared = (("agent", agents, agent_set), ("variable", variables, variable_set))
+        for kind, names, distinct in declared:
+            if len(distinct) < len(names):
+                repeated = next(name for i, name in enumerate(names) if name in names[:i])
+                raise PreconditionError(f"{kind} {repeated!r} is declared twice")
         normalized = {agent: tuple(owned) for agent, owned in self.partition.items()}
+        owner = {}
+        for agent, owned in normalized.items():
+            if agent not in agent_set:
+                raise UnknownAgentError(f"partition names undeclared agent {agent!r}")
+            for variable in owned:
+                if variable not in variable_set:
+                    raise UnknownVariableError(f"{agent!r} claims undeclared variable {variable!r}")
+                if variable in owner:
+                    raise OwnershipViolationError(
+                        f"{variable!r} is doubly-owned, by {owner[variable]!r} and {agent!r}"
+                    )
+                owner[variable] = agent
+        for variable in variables:
+            if variable not in owner:
+                raise UnknownVariableError(f"no agent controls {variable!r}")
+        object.__setattr__(self, "agents", agents)
+        object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "partition", normalized)
         object.__setattr__(self, "critical_formulas", tuple(self.critical_formulas))
-        owner = {}
-        for agent in self.agents:
-            for variable in normalized.get(agent, ()):
-                owner.setdefault(variable, agent)
         object.__setattr__(self, "_owner", owner)
-        object.__setattr__(
-            self, "_owned_sets", {a: frozenset(normalized.get(a, ())) for a in self.agents}
-        )
-        object.__setattr__(self, "_variable_set", frozenset(self.variables))
-        object.__setattr__(self, "_agent_set", frozenset(self.agents))
+        object.__setattr__(self, "_variable_set", variable_set)
+        object.__setattr__(self, "_agent_set", agent_set)
         object.__setattr__(self, "_compiled", None)
 
     @property
@@ -69,15 +91,12 @@ class Model:
             raise UnknownVariableError(f"no agent controls {variable!r}") from None
 
     def owned(self, agent: str) -> tuple[str, ...]:
-        if agent not in self._owned_sets:
+        if agent not in self._agent_set:
             raise UnknownAgentError(f"unknown agent: {agent!r}")
         return self.partition.get(agent, ())
 
     def owned_set(self, agent: str) -> frozenset[str]:
-        try:
-            return self._owned_sets[agent]
-        except KeyError:
-            raise UnknownAgentError(f"unknown agent: {agent!r}") from None
+        return frozenset(self.owned(agent))
 
     def coalition_variables(self, coalition: Iterable[str]) -> tuple[str, ...]:
         """Variables the coalition controls, in model variable order."""
@@ -85,10 +104,7 @@ class Model:
         missing = members - self._agent_set
         if missing:
             raise UnknownAgentError(f"unknown agents: {sorted(missing)}")
-        owned = set()
-        for agent in members:
-            owned |= self._owned_sets[agent]
-        return tuple(v for v in self.variables if v in owned)
+        return tuple(v for v in self.variables if self._owner[v] in members)
 
     @property
     def compiled(self) -> "CompiledModel":
@@ -128,10 +144,7 @@ def compile_model(model: Model) -> CompiledModel:
         check_names(f, model)
     variables = tuple(vars_of(f) for f in formulas)
     evaluators = tuple(compile_formula(f, model) for f in formulas)
-    agents = tuple(
-        frozenset(a for a in model.agents if not model.owned_set(a).isdisjoint(used))
-        for used in variables
-    )
+    agents = tuple(frozenset(map(model.owner_of, used)) for used in variables)
     by_variable: dict[str, tuple[int, ...]] = {}
     for index, used in enumerate(variables):
         for variable in used:
@@ -191,11 +204,11 @@ class ValidationResult:
 
 
 def validate_model(model: Model, strict_formula_control: bool = True) -> ValidationResult:
-    """Check the partition conditions and formula well-formedness.
+    """Check that the sets are nonempty and the critical formulas well-formed.
 
-    Every variable must be controlled by exactly one agent, identifiers must
-    be declared, and each critical formula must mention variables of at least
-    two distinct agents (downgraded to a warning when
+    Model construction already enforces the partition. Here identifiers in
+    formulas must be declared, and each critical formula must mention
+    variables of at least two distinct agents (downgraded to a warning when
     ``strict_formula_control`` is false).
     """
     violations: list[Violation] = []
@@ -206,43 +219,10 @@ def validate_model(model: Model, strict_formula_control: bool = True) -> Validat
     if not model.variables:
         violations.append(Violation("empty-variable-set", "", "model declares no variables"))
 
-    declared_vars = set(model.variables)
-    seen: dict[str, str] = {}
-    for agent in model.partition:
-        if agent not in model.agents:
-            violations.append(
-                Violation("unknown-agent", agent, f"partition names undeclared agent {agent!r}")
-            )
-    for agent in model.agents:
-        for variable in model.partition.get(agent, ()):
-            if variable not in declared_vars:
-                violations.append(
-                    Violation(
-                        "unknown-variable",
-                        variable,
-                        f"{agent!r} claims undeclared variable {variable!r}",
-                    )
-                )
-            if variable in seen:
-                violations.append(
-                    Violation(
-                        "doubly-owned-variable",
-                        variable,
-                        f"{variable!r} owned by both {seen[variable]!r} and {agent!r}",
-                    )
-                )
-            else:
-                seen[variable] = agent
-    for variable in model.variables:
-        if variable not in seen:
-            violations.append(
-                Violation("uncovered-variable", variable, f"no agent controls {variable!r}")
-            )
-
     for index, f in enumerate(model.critical_formulas):
         subject = f"formula {index}"
         used = vars_of(f)
-        undeclared = used - declared_vars
+        undeclared = used - model.variable_set
         for variable in sorted(undeclared):
             violations.append(
                 Violation(
@@ -250,13 +230,13 @@ def validate_model(model: Model, strict_formula_control: bool = True) -> Validat
                 )
             )
         for coalition in coalitions_of(f):
-            for agent in sorted(coalition - set(model.agents)):
+            for agent in sorted(coalition - model.agent_set):
                 violations.append(
                     Violation("unknown-agent", subject, f"{subject} names undeclared {agent!r}")
                 )
         if undeclared:
             continue
-        controllers = {seen[v] for v in used if v in seen}
+        controllers = set(map(model.owner_of, used))
         if len(controllers) < 2:
             item = Violation(
                 "single-agent-formula",

@@ -64,9 +64,13 @@ def _require_mapping(value, what: str) -> Mapping:
     return value
 
 
-def _require_bool(value, what: str) -> bool:
-    if not isinstance(value, bool):
-        raise ScenarioError(f"{what} must be a boolean, got {value!r}")
+_KIND_NAMES = {bool: "a boolean", int: "an integer"}
+
+
+def _require(value, kind: type, what: str):
+    """The value, if it has the kind; a boolean is not an integer here."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ScenarioError(f"{what} must be {_KIND_NAMES[kind]}, got {value!r}")
     return value
 
 
@@ -78,19 +82,22 @@ def parse_strategy(value) -> BlockingStrategy:
     if isinstance(value, Mapping) and len(value) == 1:
         (name, body), = value.items()
         if name == "block_until_tick":
-            if not isinstance(body, int) or isinstance(body, bool):
-                raise ScenarioError("block_until_tick takes an integer tick")
-            return BlockUntilTick(body)
+            return BlockUntilTick(_require(body, int, "block_until_tick"))
         if name == "block_for_random_interval":
             body = _require_mapping(body, "block_for_random_interval")
             extra = set(body) - {"low", "high", "seed"}
             if extra:
-                raise ScenarioError(f"block_for_random_interval: unknown keys {sorted(extra)}")
-            try:
-                return BlockForRandomInterval(
-                    int(body["low"]), int(body["high"]), body.get("seed")
+                raise ScenarioError(
+                    f"block_for_random_interval: unknown keys {sorted(extra, key=str)}"
                 )
-            except (KeyError, ValueError) as exc:
+            low = _require(body.get("low"), int, "block_for_random_interval.low")
+            high = _require(body.get("high"), int, "block_for_random_interval.high")
+            seed = body.get("seed")
+            if seed is not None:
+                _require(seed, int, "block_for_random_interval.seed")
+            try:
+                return BlockForRandomInterval(low, high, seed)
+            except ValueError as exc:
                 raise ScenarioError(f"block_for_random_interval: {exc}") from exc
     raise ScenarioError(f"unknown blocking_strategy: {value!r}")
 
@@ -101,7 +108,7 @@ def config_from_mapping(data: Optional[Mapping]) -> EngineConfig:
     data = _require_mapping(data, "config")
     extra = set(data) - _CONFIG_KEYS
     if extra:
-        raise ScenarioError(f"config: unknown keys {sorted(extra)}")
+        raise ScenarioError(f"config: unknown keys {sorted(extra, key=str)}")
     kwargs = {}
     if "max_actions_per_tick" in data:
         kwargs["max_actions_per_tick"] = data["max_actions_per_tick"]
@@ -112,10 +119,7 @@ def config_from_mapping(data: Optional[Mapping]) -> EngineConfig:
     if "tie_break" in data:
         kwargs["tie_break"] = data["tie_break"]
     if "seed" in data:
-        seed = data["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ScenarioError("config: seed must be an integer")
-        kwargs["random_seed"] = seed
+        kwargs["random_seed"] = _require(data["seed"], int, "config: seed")
     try:
         return EngineConfig(**kwargs)
     except ValueError as exc:
@@ -126,7 +130,7 @@ def scenario_from_mapping(data: Mapping, allow_insecure_start: bool = False) -> 
     data = _require_mapping(data, "scenario")
     extra = set(data) - _TOP_KEYS
     if extra:
-        raise ScenarioError(f"unknown top-level keys {sorted(extra)}")
+        raise ScenarioError(f"unknown top-level keys {sorted(extra, key=str)}")
     missing = {"agents", "formulas", "initial", "queue"} - set(data)
     if missing:
         raise ScenarioError(f"missing top-level keys {sorted(missing)}")
@@ -160,7 +164,10 @@ def scenario_from_mapping(data: Mapping, allow_insecure_start: bool = False) -> 
         except (FormulaSyntaxError, BudgetExceededError) as exc:
             raise ScenarioError(f"formulas[{index}]: {exc}") from exc
 
-    model = Model(tuple(agents), tuple(variables), partition, tuple(formulas))
+    try:
+        model = Model(tuple(agents), tuple(variables), partition, tuple(formulas))
+    except CoalGuardError as exc:
+        raise ScenarioError(f"invalid model: {exc}") from exc
     result = validate_model(model)
     if not result.ok:
         findings = "; ".join(f"{v.kind}({v.subject})" for v in result.violations)
@@ -169,11 +176,11 @@ def scenario_from_mapping(data: Mapping, allow_insecure_start: bool = False) -> 
     initial = _require_mapping(data["initial"], "initial")
     unknown = set(initial) - set(variables)
     if unknown:
-        raise ScenarioError(f"initial valuation has unknown variables {sorted(unknown)}")
+        raise ScenarioError(f"initial valuation has unknown variables {sorted(unknown, key=str)}")
     absent = set(variables) - set(initial)
     if absent:
         raise ScenarioError(f"initial valuation missing variables {sorted(absent)}")
-    valuation = {v: _require_bool(initial[v], f"initial[{v}]") for v in variables}
+    valuation = {v: _require(initial[v], bool, f"initial[{v}]") for v in variables}
     state = SystemState(0, valuation)
 
     satisfied = [
@@ -194,12 +201,15 @@ def scenario_from_mapping(data: Mapping, allow_insecure_start: bool = False) -> 
         item = _require_mapping(item, f"queue[{index}]")
         extra = set(item) - _QUEUE_KEYS
         if extra:
-            raise ScenarioError(f"queue[{index}]: unknown keys {sorted(extra)}")
+            raise ScenarioError(f"queue[{index}]: unknown keys {sorted(extra, key=str)}")
         missing = _QUEUE_KEYS - set(item)
         if missing:
             raise ScenarioError(f"queue[{index}]: missing keys {sorted(missing)}")
-        value = _require_bool(item["value"], f"queue[{index}].value")
-        request = ActionRequest(item["agent"], item["var"], value, index)
+        value = _require(item["value"], bool, f"queue[{index}].value")
+        agent, variable = item["agent"], item["var"]
+        if not isinstance(agent, str) or not isinstance(variable, str):
+            raise ScenarioError(f"queue[{index}]: agent and var must be strings")
+        request = ActionRequest(agent, variable, value, index)
         try:
             check_request(model, request, requests[-1] if requests else None)
         except CoalGuardError as exc:

@@ -384,12 +384,19 @@ def test_audit_reports_only_minimal_coalitions(example1_model, example1_state):
 
 
 def test_audit_agent_budget():
+    # the cap counts the agents combined for one formula, not the model's agents
     agents = tuple(f"a{i}" for i in range(13))
     variables = tuple(f"x{i}" for i in range(13))
-    m = Model(agents, variables, {a: (v,) for a, v in zip(agents, variables)},
-              (parse_formula("x0 & x1"),))
-    with pytest.raises(BudgetExceededError):
-        audit_vulnerabilities(m, SystemState(0, {v: False for v in variables}))
+    partition = {a: (v,) for a, v in zip(agents, variables)}
+    low = SystemState(0, {v: False for v in variables})
+    pair = Model(agents, variables, partition, (parse_formula("x0 & x1"),))
+    assert [f.coalition for f in audit_vulnerabilities(pair, low)] == [("a0", "a1")]
+    wide = Model(agents, variables, partition, (parse_formula(" & ".join(variables)),))
+    with pytest.raises(BudgetExceededError, match="13 agents exceed the audit cap of 12"):
+        audit_vulnerabilities(wide, low)
+    # where the formula already holds, every agent alone is able and none is combined
+    high = SystemState(0, {v: True for v in variables})
+    assert [f.coalition for f in audit_vulnerabilities(wide, high)] == [(a,) for a in agents]
 
 
 # ---------------------------------------------------------------------------

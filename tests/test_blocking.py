@@ -284,16 +284,8 @@ def test_blocked_agents_are_requesters(seed):
 
 def modal_case(rng):
     """A random model whose formulas include ``lit & <>{C} conj`` nodes, a
-    secure start, and a batch that writes one variable twice; in about half
-    the cases a second agent also owns, and writes, one variable."""
+    secure start, and a batch that writes one variable twice."""
     base = random_model(rng, max_vars=7, max_agents=4, max_formulas=3)
-    partition = dict(base.partition)
-    extra = ()
-    if rng.random() < 0.5:
-        shared = rng.choice(base.variables)
-        second = rng.choice([a for a in base.agents if shared not in base.owned(a)])
-        partition[second] = partition[second] + (shared,)
-        extra = ((second, shared),)
     formulas = list(base.critical_formulas)
     for _ in range(rng.randint(1, 2)):
         guard = Var(rng.choice(base.variables))
@@ -303,7 +295,7 @@ def modal_case(rng):
         for name in span[1:]:
             inner += (" & " if rng.random() < 0.7 else " | ") + name
         formulas.append(guard & Diamond(coalition, parse_formula(inner)))
-    model = Model(base.agents, base.variables, partition, tuple(formulas))
+    model = Model(base.agents, base.variables, base.partition, tuple(formulas))
     for _ in range(256):
         valuation = {v: rng.random() < 0.5 for v in model.variables}
         if not any(eval_formula(f, model, valuation) for f in model.critical_formulas):
@@ -314,8 +306,6 @@ def modal_case(rng):
     batch = random_requests(rng, model, max_requests=7)
     first = rng.choice(batch)
     batch += (ActionRequest(first.agent, first.variable, not first.new_value, len(batch)),)
-    for agent, variable in extra:
-        batch += (ActionRequest(agent, variable, not valuation[variable], len(batch)),)
     return model, state, batch
 
 

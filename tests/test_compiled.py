@@ -17,7 +17,6 @@ from coalguard import (
     UnknownAgentError,
     UnknownVariableError,
     Var,
-    build_matrix,
     build_state_graph,
     compile_formula,
     eval_formula,
@@ -101,29 +100,6 @@ def test_indexed_simulate_matches_full_reevaluation(seed):
     assert report.became_true == became
     assert report.implicated_agents == implicated
     assert dict(report.simulated_state.valuation) == after
-
-
-@given(seeds)
-def test_matrix_marks_follow_owned_sets_with_a_doubly_owned_variable(seed):
-    rng = random.Random(seed)
-    base = random_model(rng)
-    shared = rng.choice(base.variables)
-    second = rng.choice([a for a in base.agents if shared not in base.owned(a)])
-    partition = {
-        a: owned + (shared,) if a == second else owned for a, owned in base.partition.items()
-    }
-    model = Model(base.agents, base.variables, partition, base.critical_formulas)
-    state = SystemState(0, {v: rng.random() < 0.5 for v in model.variables})
-    batch = random_requests(rng, model, max_requests=12)
-    batch += (ActionRequest(second, shared, not state.value(shared), len(batch)),)
-    report = simulate(model, state, batch)
-    matrix = build_matrix(model, report)
-    for row, index in zip(matrix.marks, matrix.formula_indices):
-        used = vars_in(model.critical_formulas[index])
-        assert row == tuple(bool(model.owned_set(a) & used) for a in matrix.agents)
-    assert matrix.counters == tuple(
-        sum(row[j] for row in matrix.marks) for j in range(len(matrix.agents))
-    )
 
 
 # ---------------------------------------------------------------------------

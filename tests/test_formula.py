@@ -17,6 +17,8 @@ from coalguard import (
     TOP,
     Var,
     compile_formula,
+    conjoin,
+    disjoin,
     eval_formula,
     find_horn_labeling,
     format_formula,
@@ -158,6 +160,20 @@ def test_to_cnf_rejects_modal():
         to_cnf(parse_formula("<>{a} p"))
 
 
+def test_built_trees_stay_within_the_recursive_walkers():
+    names = tuple(f"x{i}" for i in range(10))
+    expanded = to_horn_disjunction(parse_formula(" | ".join(names))).as_formula()
+    assert parse_formula(format_formula(expanded)) == expanded
+    assert vars_of(expanded) == set(names)
+    model = Model(("a",), names, {"a": names})
+    evaluate = compile_formula(expanded, model)
+    for bits in (0, 1, 0b1010000000, 1023):
+        valuation = {v: bool(bits >> i & 1) for i, v in enumerate(names)}
+        assert evaluate(valuation) == eval_formula(expanded, model, valuation) == (bits != 0)
+    wide = disjoin([Var(f"v{i}") for i in range(2000)])
+    assert vars_of(wide) == {f"v{i}" for i in range(2000)}
+
+
 def test_valuation_masks_are_variable_truth_tables():
     for n in range(0, 9):
         expected = tuple(sum(1 << i for i in range(1 << n) if (i >> j) & 1) for j in range(n))
@@ -167,10 +183,7 @@ def test_valuation_masks_are_variable_truth_tables():
 def test_to_cnf_clause_cap():
     # (p1 & ... & pk) | (q1 & ... & qm) distributes to k * m two-literal clauses
     def conjunction(prefix, k):
-        parts = [Var(f"{prefix}{i}") for i in range(k)]
-        while len(parts) > 1:  # balanced, so the tree stays shallow
-            parts = [a & b for a, b in zip(parts[::2], parts[1::2])] + parts[len(parts) // 2 * 2:]
-        return parts[0]
+        return conjoin(Var(f"{prefix}{i}") for i in range(k))
 
     assert CNF_CLAUSE_CAP == 64 * 64 == 17 * 241 - 1
     at_cap = to_cnf(conjunction("p", 64) | conjunction("q", 64))

@@ -7,6 +7,8 @@ from coalguard import (
     BudgetExceededError,
     Model,
     ModalFormulaError,
+    OwnershipViolationError,
+    PreconditionError,
     SystemState,
     TOP,
     UnknownAgentError,
@@ -30,20 +32,24 @@ def test_example1_is_valid(example1_model):
     assert result.violations == () and result.warnings == ()
 
 
-def test_doubly_owned_variable():
-    m = Model(("a1", "a2"), ("x",), {"a1": ("x",), "a2": ("x",)})
-    assert "doubly-owned-variable" in kinds(validate_model(m))
-
-
-def test_uncovered_variable():
-    m = Model(("a1",), ("x", "y"), {"a1": ("x",)})
-    assert "uncovered-variable" in kinds(validate_model(m))
-
-
-def test_unknown_names():
-    m = Model(("a1",), ("x",), {"a1": ("x", "z"), "a9": ()})
-    found = kinds(validate_model(m))
-    assert "unknown-variable" in found and "unknown-agent" in found
+@pytest.mark.parametrize(
+    "agents, variables, partition, error, message",
+    [
+        (("a1", "a2"), ("x",), {"a1": ("x",), "a2": ("x",)},
+         OwnershipViolationError, "doubly-owned"),
+        (("a1",), ("x",), {"a1": ("x", "x")}, OwnershipViolationError, "doubly-owned"),
+        (("a1",), ("x", "y"), {"a1": ("x",)}, UnknownVariableError, "no agent controls 'y'"),
+        (("a1",), ("x",), {"a1": ("x", "z")}, UnknownVariableError, "undeclared variable 'z'"),
+        (("a1",), ("x",), {"a1": ("x",), "a9": ()}, UnknownAgentError, "undeclared agent 'a9'"),
+        (("a1", "a1"), ("x",), {"a1": ("x",)}, PreconditionError, "agent 'a1'"),
+        (("a1",), ("x", "x"), {"a1": ("x",)}, PreconditionError, "variable 'x'"),
+    ],
+    ids=["two-owners", "listed-twice", "uncovered", "undeclared-variable",
+         "undeclared-agent", "repeated-agent", "repeated-variable"],
+)
+def test_partition_faults_raise_at_construction(agents, variables, partition, error, message):
+    with pytest.raises(error, match=message):
+        Model(agents, variables, partition)
 
 
 def test_formula_mentioning_undeclared_variable():

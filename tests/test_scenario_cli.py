@@ -1,10 +1,13 @@
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coalguard import (
     BlockForRandomInterval,
     BlockUntilTick,
+    CoalGuardError,
     DropTick,
     InsecureStartError,
     ScenarioError,
@@ -125,6 +128,87 @@ def test_queue_ownership_checked():
     data["queue"] = [{"agent": "a1", "var": "y", "value": True}]
     with pytest.raises(ScenarioError):
         scenario_from_mapping(data)
+
+
+def xor_mapping():
+    """The bundled exclusive-or scenario, with every config key set."""
+    return {
+        "agents": {"alice": ["A"], "bob": ["B"]},
+        "formulas": ["(~A & B) | (A & ~B)"],
+        "initial": {"A": False, "B": False},
+        "queue": [
+            {"agent": "alice", "var": "A", "value": True},
+            {"agent": "bob", "var": "B", "value": True},
+        ],
+        "config": {
+            "max_actions_per_tick": 2,
+            "policy": "greedy",
+            "blocking_strategy": {"block_for_random_interval": {"low": 1, "high": 2, "seed": 3}},
+            "tie_break": "fifo",
+            "seed": 1,
+        },
+    }
+
+
+def paths(node, prefix=()):
+    """Every section and leaf of a nested mapping, as a key path."""
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from paths(child, prefix + (key,))
+
+
+def replaced(data, path, value):
+    if not path:
+        return value
+    data = copy.deepcopy(data)
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return data
+
+
+leaves = st.none() | st.booleans() | st.integers(-3, 5) | st.floats(allow_nan=False)
+json_like = st.recursive(
+    leaves | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6) | st.integers(-2, 2), children, max_size=3),
+    max_leaves=8,
+)
+formula_text = st.text(alphabet="AB&|~()<>{},alicebob true", max_size=24)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("queue", 0, "var"), ["A"]),
+        (("queue", 0, "agent"), 7),
+        (("config", "blocking_strategy", "block_for_random_interval", "low"), [1]),
+        (("config", "blocking_strategy", "block_for_random_interval", "low"), 1.7),
+        (("config", "blocking_strategy", "block_for_random_interval", "high"), True),
+        (("config", "blocking_strategy", "block_for_random_interval", "seed"), [1]),
+        ((4,), 1),  # an int key beside the string keys
+    ],
+)
+def test_mistyped_input_rejected(path, value):
+    with pytest.raises(ScenarioError):
+        scenario_from_mapping(replaced(xor_mapping(), path, value))
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(list(paths(xor_mapping()))), json_like | formula_text)
+def test_malformed_scenarios_load_and_run_or_raise_coalguard_errors(path, value):
+    try:
+        scenario = scenario_from_mapping(replaced(xor_mapping(), path, value))
+        run_ticks(scenario.model, scenario.initial_state, scenario.queue, scenario.config, 3)
+    except CoalGuardError:
+        pass
 
 
 def test_variable_order_is_first_appearance(scenario_dir):
