@@ -45,29 +45,45 @@ def check_request(model: Model, request: ActionRequest, last: Optional[ActionReq
         )
 
 
+class _Buffer(list):
+    """A request list a queue made itself, so pushes may append to it."""
+
+
 @dataclass(frozen=True, eq=False)
 class ActionQueue:
     """FIFO queue of requests, validated against the model's partition.
 
-    An immutable view: the pending requests are ``buffer[start:]``, so taking
-    a batch advances ``start`` instead of copying the rest of the queue.
+    An immutable view: the pending requests are ``buffer[start:end]``, so taking
+    a batch advances ``start`` instead of copying the rest of the queue, and a
+    push onto a view ending where a buffer the queue made ends appends in place
+    (amortised O(1)); other pushes copy. No view sees a later push.
     ``requests``, ``len``, iteration and equality all see only what is pending.
     """
 
     model: Model
-    buffer: tuple[ActionRequest, ...] = ()
+    buffer: Sequence[ActionRequest] = ()
     start: int = 0
+    end: Optional[int] = None
+
+    def __post_init__(self):
+        if self.end is None:
+            object.__setattr__(self, "end", len(self.buffer))
 
     @property
     def requests(self) -> tuple[ActionRequest, ...]:
-        return self.buffer[self.start:]
+        return tuple(self.buffer[self.start:self.end])
 
     def enqueue(self, request: ActionRequest) -> "ActionQueue":
-        check_request(self.model, request, self.buffer[-1] if len(self) else None)
-        return ActionQueue(self.model, self.requests + (request,))
+        buffer, start, end = self.buffer, self.start, self.end
+        check_request(self.model, request, buffer[end - 1] if end > start else None)
+        if end == len(buffer) and type(buffer) is _Buffer:
+            buffer.append(request)
+            if len(buffer) == end + 1:  # else another push on this view appended first
+                return ActionQueue(self.model, buffer, start, end + 1)
+        return ActionQueue(self.model, _Buffer([*buffer[start:end], request]))
 
     def push(self, agent: str, variable: str, new_value: bool) -> "ActionQueue":
-        next_index = self.buffer[-1].arrival_index + 1 if len(self) else 0
+        next_index = self.buffer[self.end - 1].arrival_index + 1 if len(self) else 0
         return self.enqueue(ActionRequest(agent, variable, bool(new_value), next_index))
 
     def take_batch_excluding(
@@ -82,18 +98,18 @@ class ActionQueue:
         blocked = set(blocked)
         batch: list[ActionRequest] = []
         dropped: list[ActionRequest] = []
-        buffer, index = self.buffer, self.start
-        while index < len(buffer) and len(batch) < n:
+        buffer, index, end = self.buffer, self.start, self.end
+        while index < end and len(batch) < n:
             request = buffer[index]
             (dropped if request.agent in blocked else batch).append(request)
             index += 1
-        return tuple(batch), tuple(dropped), ActionQueue(self.model, buffer, index)
+        return tuple(batch), tuple(dropped), ActionQueue(self.model, buffer, index, end)
 
     def __len__(self) -> int:
-        return len(self.buffer) - self.start
+        return self.end - self.start
 
     def __iter__(self):
-        return itertools.islice(self.buffer, self.start, None)
+        return itertools.islice(self.buffer, self.start, self.end)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ActionQueue):

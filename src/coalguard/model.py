@@ -45,19 +45,20 @@ class Model:
         """Enforce the partition: every declared variable is listed exactly
         once, by a declared agent, and no agent or variable name repeats."""
         agents, variables = tuple(self.agents), tuple(self.variables)
-        agent_set, variable_set = frozenset(agents), frozenset(variables)
-        declared = (("agent", agents, agent_set), ("variable", variables, variable_set))
-        for kind, names, distinct in declared:
-            if len(distinct) < len(names):
+        for kind, names in (("agent", agents), ("variable", variables)):
+            if not all(isinstance(name, str) for name in names):
+                raise PreconditionError(f"{kind} names must be strings: {names!r}")
+            if len(set(names)) < len(names):
                 repeated = next(name for i, name in enumerate(names) if name in names[:i])
                 raise PreconditionError(f"{kind} {repeated!r} is declared twice")
+        agent_set, variable_set = frozenset(agents), frozenset(variables)
         normalized = {agent: tuple(owned) for agent, owned in self.partition.items()}
         owner = {}
         for agent, owned in normalized.items():
             if agent not in agent_set:
                 raise UnknownAgentError(f"partition names undeclared agent {agent!r}")
             for variable in owned:
-                if variable not in variable_set:
+                if not isinstance(variable, str) or variable not in variable_set:
                     raise UnknownVariableError(f"{agent!r} claims undeclared variable {variable!r}")
                 if variable in owner:
                     raise OwnershipViolationError(
@@ -87,7 +88,7 @@ class Model:
     def owner_of(self, variable: str) -> str:
         try:
             return self._owner[variable]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise UnknownVariableError(f"no agent controls {variable!r}") from None
 
     def owned(self, agent: str) -> tuple[str, ...]:

@@ -302,8 +302,76 @@ def record_to_dict(record: TickRecord) -> dict:
     }
 
 
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_name = json.encoder.encode_basestring_ascii  # the C escaper json.dumps uses
+_MARK = {True: "true", False: "false"}
+
+
+def _leaf(value) -> str:
+    """true/false only for the bools themselves, so an int 1 still prints 1."""
+    if value is True or value is False:
+        return _MARK[value]
+    return "%d" % value if type(value) is int else _canonical(value)
+
+
+def _list(items, write=_name) -> str:
+    return "[" + ",".join(map(write, items)) + "]"
+
+
+def _request_json(r: ActionRequest) -> str:
+    return '{"agent":%s,"arrival":%s,"value":%s,"var":%s}' % (
+        _name(r.agent), _leaf(r.arrival_index), _leaf(r.new_value), _name(r.variable)
+    )
+
+
+def _iteration_json(item) -> str:
+    if isinstance(item, blocking.GreedyIteration):
+        m = item.matrix
+        return (
+            '{"became_true":%s,"blocked":%s,"implicated":%s,"kind":"greedy","matrix":'
+            '{"agents":%s,"counters":%s,"formulas":%s,"marks":[%s]},"ranking":%s}'
+        ) % (
+            _list(item.became_true, str), _name(item.blocked_agent), _list(item.implicated),
+            _list(m.agents), _list(m.counters, str), _list(m.formula_indices, str),
+            ",".join([_list(row, _MARK.__getitem__) for row in m.marks]), _list(item.ranking),
+        )
+    if isinstance(item, blocking.OracleRound):
+        return (
+            '{"candidates":[%s],"cardinality":%d,"frontier":%s,"kind":"oracle",'
+            '"representative":%s,"success":%s}'
+        ) % (
+            ",".join(['{"false_count":%d,"subset":%s}' % (n, _list(keep))
+                      for keep, n in item.evaluated]),
+            item.cardinality, _list(item.frontier, _list), _list(item.representative),
+            _leaf(item.success),
+        )
+    raise TypeError(f"unknown iteration snapshot {type(item).__name__}")
+
+
 def trace_line(record: TickRecord) -> str:
-    return json.dumps(record_to_dict(record), sort_keys=True, separators=(",", ":"))
+    """The bytes of ``json.dumps(record_to_dict(record), sort_keys=True,
+    separators=(",", ":"))``, written directly with each key a literal in
+    sorted order; an executed request reuses its text from the batch."""
+    requests = [_request_json(r) for r in record.batch]
+    by_id = dict(zip(map(id, record.batch), requests))
+    values = record.valuation
+    try:
+        valuation = ",".join([
+            _name(k)
+            + (":true" if (v := values[k]) is True else ":false" if v is False else ":" + _leaf(v))
+            for k in sorted(values)
+        ])
+    except TypeError:  # a key that is not a str: only json.dumps writes it as it does
+        valuation = _canonical(dict(values))[1:-1]
+    return (
+        '{"batch":[%s],"blocked":%s,"executed":[%s],"iterations":[%s],'
+        '"secure":%s,"tick":%s,"valuation":{%s}}'
+    ) % (
+        ",".join(requests), _list(record.blocked),
+        ",".join([by_id.get(id(r)) or _request_json(r) for r in record.executed]),
+        ",".join(map(_iteration_json, record.iterations)), _leaf(record.secure),
+        _leaf(record.tick), valuation,
+    )
 
 
 def trace_text(records: Sequence[TickRecord]) -> str:
@@ -311,4 +379,7 @@ def trace_text(records: Sequence[TickRecord]) -> str:
 
 
 def write_trace(records: Sequence[TickRecord], path: Union[str, Path]) -> None:
-    Path(path).write_text(trace_text(records), encoding="utf-8")
+    """Write the trace line by line, never holding the whole text."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(trace_line(record) + "\n")

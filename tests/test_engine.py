@@ -14,6 +14,7 @@ from coalguard import (
     OwnershipViolationError,
     QueueOrderError,
     SystemState,
+    UnknownVariableError,
     apply_actions,
     run_ticks,
     scenario_from_mapping,
@@ -37,6 +38,31 @@ def test_push_assigns_arrivals(example1_model):
 def test_push_rejects_foreign_variable(example1_model):
     with pytest.raises(OwnershipViolationError):
         ActionQueue(example1_model).push("a2", "v1", True)
+
+
+def test_push_rejects_unhashable_variable(example1_model):
+    with pytest.raises(UnknownVariableError, match=r"no agent controls \['v1'\]"):
+        ActionQueue(example1_model).push("a1", ["v1"], True)
+
+
+def test_push_appends_in_place_and_older_views_never_change(example1_model):
+    empty = ActionQueue(example1_model)
+    one = empty.push("a1", "v1", True)
+    two = one.push("a2", "v3", False)
+    assert two.buffer is one.buffer  # a push at the view's end shares the buffer
+    other = one.push("a4", "v4", True)  # one no longer ends where the buffer does
+    assert other.buffer is not one.buffer
+    assert [(r.variable, r.arrival_index) for r in two] == [("v1", 0), ("v3", 1)]
+    assert [(r.variable, r.arrival_index) for r in other] == [("v1", 0), ("v4", 1)]
+    assert len(one) == 1 and one.requests == (ActionRequest("a1", "v1", True, 0),)
+    assert len(empty) == 0 and empty.requests == ()
+    _, _, rest = two.take_batch_excluding(1, ())
+    three = rest.push("a5", "v9", True)  # a view left by a take still appends in place
+    assert three.buffer is two.buffer and len(two) == 2
+    assert [r.arrival_index for r in three] == [1, 2]
+    given = [ActionRequest("a1", "v1", True, 0)]  # a buffer passed in is never written to
+    assert len(ActionQueue(example1_model, given).push("a2", "v3", False)) == 2
+    assert given == [ActionRequest("a1", "v1", True, 0)]
 
 
 def test_enqueue_rejects_stale_arrival(example1_model):

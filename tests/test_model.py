@@ -43,9 +43,14 @@ def test_example1_is_valid(example1_model):
         (("a1",), ("x",), {"a1": ("x",), "a9": ()}, UnknownAgentError, "undeclared agent 'a9'"),
         (("a1", "a1"), ("x",), {"a1": ("x",)}, PreconditionError, "agent 'a1'"),
         (("a1",), ("x", "x"), {"a1": ("x",)}, PreconditionError, "variable 'x'"),
+        (("a",), (["x"],), {"a": (["x"],)}, PreconditionError, "variable names must be strings"),
+        ((1,), ("x",), {1: ("x",)}, PreconditionError, "agent names must be strings"),
+        (("a1",), ("x",), {"a1": ("x", ["x"])},
+         UnknownVariableError, r"undeclared variable \['x'\]"),
     ],
     ids=["two-owners", "listed-twice", "uncovered", "undeclared-variable",
-         "undeclared-agent", "repeated-agent", "repeated-variable"],
+         "undeclared-agent", "repeated-agent", "repeated-variable", "list-variable",
+         "int-agent", "list-claimed"],
 )
 def test_partition_faults_raise_at_construction(agents, variables, partition, error, message):
     with pytest.raises(error, match=message):

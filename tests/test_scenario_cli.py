@@ -1,17 +1,25 @@
 import copy
+import dataclasses
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coalguard import (
+    ActionQueue,
+    ActionRequest,
     BlockForRandomInterval,
     BlockUntilTick,
     CoalGuardError,
     DropTick,
+    EngineConfig,
     InsecureStartError,
+    Model,
     ScenarioError,
+    SystemState,
     load_scenario,
+    record_to_dict,
     run_ticks,
     scenario_from_mapping,
     trace_line,
@@ -19,7 +27,7 @@ from coalguard import (
 )
 from coalguard.cli import main
 from coalguard.scenario import config_from_mapping, override_config, parse_strategy
-from helpers import replay_matches
+from helpers import random_model, random_secure_state, replay_matches
 
 
 def minimal_mapping():
@@ -310,6 +318,63 @@ def test_oracle_trace_shape(scenario_dir):
 def test_trace_replay_invariant(scenario_dir):
     scenario, result = run_example1(scenario_dir)
     assert replay_matches(scenario.initial_state.valuation, result.records)
+
+
+def reference_line(record):
+    return json.dumps(record_to_dict(record), sort_keys=True, separators=(",", ":"))
+
+
+ODD_PARTS = ("é", '"', "\\", "\x00", "\n", "\x1f", "\u2028", "☃", "\U0001d11e", "/")
+
+
+def odd_name(rng, stem):
+    """The stem plus characters JSON must escape. None is a digit, and every
+    stem ends in one, so distinct stems stay distinct."""
+    return stem + "".join(rng.choice(ODD_PARTS) for _ in range(rng.randint(0, 3)))
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(("none", "greedy", "nondeterministic")),
+    st.sampled_from((DropTick(), BlockUntilTick(3), BlockForRandomInterval(0, 2, seed=5))),
+)
+def test_trace_line_writes_the_reference_bytes(seed, policy, strategy):
+    rng = random.Random(seed)
+    base = random_model(rng, max_vars=7, max_agents=5, max_formulas=3)
+    # Var admits only identifiers, so the formulas keep the plain variable
+    # names; agents, and variables no formula reads, take odd names
+    agents = {a: odd_name(rng, a) for a in base.agents}
+    owned = {agents[a]: list(base.owned(a)) for a in base.agents}
+    extra = tuple(odd_name(rng, f"w{i}") for i in range(rng.randint(1, 3)))
+    for variable in extra:
+        owned[rng.choice(list(owned))].append(variable)
+    model = Model(tuple(owned), base.variables + extra, owned, base.critical_formulas)
+    state = random_secure_state(rng, model)
+    if state is None:
+        return
+    # a library valuation may hold the ints 0 and 1, which stay ints in the trace
+    valuation = {v: int(b) if rng.random() < 0.3 else b for v, b in state.valuation.items()}
+    queue = ActionQueue(model)
+    for _ in range(rng.randint(1, 16)):  # mostly flips, so that formulas come under threat
+        agent = rng.choice(model.agents)
+        variable = rng.choice(model.owned(agent))
+        queue = queue.push(agent, variable, (rng.random() < 0.8) != bool(valuation[variable]))
+    config = EngineConfig(rng.randint(2, 8), policy, strategy, random_seed=seed)
+    result = run_ticks(model, SystemState(0, valuation), queue, config, rng.randint(1, 6))
+    for record in result.records:
+        assert trace_line(record) == reference_line(record)
+
+
+def test_trace_line_writes_hand_built_records_as_json_does(scenario_dir):
+    _, result = run_example1(scenario_dir)
+    record = dataclasses.replace(
+        result.records[0],
+        executed=(ActionRequest("a9", "x", 1, 7),),  # not in the batch
+        valuation={10: True, 2: 0},  # keys that are not strings
+    )
+    assert trace_line(record) == reference_line(record)
+    assert '"executed":[{"agent":"a9","arrival":7,"value":1,"var":"x"}]' in trace_line(record)
+    assert trace_line(record).endswith('"valuation":{"2":0,"10":true}}')
 
 
 def test_trace_text_round_trips(tmp_path, scenario_dir):
