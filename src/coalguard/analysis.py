@@ -108,7 +108,6 @@ def build_state_graph(model: Model) -> StateGraph:
             f"{n} variables exceed the state-graph cap of {GRAPH_VARIABLE_CAP}"
         )
     labels = tuple(model.owner_of(v) for v in model.variables)
-    model.compiled  # compiling checks names once, raising as eval_formula would
     insecure = 0
     for table in truth_tables(model.critical_formulas, model):
         insecure |= table

@@ -126,8 +126,6 @@ class BlockingStrategy:
     tick at which they may act again; an empty mapping means the veto covers
     this tick only."""
 
-    name = "drop_tick"
-
     def schedule(self, agents: Sequence[str], current_tick: int, rng: random.Random) -> dict:
         return {}
 
@@ -136,13 +134,10 @@ class BlockingStrategy:
 class DropTick(BlockingStrategy):
     """Remove the agent's requests for this tick; it may ask again next tick."""
 
-    name = "drop_tick"
-
 
 @dataclass(frozen=True)
 class BlockUntilTick(BlockingStrategy):
     release_tick: int
-    name = "block_until_tick"
 
     def schedule(self, agents, current_tick, rng):
         return {agent: self.release_tick for agent in agents}
@@ -155,7 +150,6 @@ class BlockForRandomInterval(BlockingStrategy):
     low: int
     high: int
     seed: Optional[int] = None
-    name = "block_for_random_interval"
 
     def __post_init__(self):
         if self.low < 0 or self.high < self.low:

@@ -471,7 +471,8 @@ def truth_tables(formulas: Iterable[Formula], model) -> tuple[int, ...]:
     Bit i is the value where variables[j] is bit j of i. <>{C} g cofactors
     g's table over each variable of C that g mentions. A table takes 2^n
     bits, so callers bound n (up to DIAMOND_VARIABLE_CAP the tables agree
-    with eval_formula) and check names once.
+    with eval_formula). Names are not checked: pass the model's own formulas,
+    which Model checks when it is built.
     """
     variables = model.variables
     masks = valuation_masks(len(variables))
@@ -621,9 +622,7 @@ def to_horn_disjunction(f: Formula, model=None) -> HornDisjunction:
         raise ModalFormulaError("cannot expand a modal formula")
     used = vars_of(f)
     if model is not None:
-        unknown = used - set(model.variables)
-        if unknown:
-            raise UnknownVariableError(f"unknown variables: {sorted(unknown)}")
+        check_names(f, model)
         order = tuple(v for v in model.variables if v in used)
     else:
         order = tuple(sorted(used))

@@ -22,7 +22,6 @@ from .formula import (
     Evaluator,
     Formula,
     check_names,
-    coalitions_of,
     compile_formula,
     first_witness,
     has_diamond,
@@ -43,8 +42,19 @@ class Model:
 
     def __post_init__(self):
         """Enforce the partition: every declared variable is listed exactly
-        once, by a declared agent, and no agent or variable name repeats."""
-        agents, variables = tuple(self.agents), tuple(self.variables)
+        once, by a declared agent, and no agent or variable name repeats.
+        Then check that the critical formulas name only declared variables
+        and agents, raising what eval_formula would for the first that does
+        not, in index order."""
+        try:
+            agents, variables = tuple(self.agents), tuple(self.variables)
+            normalized = {agent: tuple(owned) for agent, owned in self.partition.items()}
+            formulas = tuple(self.critical_formulas)
+        except (AttributeError, TypeError) as exc:
+            raise PreconditionError(
+                "agents, variables and critical_formulas must be iterable and the "
+                f"partition a mapping of agents to iterables: {exc}"
+            ) from None
         for kind, names in (("agent", agents), ("variable", variables)):
             if not all(isinstance(name, str) for name in names):
                 raise PreconditionError(f"{kind} names must be strings: {names!r}")
@@ -52,7 +62,6 @@ class Model:
                 repeated = next(name for i, name in enumerate(names) if name in names[:i])
                 raise PreconditionError(f"{kind} {repeated!r} is declared twice")
         agent_set, variable_set = frozenset(agents), frozenset(variables)
-        normalized = {agent: tuple(owned) for agent, owned in self.partition.items()}
         owner = {}
         for agent, owned in normalized.items():
             if agent not in agent_set:
@@ -71,11 +80,15 @@ class Model:
         object.__setattr__(self, "agents", agents)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "partition", normalized)
-        object.__setattr__(self, "critical_formulas", tuple(self.critical_formulas))
+        object.__setattr__(self, "critical_formulas", formulas)
         object.__setattr__(self, "_owner", owner)
         object.__setattr__(self, "_variable_set", variable_set)
         object.__setattr__(self, "_agent_set", agent_set)
         object.__setattr__(self, "_compiled", None)
+        for f in formulas:
+            if not isinstance(f, Formula):
+                raise PreconditionError(f"critical formulas must be formulas, got {f!r}")
+            check_names(f, self)
 
     @property
     def variable_set(self) -> frozenset[str]:
@@ -135,14 +148,8 @@ class CompiledModel(NamedTuple):
 
 
 def compile_model(model: Model) -> CompiledModel:
-    """Build the compiled form; Model.compiled builds it once and caches it.
-
-    Raises what eval_formula would for the first formula, in index order,
-    naming an undeclared variable or agent.
-    """
+    """Build the compiled form; Model.compiled builds it once and caches it."""
     formulas = model.critical_formulas
-    for f in formulas:
-        check_names(f, model)
     variables = tuple(vars_of(f) for f in formulas)
     evaluators = tuple(compile_formula(f, model) for f in formulas)
     agents = tuple(frozenset(map(model.owner_of, used)) for used in variables)
@@ -161,7 +168,10 @@ class SystemState:
     valuation: Mapping[str, bool]
 
     def __post_init__(self):
-        object.__setattr__(self, "valuation", dict(self.valuation))
+        try:
+            object.__setattr__(self, "valuation", dict(self.valuation))
+        except (TypeError, ValueError) as exc:
+            raise PreconditionError(f"valuation must be a mapping: {exc}") from None
 
     def value(self, variable: str) -> bool:
         try:
@@ -207,10 +217,10 @@ class ValidationResult:
 def validate_model(model: Model, strict_formula_control: bool = True) -> ValidationResult:
     """Check that the sets are nonempty and the critical formulas well-formed.
 
-    Model construction already enforces the partition. Here identifiers in
-    formulas must be declared, and each critical formula must mention
-    variables of at least two distinct agents (downgraded to a warning when
-    ``strict_formula_control`` is false).
+    Model construction already enforces the partition and the formulas'
+    names. Here each critical formula must mention variables of at least two
+    distinct agents (downgraded to a warning when ``strict_formula_control``
+    is false).
     """
     violations: list[Violation] = []
     warnings: list[Violation] = []
@@ -222,22 +232,7 @@ def validate_model(model: Model, strict_formula_control: bool = True) -> Validat
 
     for index, f in enumerate(model.critical_formulas):
         subject = f"formula {index}"
-        used = vars_of(f)
-        undeclared = used - model.variable_set
-        for variable in sorted(undeclared):
-            violations.append(
-                Violation(
-                    "unknown-variable", subject, f"{subject} mentions undeclared {variable!r}"
-                )
-            )
-        for coalition in coalitions_of(f):
-            for agent in sorted(coalition - model.agent_set):
-                violations.append(
-                    Violation("unknown-agent", subject, f"{subject} names undeclared {agent!r}")
-                )
-        if undeclared:
-            continue
-        controllers = set(map(model.owner_of, used))
+        controllers = set(map(model.owner_of, vars_of(f)))
         if len(controllers) < 2:
             item = Violation(
                 "single-agent-formula",
@@ -268,9 +263,7 @@ def diamond_holds(
         raise ModalFormulaError("ability checks take a propositional formula")
     members = frozenset(coalition)
     owned = model.coalition_variables(members)
-    unknown = vars_of(f) - model.variable_set
-    if unknown:
-        raise UnknownVariableError(f"unknown variables: {sorted(unknown)}")
+    check_names(f, model)
     relevant = tuple(v for v in owned if v in vars_of(f))
     assignment = first_witness(compile_formula(f, model), state.valuation, relevant)
     if assignment is None:

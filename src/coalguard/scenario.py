@@ -42,7 +42,7 @@ from .errors import (
     InsecureStartError,
     ScenarioError,
 )
-from .formula import eval_formula, parse_formula
+from .formula import compile_formula, parse_formula
 from .model import Model, SystemState, validate_model
 
 _TOP_KEYS = {"agents", "formulas", "initial", "queue", "config"}
@@ -142,8 +142,6 @@ def scenario_from_mapping(data: Mapping, allow_insecure_start: bool = False) -> 
     variables = []
     partition = {}
     for agent, owned in agents_map.items():
-        if not isinstance(agent, str):
-            raise ScenarioError(f"agent names must be strings, got {agent!r}")
         if owned is None:
             owned = []
         if not isinstance(owned, list) or not all(isinstance(v, str) for v in owned):
@@ -184,7 +182,7 @@ def scenario_from_mapping(data: Mapping, allow_insecure_start: bool = False) -> 
     state = SystemState(0, valuation)
 
     satisfied = [
-        index for index, f in enumerate(formulas) if eval_formula(f, model, state)
+        index for index, f in enumerate(formulas) if compile_formula(f, model)(valuation)
     ]
     if satisfied and not allow_insecure_start:
         raise InsecureStartError(

@@ -17,7 +17,6 @@ from coalguard import (
     UnknownAgentError,
     UnknownVariableError,
     Var,
-    build_state_graph,
     compile_formula,
     eval_formula,
     is_secure,
@@ -118,15 +117,14 @@ def two_agent_model(*formulas):
     [("x & zz", UnknownVariableError), ("<>{ghost} x & y", UnknownAgentError)],
 )
 def test_unknown_names_still_raise(text, error):
-    model = two_agent_model("x & y", text)
+    # Model raises when it is built, with what eval_formula raises on first use
+    base = two_agent_model("x & y")
     state = SystemState(0, {"x": False, "y": False})
-    with pytest.raises(error):
-        is_secure(model, state)
-    # an empty batch touches no formula, yet simulate raises as before
-    with pytest.raises(error):
-        simulate(model, state, ())
-    with pytest.raises(error):
-        simulate(model, state, (ActionRequest("a2", "y", True, 0),))
+    with pytest.raises(error) as reference:
+        eval_formula(parse_formula(text), base, state)
+    with pytest.raises(error) as raised:
+        two_agent_model("x & y", text)
+    assert str(raised.value) == str(reference.value)
 
 
 def test_diamond_budget_raises_only_when_evaluated():
@@ -173,19 +171,11 @@ def test_undeclared_names_raise_what_eval_formula_raises(seed):
     names = sorted(vars_of(f) | set().union(*coalitions_of(f)))
     assume(names)
     formulas[index] = rename(f, rng.choice(names), "ghost")
-    model = Model(base.agents, base.variables, base.partition, formulas)
-    state = SystemState(0, {v: rng.random() < 0.5 for v in model.variables})
+    state = SystemState(0, {v: rng.random() < 0.5 for v in base.variables})
     with pytest.raises(CoalGuardError) as reference:
-        eval_formula(formulas[index], model, state)
+        eval_formula(formulas[index], base, state)
     expected = type(reference.value)
     assert expected in (UnknownVariableError, UnknownAgentError)
-    batch = random_requests(rng, model)
-    for attempt in (
-        lambda: model.compiled,
-        lambda: is_secure(model, state),
-        lambda: simulate(model, state, batch),
-        lambda: build_state_graph(model),
-    ):
-        with pytest.raises(expected) as raised:
-            attempt()
-        assert str(raised.value) == str(reference.value)
+    with pytest.raises(expected) as raised:
+        Model(base.agents, base.variables, base.partition, formulas)
+    assert str(raised.value) == str(reference.value)

@@ -32,35 +32,59 @@ def test_example1_is_valid(example1_model):
     assert result.violations == () and result.warnings == ()
 
 
+TWO = (("a1", "a2"), ("x", "y"), {"a1": ("x",), "a2": ("y",)})
+
+
 @pytest.mark.parametrize(
-    "agents, variables, partition, error, message",
+    "args, error, message",
     [
-        (("a1", "a2"), ("x",), {"a1": ("x",), "a2": ("x",)},
+        ((("a1", "a2"), ("x",), {"a1": ("x",), "a2": ("x",)}),
          OwnershipViolationError, "doubly-owned"),
-        (("a1",), ("x",), {"a1": ("x", "x")}, OwnershipViolationError, "doubly-owned"),
-        (("a1",), ("x", "y"), {"a1": ("x",)}, UnknownVariableError, "no agent controls 'y'"),
-        (("a1",), ("x",), {"a1": ("x", "z")}, UnknownVariableError, "undeclared variable 'z'"),
-        (("a1",), ("x",), {"a1": ("x",), "a9": ()}, UnknownAgentError, "undeclared agent 'a9'"),
-        (("a1", "a1"), ("x",), {"a1": ("x",)}, PreconditionError, "agent 'a1'"),
-        (("a1",), ("x", "x"), {"a1": ("x",)}, PreconditionError, "variable 'x'"),
-        (("a",), (["x"],), {"a": (["x"],)}, PreconditionError, "variable names must be strings"),
-        ((1,), ("x",), {1: ("x",)}, PreconditionError, "agent names must be strings"),
-        (("a1",), ("x",), {"a1": ("x", ["x"])},
+        ((("a1",), ("x",), {"a1": ("x", "x")}), OwnershipViolationError, "doubly-owned"),
+        ((("a1",), ("x", "y"), {"a1": ("x",)}), UnknownVariableError, "no agent controls 'y'"),
+        ((("a1",), ("x",), {"a1": ("x", "z")}), UnknownVariableError, "undeclared variable 'z'"),
+        ((("a1",), ("x",), {"a1": ("x",), "a9": ()}), UnknownAgentError, "undeclared agent 'a9'"),
+        ((("a1", "a1"), ("x",), {"a1": ("x",)}), PreconditionError, "agent 'a1'"),
+        ((("a1",), ("x", "x"), {"a1": ("x",)}), PreconditionError, "variable 'x'"),
+        ((("a",), (["x"],), {"a": (["x"],)}), PreconditionError, "variable names must be strings"),
+        (((1,), ("x",), {1: ("x",)}), PreconditionError, "agent names must be strings"),
+        ((("a1",), ("x",), {"a1": ("x", ["x"])}),
          UnknownVariableError, r"undeclared variable \['x'\]"),
+        ((("a",), ("x",), {"a": 5}), PreconditionError, "not iterable"),
+        ((("a",), ("x",), [("a", ("x",))]), PreconditionError, "partition a mapping"),
+        (TWO + ("x & y",), PreconditionError, "must be formulas, got 'x'"),
+        (TWO + ((f for f in (parse_formula("x & y"), "y")),),
+         PreconditionError, "must be formulas, got 'y'"),
     ],
     ids=["two-owners", "listed-twice", "uncovered", "undeclared-variable",
          "undeclared-agent", "repeated-agent", "repeated-variable", "list-variable",
-         "int-agent", "list-claimed"],
+         "int-agent", "list-claimed", "int-owned", "list-partition", "string-formulas",
+         "generator-formulas"],
 )
-def test_partition_faults_raise_at_construction(agents, variables, partition, error, message):
+def test_partition_faults_raise_at_construction(args, error, message):
     with pytest.raises(error, match=message):
-        Model(agents, variables, partition)
+        Model(*args)
+
+
+def test_formulas_passed_as_a_generator_are_kept():
+    formulas = (parse_formula(text) for text in ("x & y", "x | y"))
+    model = Model(*TWO, formulas)
+    assert model.critical_formulas == (parse_formula("x & y"), parse_formula("x | y"))
 
 
 def test_formula_mentioning_undeclared_variable():
-    m = Model(("a1", "a2"), ("x", "y"), {"a1": ("x",), "a2": ("y",)},
-              (parse_formula("x & w"),))
-    assert "unknown-variable" in kinds(validate_model(m))
+    # rejected when the model is built, with what eval_formula raises on first use
+    f = parse_formula("x & w")
+    with pytest.raises(UnknownVariableError) as reference:
+        eval_formula(f, Model(*TWO), SystemState(0, {"x": False, "y": False}))
+    with pytest.raises(UnknownVariableError) as raised:
+        Model(*TWO, (f,))
+    assert str(raised.value) == str(reference.value) == "unknown variables: ['w']"
+
+
+def test_system_state_rejects_a_non_mapping_valuation():
+    with pytest.raises(PreconditionError, match="valuation must be a mapping"):
+        SystemState(0, [1, 2])
 
 
 def test_single_agent_formula_downgrades():

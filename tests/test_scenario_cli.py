@@ -100,6 +100,14 @@ def test_single_agent_formula_rejected():
         scenario_from_mapping(data)
 
 
+@pytest.mark.parametrize("formula, name", [("x & w", "w"), ("x & <>{ghost} y", "ghost")])
+def test_undeclared_formula_names_rejected(formula, name):
+    data = minimal_mapping()
+    data["formulas"] = [formula]
+    with pytest.raises(ScenarioError, match=rf"invalid model: unknown \w+: \['{name}'\]"):
+        scenario_from_mapping(data)
+
+
 def test_formula_errors_carry_index():
     data = minimal_mapping()
     data["formulas"] = ["x &"]
@@ -202,6 +210,7 @@ formula_text = st.text(alphabet="AB&|~()<>{},alicebob true", max_size=24)
         (("config", "blocking_strategy", "block_for_random_interval", "high"), True),
         (("config", "blocking_strategy", "block_for_random_interval", "seed"), [1]),
         ((4,), 1),  # an int key beside the string keys
+        (("agents", 5), ["C"]),  # an int agent name, which Model rejects
     ],
 )
 def test_mistyped_input_rejected(path, value):
