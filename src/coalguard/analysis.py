@@ -9,7 +9,6 @@ an exhaustive minimal-coalition vulnerability audit.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Union
@@ -17,7 +16,6 @@ from typing import Iterable, Iterator, Mapping, Optional, Union
 from .errors import BudgetExceededError, ModalFormulaError, PreconditionError, UnknownVariableError
 from .formula import (
     Formula,
-    HornDisjunction,
     Not,
     Var,
     conjoin,
@@ -25,6 +23,7 @@ from .formula import (
     eval_formula,
     find_horn_labeling,
     first_witness,
+    flip_across,
     has_diamond,
     truth_tables,
     valuation_masks,
@@ -43,8 +42,8 @@ class StateGraph:
 
     Edges are implicit: vertex i joins i XOR (1 << j) for every j, labeled
     edge_labels[j] (the controller of variables[j]). Bit i of secure_bits is
-    set when every critical formula is false at vertex i; secure[i] is that
-    bit as a bool.
+    set when every critical formula is false at vertex i; secure[i] (that
+    bit as a bool) and secure_indices() are views of it.
     """
 
     variables: tuple[str, ...]
@@ -80,10 +79,6 @@ class StateGraph:
             if valuation[v]:
                 index |= 1 << j
         return index
-
-    def neighbors(self, index: int) -> Iterator[tuple[int, str]]:
-        for j, label in enumerate(self.edge_labels):
-            yield index ^ (1 << j), label
 
     def edges(self) -> Iterator[tuple[int, int, str]]:
         """Every undirected edge once, as (smaller index, larger index, agent)."""
@@ -127,8 +122,7 @@ def _connected(members: int, num_vars: int) -> bool:
     while True:
         before = reached
         for j, mask in enumerate(masks):
-            shift = 1 << j
-            reached |= (((reached >> shift) & ~mask) | ((reached << shift) & mask)) & members
+            reached |= flip_across(reached, j, mask) & members
         if reached == before:
             return reached == members
 
@@ -145,62 +139,54 @@ def secure_path(
 ) -> Optional[tuple[SystemState, ...]]:
     """Shortest single-flip path staying inside secure vertices, or None.
 
-    The returned states advance the tick by one per flip, starting from the
-    start state's tick.
+    A layered search on secure_bits: layer k + 1 is layer k moved across
+    every variable, kept to the secure vertices not yet seen. The walk back
+    from the goal steps, at each layer, by the lowest variable whose flip
+    lands in the layer before. The returned states advance the tick by one
+    per flip, starting from the start state's tick.
     """
     source = graph.vertex_index(start)
     target = graph.vertex_index(goal)
-    if not graph.secure[source]:
+    members = graph.secure_bits
+    if not (members >> source) & 1:
         raise PreconditionError("start state is not secure")
-    if not graph.secure[target]:
+    if not (members >> target) & 1:
         raise PreconditionError("goal state is not secure")
-    parents: dict[int, int] = {source: -1}
-    frontier = deque([source])
-    while frontier and target not in parents:
-        current = frontier.popleft()
-        for neighbor, _ in graph.neighbors(current):
-            if graph.secure[neighbor] and neighbor not in parents:
-                parents[neighbor] = current
-                frontier.append(neighbor)
-    if target not in parents:
-        return None
-    indices = [target]
-    while indices[-1] != source:
-        indices.append(parents[indices[-1]])
-    indices.reverse()
+    masks = valuation_masks(len(graph.variables))
+    layers = [1 << source]
+    unseen = members ^ layers[0]
+    while not (layers[-1] >> target) & 1:
+        layer = 0
+        for j, mask in enumerate(masks):
+            layer |= flip_across(layers[-1], j, mask)
+        layer &= unseen
+        if not layer:
+            return None
+        unseen ^= layer
+        layers.append(layer)
+    path = [target]
+    for layer in reversed(layers[:-1]):
+        flips = (path[-1] ^ (1 << j) for j in range(len(masks)))
+        path.append(next(index for index in flips if (layer >> index) & 1))
     return tuple(
         SystemState(start.tick + offset, graph.valuation_of(index))
-        for offset, index in enumerate(indices)
+        for offset, index in enumerate(reversed(path))
     )
 
 
-def single_flip_agents(
-    model: Model,
-    state: SystemState,
-    formula: Formula,
-    rewriting: Optional[HornDisjunction] = None,
-) -> frozenset[str]:
+def single_flip_agents(model: Model, state: SystemState, formula: Formula) -> frozenset[str]:
     """Agents able to make a currently-false formula true with one flip.
 
-    Candidate variables are those mentioned by the rewriting's disjuncts
-    (default: the formula's own variables, which every minterm of its full
-    expansion names, so the expansion itself is never built). An agent
-    qualifies when it controls a candidate variable whose lone flip satisfies
+    Only a variable the formula mentions can change its value, so an agent
+    qualifies when it controls such a variable whose lone flip satisfies
     the formula.
     """
     if has_diamond(formula):
         raise ModalFormulaError("single-flip analysis takes a propositional formula")
     if eval_formula(formula, model, state):
         raise PreconditionError("formula is already true at this state")
-    if rewriting is None:
-        mentioned = vars_of(formula)
-    else:
-        mentioned = set().union(*(vars_of(disjunct) for disjunct in rewriting.disjuncts))
-    unknown = mentioned - set(model.variables)
-    if unknown:
-        raise UnknownVariableError(f"unknown variables in rewriting: {sorted(unknown)}")
     agents = set()
-    for variable in mentioned:
+    for variable in vars_of(formula):
         flipped = state.with_updates({variable: not state.value(variable)})
         if eval_formula(formula, model, flipped):
             agents.add(model.owner_of(variable))

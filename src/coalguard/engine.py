@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import OwnershipViolationError, QueueOrderError
+from .errors import CoalGuardError, OwnershipViolationError, PreconditionError, QueueOrderError
 from .model import Model, SystemState, is_secure
 
 POLICIES = ("none", "greedy", "nondeterministic")
@@ -46,17 +46,19 @@ def check_request(model: Model, request: ActionRequest, last: Optional[ActionReq
 
 
 class _Buffer(list):
-    """A request list a queue made itself, so pushes may append to it."""
+    """A request list a queue made and checked itself, so pushes may append to it."""
 
 
 @dataclass(frozen=True, eq=False)
 class ActionQueue:
     """FIFO queue of requests, validated against the model's partition.
 
-    An immutable view: the pending requests are ``buffer[start:end]``, so taking
-    a batch advances ``start`` instead of copying the rest of the queue, and a
-    push onto a view ending where a buffer the queue made ends appends in place
-    (amortised O(1)); other pushes copy. No view sees a later push.
+    ``ActionQueue(model, requests)`` checks each request once, as enqueueing
+    would, into a buffer of its own. The views it returns are immutable: the
+    pending requests are ``buffer[start:end]``, so taking a batch advances
+    ``start`` instead of copying the rest of the queue, and a push onto a view
+    ending where its buffer ends appends in place (amortised O(1)); other
+    pushes copy. No view sees a later push, and none is checked again.
     ``requests``, ``len``, iteration and equality all see only what is pending.
     """
 
@@ -66,7 +68,24 @@ class ActionQueue:
     end: Optional[int] = None
 
     def __post_init__(self):
-        if self.end is None:
+        if type(self.buffer) is not _Buffer:  # outside requests: check them once
+            try:
+                buffer = _Buffer(itertools.islice(self.buffer, self.start, self.end))
+            except (TypeError, ValueError):
+                kind = type(self.buffer).__name__
+                raise PreconditionError(f"queue requests must be iterable, not {kind}") from None
+            try:
+                for index, request in enumerate(buffer):
+                    if not isinstance(request, ActionRequest):
+                        raise PreconditionError(f"not an ActionRequest: {request!r}")
+                    check_request(self.model, request, buffer[index - 1] if index else None)
+            except CoalGuardError as exc:  # name the request's position
+                exc.args = (f"queue[{index}]: {exc}",)
+                raise
+            object.__setattr__(self, "buffer", buffer)
+            object.__setattr__(self, "start", 0)
+            object.__setattr__(self, "end", len(buffer))
+        elif self.end is None:
             object.__setattr__(self, "end", len(self.buffer))
 
     @property

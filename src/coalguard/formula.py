@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -380,17 +380,7 @@ def _eval(f: Formula, model, valuation: Mapping[str, bool]) -> bool:
         return _eval(f.left, model, valuation) or _eval(f.right, model, valuation)
     if isinstance(f, Diamond):
         relevant = [v for v in model.coalition_variables(f.coalition) if v in vars_of(f.child)]
-        if len(relevant) > DIAMOND_VARIABLE_CAP:
-            raise BudgetExceededError(
-                f"coalition controls {len(relevant)} variables of the formula, "
-                f"cap is {DIAMOND_VARIABLE_CAP}"
-            )
-        for combo in itertools.product((False, True), repeat=len(relevant)):
-            trial = dict(valuation)
-            trial.update(zip(relevant, combo))
-            if _eval(f.child, model, trial):
-                return True
-        return False
+        return first_witness(partial(_eval, f.child, model), valuation, relevant) is not None
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -465,6 +455,13 @@ def valuation_masks(num_vars: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
+def flip_across(bits: int, j: int, mask: int) -> int:
+    """Move every set bit across variable j: bit i of the result is bit
+    i ^ (1 << j) of bits. mask is valuation_masks(n)[j]."""
+    shift = 1 << j
+    return ((bits >> shift) & ~mask) | ((bits << shift) & mask)
+
+
 def truth_tables(formulas: Iterable[Formula], model) -> tuple[int, ...]:
     """Each formula's value at all 2^n valuations of model.variables, as one int.
 
@@ -498,8 +495,7 @@ def truth_tables(formulas: Iterable[Formula], model) -> tuple[int, ...]:
                 if variable in inner:
                     # valuation i may take the value of its neighbour across variable j
                     j = slot[variable]
-                    mask, shift = masks[j], 1 << j
-                    result |= ((result >> shift) & ~mask) | ((result << shift) & mask)
+                    result |= flip_across(result, j, masks[j])
             return result
         raise TypeError(f"not a formula: {f!r}")
 

@@ -33,7 +33,6 @@ from .engine import (
     DropTick,
     EngineConfig,
     TickRecord,
-    check_request,
 )
 from .errors import (
     BudgetExceededError,
@@ -207,13 +206,11 @@ def scenario_from_mapping(data: Mapping, allow_insecure_start: bool = False) -> 
         agent, variable = item["agent"], item["var"]
         if not isinstance(agent, str) or not isinstance(variable, str):
             raise ScenarioError(f"queue[{index}]: agent and var must be strings")
-        request = ActionRequest(agent, variable, value, index)
-        try:
-            check_request(model, request, requests[-1] if requests else None)
-        except CoalGuardError as exc:
-            raise ScenarioError(f"queue[{index}]: {exc}") from exc
-        requests.append(request)
-    queue = ActionQueue(model, tuple(requests))
+        requests.append(ActionRequest(agent, variable, value, index))
+    try:
+        queue = ActionQueue(model, requests)
+    except CoalGuardError as exc:
+        raise ScenarioError(str(exc)) from exc
 
     return Scenario(model, state, queue, config_from_mapping(data.get("config")))
 

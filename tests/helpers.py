@@ -1,6 +1,7 @@
 """Shared test oracles, deliberately independent of the library internals."""
 
 import itertools
+from collections import deque
 
 from coalguard import (
     ActionRequest,
@@ -175,6 +176,29 @@ def random_scenario(rng, max_vars=10, max_agents=6, max_formulas=4, max_requests
         if state is None:
             continue
         return model, state, random_requests(rng, model, max_requests)
+
+
+def reference_secure_path(graph, source, target):
+    """Vertex indices of a shortest secure single-flip path, or None.
+
+    Breadth-first search one vertex at a time over graph.secure, flipping
+    variables in index order.
+    """
+    parents = {source: -1}
+    frontier = deque([source])
+    while frontier and target not in parents:
+        current = frontier.popleft()
+        for j in range(len(graph.variables)):
+            neighbor = current ^ (1 << j)
+            if graph.secure[neighbor] and neighbor not in parents:
+                parents[neighbor] = current
+                frontier.append(neighbor)
+    if target not in parents:
+        return None
+    indices = [target]
+    while indices[-1] != source:
+        indices.append(parents[indices[-1]])
+    return indices[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,15 @@ from coalguard import (
     single_flip_agents,
     survey_secure_connectivity,
     to_cnf,
-    to_horn_disjunction,
 )
-from coalguard.analysis import _connected
-from helpers import random_formula, random_model, random_secure_state, truth_eval
+from coalguard.analysis import SurveyRow, _connected
+from helpers import (
+    random_formula,
+    random_model,
+    random_secure_state,
+    reference_secure_path,
+    truth_eval,
+)
 
 
 def two_var_model():
@@ -267,6 +272,57 @@ def test_secure_path_properties(seed):
         assert is_secure(model, s)
 
 
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_secure_path_matches_the_reference_search(seed, scatter):
+    rng = random.Random(seed)
+    model = random_model(rng, max_vars=8, max_agents=4, max_formulas=4)
+    graph = build_state_graph(model)
+    if scatter:  # a random secure set, most often disconnected
+        graph = StateGraph(graph.variables, graph.edge_labels, rng.getrandbits(graph.num_vertices))
+    secure = graph.secure_indices()
+    for _ in range(4):
+        if not secure:
+            return
+        source, target = rng.choice(secure), rng.choice(secure)
+        start = SystemState(3, graph.valuation_of(source))
+        path = secure_path(graph, start, SystemState(0, graph.valuation_of(target)))
+        expected = reference_secure_path(graph, source, target)
+        if expected is None:
+            assert path is None
+            assert not is_connected(graph, restrict_to_secure=True)
+            continue
+        assert path is not None and len(path) == len(expected)
+        indices = [graph.vertex_index(s) for s in path]
+        assert indices[0] == source and indices[-1] == target
+        assert [s.tick for s in path] == list(range(3, 3 + len(path)))
+        for a, b in zip(indices, indices[1:]):
+            assert (a ^ b).bit_count() == 1
+        assert all(graph.secure[i] for i in indices)
+
+
+def test_secure_path_across_sixteen_variables():
+    names = tuple(f"x{j}" for j in range(16))
+    rng = random.Random(1)
+    formulas = []
+    for _ in range(6):
+        a, b, c = rng.sample(names, 3)
+        formulas.append(parse_formula(f"{a} & ~{b} & {c}"))
+    model = Model(
+        tuple(f"a{j}" for j in range(16)),
+        names,
+        {f"a{j}": (v,) for j, v in enumerate(names)},
+        tuple(formulas),
+    )
+    graph = build_state_graph(model)
+    low = SystemState(0, {v: False for v in names})
+    high = SystemState(0, {v: True for v in names})
+    path = secure_path(graph, low, high)
+    assert path is not None and len(path) == 17  # one flip per variable
+    for a, b in zip(path, path[1:]):
+        assert sum(a.value(v) != b.value(v) for v in names) == 1
+    assert all(is_secure(model, s) for s in path)
+
+
 # ---------------------------------------------------------------------------
 # single-flip reachability
 
@@ -334,19 +390,6 @@ def test_single_flip_agents_on_wide_formulas(pairs):
     assert single_flip_agents(model, low, formula) == frozenset()
     near = low.with_updates({"x0": True, "x2": True})
     assert single_flip_agents(model, near, formula) == frozenset({f"a{pairs}", f"a{pairs + 2}"})
-
-
-def test_single_flip_agents_default_matches_the_rewriting():
-    model = pairs_model(3)
-    formula = model.critical_formulas[0]
-    rewriting = to_horn_disjunction(formula, model)
-    for mask in range(1 << 6):
-        state = SystemState(0, {f"x{j}": bool((mask >> j) & 1) for j in range(6)})
-        if eval_formula(formula, model, state):
-            continue
-        assert single_flip_agents(model, state, formula) == single_flip_agents(
-            model, state, formula, rewriting
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +500,18 @@ def test_survey_xor_is_a_converse_witness():
     survey = survey_secure_connectivity(2, "falsifying")
     assert 6 in survey.converse_counterexamples
     assert 9 in survey.converse_counterexamples
+
+
+def test_survey_claim_fails_at_four_variables():
+    # table 22 is true exactly when one of x1, x2, x3 is true and every other
+    # variable is false (bits 1, 2 and 4); with x4 its falsifying set is
+    # connected, and its clause form has no Horn relabeling
+    survey = survey_secure_connectivity(4, tables=[22])
+    assert survey.rows == (SurveyRow(22, True, False),)
+    assert survey.counterexamples == (22,)
+    assert not survey.claim_holds
+    # at three variables all-false is isolated: each of its neighbours satisfies
+    assert survey_secure_connectivity(3, tables=[22]).rows == (SurveyRow(22, False, False),)
 
 
 def test_survey_relabelable_matches_semantic_oracle():

@@ -11,7 +11,9 @@ from coalguard import (
     BlockUntilTick,
     DropTick,
     EngineConfig,
+    Model,
     OwnershipViolationError,
+    PreconditionError,
     QueueOrderError,
     SystemState,
     UnknownVariableError,
@@ -22,6 +24,7 @@ from coalguard import (
     tick,
     trace_text,
 )
+from coalguard import engine
 from helpers import random_model, random_requests, replay_matches, truth_eval
 
 
@@ -69,6 +72,35 @@ def test_enqueue_rejects_stale_arrival(example1_model):
     q = ActionQueue(example1_model).push("a1", "v1", True)
     with pytest.raises(QueueOrderError):
         q.enqueue(ActionRequest("a1", "v7", True, 0))
+
+
+def test_queue_built_from_requests_checks_ownership_once():
+    # x is a's; b's write to it must never reach run_ticks
+    model = Model(("a", "b"), ("x", "y"), {"a": ("x",), "b": ("y",)}, ())
+    foreign = (ActionRequest("a", "x", True, 0), ActionRequest("b", "x", True, 1))
+    with pytest.raises(OwnershipViolationError, match=r"^queue\[1\]: 'b' does not control 'x'"):
+        ActionQueue(model, foreign)
+    with pytest.raises(QueueOrderError, match=r"^queue\[1\]: "):
+        ActionQueue(model, (ActionRequest("a", "x", True, 1), ActionRequest("b", "y", True, 1)))
+    with pytest.raises(PreconditionError, match=r"^queue\[0\]: not an ActionRequest"):
+        ActionQueue(model, [("a", "x", True, 0)])
+    for malformed in (5, None):
+        with pytest.raises(PreconditionError):
+            ActionQueue(model, malformed)
+
+
+def test_queue_views_are_not_rechecked(monkeypatch, example1_model, example1_batch):
+    calls = []
+    checked = engine.check_request
+    monkeypatch.setattr(
+        engine, "check_request", lambda *args: calls.append(args[1]) or checked(*args)
+    )
+    queue = ActionQueue(example1_model, example1_batch)
+    assert calls == list(example1_batch)
+    _, _, rest = queue.take_batch_excluding(2, ())
+    rest.push("a5", "v9", True)
+    assert len(calls) == len(example1_batch) + 1  # only the push is checked
+    assert ActionQueue(example1_model, example1_batch, 1, 3).requests == example1_batch[1:3]
 
 
 def test_take_batch_excluding_consumes_dropped(example1_queue, example1_batch):
@@ -193,8 +225,6 @@ def test_auto_cap_is_formula_count(example1_model, example1_queue, example1_stat
 
 
 def test_zero_formula_model_takes_empty_batches():
-    from coalguard import Model
-
     m = Model(("a1", "a2"), ("x", "y"), {"a1": ("x",), "a2": ("y",)})
     q = ActionQueue(m).push("a1", "x", True)
     outcome = tick(m, SystemState(0, {"x": False, "y": False}), q, EngineConfig())

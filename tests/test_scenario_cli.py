@@ -142,7 +142,10 @@ def test_insecure_start_flag():
 def test_queue_ownership_checked():
     data = minimal_mapping()
     data["queue"] = [{"agent": "a1", "var": "y", "value": True}]
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError, match=r"^queue\[0\]: 'a1' does not control 'y'"):
+        scenario_from_mapping(data)
+    data["queue"].insert(0, {"agent": "a1", "var": "x", "value": True})
+    with pytest.raises(ScenarioError, match=r"^queue\[1\]: 'a1' does not control 'y'"):
         scenario_from_mapping(data)
 
 
