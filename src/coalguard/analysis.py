@@ -21,10 +21,10 @@ from .formula import (
     conjoin,
     disjoin,
     eval_formula,
-    find_horn_labeling,
     first_witness,
     flip_across,
     has_diamond,
+    horn_renaming,
     truth_tables,
     valuation_masks,
     vars_of,
@@ -252,46 +252,53 @@ def audit_vulnerabilities(model: Model, state: SystemState) -> tuple[Vulnerabili
 # truth-table survey: secure-set connectivity vs. Horn relabelability
 
 
+def _all_clauses(num_vars: int) -> list[tuple[int, tuple[tuple[int, bool], ...], tuple[int, ...]]]:
+    """Every clause over x1..x{num_vars} as (falsified, literals, drops).
+
+    falsified is the bitset of the valuations that falsify the clause,
+    literals its (variable index, positive) pairs by index, and drops the
+    positions of the clauses with one literal dropped. A clause's position
+    sums 3^j for a literal x{j+1} and 2 * 3^j for its negation.
+    """
+    full = (1 << (1 << num_vars)) - 1
+    clauses = [(full, (), ())]
+    for j, mask in enumerate(valuation_masks(num_vars)):
+        size = len(clauses)
+        for digit, positive, falsified in ((1, True, full ^ mask), (2, False, mask)):
+            for code, (bits, literals, drops) in enumerate(clauses[:size]):
+                dropped = (*(d + digit * size for d in drops), code)
+                clauses.append((bits & falsified, (*literals, (j, positive)), dropped))
+    return clauses
+
+
+def _prime_implicates(clauses, table: int) -> list[tuple[tuple[int, bool], ...]]:
+    """The literals of each clause of _all_clauses that the table implies (no
+    model falsifies it) while it implies none of the clause's drops."""
+    implied = [not bits & table for bits, _, _ in clauses]
+    return [
+        literals
+        for (_, literals, drops), holds in zip(clauses, implied)
+        if holds and not any(implied[d] for d in drops)
+    ]
+
+
 def formula_from_truth_table(num_vars: int, table: int) -> Formula:
     """Minimal clause form of the function given by a truth-table integer.
 
     Valuation masks assign variable x{j+1} the j-th bit; bit m of the table
-    is the function's value at mask m. The result conjoins every minimal
-    clause the function entails (iterated resolution from the falsified
-    rows, subsumed clauses dropped), so equivalent functions get identical
-    formulas and clause-level properties reflect the function, not one
-    arbitrary way of writing it down.
+    is the function's value at mask m. The result conjoins the function's
+    prime implicates, every clause it entails with no entailed sub-clause,
+    shortest first, so equivalent functions get identical formulas and
+    clause-level properties reflect the function, not one arbitrary way of
+    writing it down. All 3^num_vars clauses are tested on the table's bits.
     """
     if num_vars < 1:
-        raise ValueError("need at least one variable")
-    names = tuple(f"x{j + 1}" for j in range(num_vars))
-    # clauses as frozensets of (variable index, positive)
-    clauses = set()
-    for mask in range(1 << num_vars):
-        if (table >> mask) & 1:
-            continue
-        clauses.add(frozenset((j, not ((mask >> j) & 1)) for j in range(num_vars)))
-    while True:
-        fresh = set()
-        for c1, c2 in itertools.combinations(clauses, 2):
-            for j, positive in c1:
-                if (j, not positive) in c2:
-                    merged = (c1 - {(j, positive)}) | (c2 - {(j, not positive)})
-                    if len({k for k, _ in merged}) == len(merged) and merged not in clauses:
-                        fresh.add(merged)
-        if not fresh:
-            break
-        clauses |= fresh
-    minimal = [c for c in clauses if not any(other < c for other in clauses)]
-    minimal.sort(key=lambda c: (len(c), sorted(c)))
-    parts = []
-    for clause in minimal:
-        literals = [
-            Var(names[j]) if positive else Not(Var(names[j]))
-            for j, positive in sorted(clause)
-        ]
-        parts.append(disjoin(literals))
-    return conjoin(parts)
+        raise PreconditionError("need at least one variable")
+    primes = sorted(_prime_implicates(_all_clauses(num_vars), table), key=lambda c: (len(c), c))
+    return conjoin(
+        disjoin(Var(f"x{j + 1}") if positive else Not(Var(f"x{j + 1}")) for j, positive in clause)
+        for clause in primes
+    )
 
 
 @dataclass(frozen=True)
@@ -323,45 +330,33 @@ def survey_secure_connectivity(
     tables: Optional[Iterable[int]] = None,
 ) -> ConnectivitySurvey:
     """Check, per truth table, whether a connected secure vertex set implies
-    a sign-flip relabeling turning the minimal clause form Horn.
+    a sign-flip relabeling turning the prime implicates Horn.
 
     reading picks which vertices count as secure: "falsifying" (the default)
     takes the states where the function is false, "satisfying" the others.
-    Without an explicit table sample the sweep is exhaustive and therefore
-    limited to 3 variables (2^(2^3) tables).
+    Without an explicit table sample the sweep is exhaustive: all 2^(2^n)
+    tables, 65,536 at the cap of 4 variables. Each table's prime implicates
+    (the clauses of formula_from_truth_table) go straight to horn_renaming.
     """
     if reading not in ("falsifying", "satisfying"):
-        raise ValueError(f"unknown reading: {reading!r}")
+        raise PreconditionError(f"unknown reading: {reading!r}")
     if num_vars < 1 or num_vars > SURVEY_VARIABLE_CAP:
         raise BudgetExceededError(
             f"survey supports 1..{SURVEY_VARIABLE_CAP} variables, got {num_vars}"
         )
     states = 1 << num_vars
-    if tables is None:
-        if num_vars > 3:
-            raise BudgetExceededError(
-                "exhaustive sweeps stop at 3 variables; pass an explicit table sample"
-            )
-        chosen: Iterable[int] = range(1 << states)
-    else:
-        chosen = tables
+    clauses = _all_clauses(num_vars)
     rows = []
-    counterexamples = []
-    converse = []
-    for table in chosen:
-        if not 0 <= table < (1 << states):
-            raise ValueError(f"table {table} out of range for {num_vars} variables")
+    for table in range(1 << states) if tables is None else tables:
+        if not isinstance(table, int) or not 0 <= table < (1 << states):
+            raise PreconditionError(f"table {table!r} out of range for {num_vars} variables")
         members = table if reading == "satisfying" else ((1 << states) - 1) ^ table
         connected = _connected(members, num_vars)
-        relabelable = find_horn_labeling(formula_from_truth_table(num_vars, table)) is not None
+        relabelable = horn_renaming(_prime_implicates(clauses, table)) is not None
         rows.append(SurveyRow(table, connected, relabelable))
-        if connected and not relabelable:
-            counterexamples.append(table)
-        if relabelable and not connected:
-            converse.append(table)
-    return ConnectivitySurvey(
-        num_vars, reading, tuple(rows), tuple(counterexamples), tuple(converse)
-    )
+    counterexamples = tuple(r.table for r in rows if r.connected and not r.relabelable)
+    converse = tuple(r.table for r in rows if r.relabelable and not r.connected)
+    return ConnectivitySurvey(num_vars, reading, tuple(rows), counterexamples, converse)
 
 
 def iter_edge_lines(graph: StateGraph) -> Iterator[str]:

@@ -31,14 +31,18 @@ class ActionRequest:
 
 
 def check_request(model: Model, request: ActionRequest, last: Optional[ActionRequest]) -> None:
-    """What enqueueing checks: the requester owns the variable, and the
-    arrival index comes after that of the last pending request, if any."""
+    """What enqueueing checks: the requester owns the variable, the value is a
+    bool, and the arrival index is an int after the last pending one's, if any."""
     owner = model.owner_of(request.variable)
     if owner != request.agent:
         raise OwnershipViolationError(
             f"{request.agent!r} does not control {request.variable!r} "
             f"(owned by {owner!r})"
         )
+    if not isinstance(request.new_value, bool):
+        raise PreconditionError(f"new value must be a bool, not {request.new_value!r}")
+    if type(request.arrival_index) is not int:  # a bool is no arrival index
+        raise QueueOrderError(f"arrival index must be an int, not {request.arrival_index!r}")
     if last is not None and request.arrival_index <= last.arrival_index:
         raise QueueOrderError(
             f"arrival index {request.arrival_index} not after {last.arrival_index}"
@@ -103,7 +107,7 @@ class ActionQueue:
 
     def push(self, agent: str, variable: str, new_value: bool) -> "ActionQueue":
         next_index = self.buffer[self.end - 1].arrival_index + 1 if len(self) else 0
-        return self.enqueue(ActionRequest(agent, variable, bool(new_value), next_index))
+        return self.enqueue(ActionRequest(agent, variable, new_value, next_index))
 
     def take_batch_excluding(
         self, n: int, blocked: Iterable[str]
@@ -172,7 +176,7 @@ class BlockForRandomInterval(BlockingStrategy):
 
     def __post_init__(self):
         if self.low < 0 or self.high < self.low:
-            raise ValueError("interval must satisfy 0 <= low <= high")
+            raise PreconditionError("interval must satisfy 0 <= low <= high")
 
     def schedule(self, agents, current_tick, rng):
         # The veto itself covered tick current_tick + 1; the draw adds that
@@ -191,11 +195,11 @@ class EngineConfig:
     def __post_init__(self):
         cap = self.max_actions_per_tick
         if cap != "auto" and (not isinstance(cap, int) or isinstance(cap, bool) or cap < 1):
-            raise ValueError("max_actions_per_tick must be a positive integer or 'auto'")
+            raise PreconditionError("max_actions_per_tick must be a positive integer or 'auto'")
         if self.policy not in POLICIES:
-            raise ValueError(f"policy must be one of {POLICIES}")
+            raise PreconditionError(f"policy must be one of {POLICIES}")
         if self.tie_break not in TIE_BREAKS:
-            raise ValueError(f"tie_break must be one of {TIE_BREAKS}")
+            raise PreconditionError(f"tie_break must be one of {TIE_BREAKS}")
 
     def batch_size(self, model: Model) -> int:
         if self.max_actions_per_tick == "auto":

@@ -40,8 +40,8 @@ class QueueOrderError(CoalGuardError):
     """Arrival indices must be unique and strictly increasing."""
 
 
-class PreconditionError(CoalGuardError):
-    """An operation was called on inputs outside its stated domain."""
+class PreconditionError(CoalGuardError, ValueError):
+    """An operation was called on inputs outside its stated domain (a ValueError too)."""
 
 
 class ScenarioError(CoalGuardError):

@@ -550,8 +550,7 @@ class ClauseSet:
         """
         flipped = labeling.flipped if labeling is not None else frozenset()
         for clause in self.clauses:
-            positives = sum(1 for lit in clause if lit.positive != (lit.variable in flipped))
-            if positives > 1:
+            if sum(1 for variable, positive in clause if positive != (variable in flipped)) > 1:
                 return False
         return True
 
@@ -648,33 +647,34 @@ class HornLabeling:
 
 
 def find_horn_labeling(f: Formula) -> Optional[HornLabeling]:
-    """Find a per-variable renaming that makes to_cnf(f) a Horn clause set.
+    """The horn_renaming of to_cnf(f) as a labeling of f's variables, or None.
 
-    Returns the identity labeling when the clause form is already Horn, a
-    labeling found by the standard 2-SAT reduction otherwise, or None when no
-    labeling of that clause form exists. Renamability is judged on the clause
-    form produced by to_cnf, not on every equivalent CNF.
+    Renamability is judged on the clause form produced by to_cnf, not on
+    every equivalent CNF.
     """
-    cnf = to_cnf(f)
-    variables = tuple(sorted(vars_of(f)))
-    if cnf.is_horn():
-        return HornLabeling(variables, frozenset())
+    flipped = horn_renaming(to_cnf(f).clauses)
+    return None if flipped is None else HornLabeling(tuple(sorted(vars_of(f))), flipped)
 
+
+def horn_renaming(clauses: Iterable[Iterable[tuple]]) -> Optional[frozenset]:
+    """The variables to flip so that every clause keeps at most one positive
+    literal, or None when no renaming does (Lewis, JACM 1978).
+
+    A literal is a (variable, positive) pair, such as a Literal. Clauses
+    already Horn need no flip; otherwise the standard 2-SAT reduction decides.
+    """
+    clauses = tuple(clauses)
+    if ClauseSet(clauses).is_horn():
+        return frozenset()
     # For every pair of literals in a clause, at most one may stay positive
     # after renaming: flip-literal(l) = s_v when l is positive, ~s_v when
     # negative; each pair contributes (flip(l1) | flip(l2)).
-    constraints = []
-    for clause in cnf.clauses:
-        lits = sorted(clause)
-        for l1, l2 in itertools.combinations(lits, 2):
-            constraints.append(((l1.variable, l1.positive), (l2.variable, l2.positive)))
+    constraints = [pair for c in clauses for pair in itertools.combinations(sorted(c), 2)]
     constrained = {v for pair in constraints for v, _ in pair}
-
     solution = _solve_2sat(sorted(constrained), constraints)
     if solution is None:
         return None
-    flipped = frozenset(v for v, flip in solution.items() if flip)
-    return HornLabeling(variables, flipped)
+    return frozenset(v for v, flip in solution.items() if flip)
 
 
 def _solve_2sat(variables, clauses):
@@ -686,8 +686,8 @@ def _solve_2sat(variables, clauses):
     """
     implications: dict[tuple[str, bool], list[tuple[str, bool]]] = {}
     for a, b in clauses:
-        implications.setdefault(_negate(a), []).append(b)
-        implications.setdefault(_negate(b), []).append(a)
+        implications.setdefault((a[0], not a[1]), []).append(b)
+        implications.setdefault((b[0], not b[1]), []).append(a)
 
     assignment: dict[str, bool] = {}
     for variable in variables:
@@ -702,11 +702,6 @@ def _solve_2sat(variables, clauses):
             return None
         assignment.update(closure)
     return assignment
-
-
-def _negate(literal):
-    variable, value = literal
-    return (variable, not value)
 
 
 def _close(start, assignment, implications):

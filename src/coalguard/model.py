@@ -193,8 +193,11 @@ class PartialValuation:
     assignment: Mapping[str, bool]
 
     def __post_init__(self):
-        object.__setattr__(self, "coalition", frozenset(self.coalition))
-        object.__setattr__(self, "assignment", dict(self.assignment))
+        try:
+            object.__setattr__(self, "coalition", frozenset(self.coalition))
+            object.__setattr__(self, "assignment", dict(self.assignment))
+        except (TypeError, ValueError) as exc:
+            raise PreconditionError(f"malformed partial valuation: {exc}") from None
 
 
 @dataclass(frozen=True)

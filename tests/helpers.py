@@ -80,6 +80,31 @@ def enumerate_labelings(clause_set):
     return good
 
 
+def brute_prime_implicates(num_vars, table):
+    """Prime implicates of a truth table, one valuation at a time.
+
+    Tries all 3^num_vars clauses over x1..xn as sets of (name, positive):
+    a clause is implied when every model of the table (bit m set, variable
+    x{j+1} being bit j of m) satisfies it, and prime when, in addition, no
+    clause with one literal dropped is implied.
+    """
+    names = [f"x{j + 1}" for j in range(num_vars)]
+    models = [m for m in range(1 << num_vars) if (table >> m) & 1]
+
+    def implied(clause):
+        return all(
+            any(bool((m >> names.index(name)) & 1) == positive for name, positive in clause)
+            for m in models
+        )
+
+    primes = set()
+    for signs in itertools.product((None, True, False), repeat=num_vars):
+        clause = frozenset((name, s) for name, s in zip(names, signs) if s is not None)
+        if implied(clause) and not any(implied(clause - {lit}) for lit in clause):
+            primes.add(clause)
+    return primes
+
+
 # ---------------------------------------------------------------------------
 # random structures
 

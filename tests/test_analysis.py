@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from coalguard import (
     BudgetExceededError,
+    CoalGuardError,
     Diamond,
     Model,
     ModalFormulaError,
@@ -30,6 +31,7 @@ from coalguard import (
 )
 from coalguard.analysis import SurveyRow, _connected
 from helpers import (
+    brute_prime_implicates,
     random_formula,
     random_model,
     random_secure_state,
@@ -464,6 +466,15 @@ def test_truth_table_formula_matches_table(num_vars, table):
         assert truth_eval(f, valuation) == bool((table >> mask) & 1)
 
 
+def test_truth_table_formula_clauses_are_the_prime_implicates():
+    rng = random.Random(4)
+    tables = [(n, t) for n in (1, 2, 3) for t in range(1 << (1 << n))]
+    tables += [(4, rng.getrandbits(16)) for _ in range(200)]
+    for num_vars, table in tables:
+        clauses = set(to_cnf(formula_from_truth_table(num_vars, table)).clauses)
+        assert clauses == brute_prime_implicates(num_vars, table), (num_vars, table)
+
+
 def test_truth_table_formula_is_representation_minimal():
     # equal functions written differently collapse to the same clauses
     f = formula_from_truth_table(2, 0b1000)
@@ -514,11 +525,30 @@ def test_survey_claim_fails_at_four_variables():
     assert survey_secure_connectivity(3, tables=[22]).rows == (SurveyRow(22, False, False),)
 
 
+@pytest.fixture(scope="module")
+def four_variable_survey():
+    return survey_secure_connectivity(4)
+
+
+def test_survey_counts_at_four_variables(four_variable_survey):
+    # the claim fails: 12,336 connected secure sets without a relabeling
+    survey = four_variable_survey
+    assert len(survey.rows) == 65536
+    assert sum(r.connected for r in survey.rows) == 37294
+    assert sum(r.relabelable for r in survey.rows) == 29722
+    assert len(survey.counterexamples) == 12336
+    assert len(survey.converse_counterexamples) == 4764
+    assert survey.counterexamples[0] == 22
+
+
 def test_survey_relabelable_matches_semantic_oracle():
     # a function admits a labeling iff some flip makes its satisfying
     # set closed under componentwise AND
-    for num_vars in (1, 2, 3):
-        survey = survey_secure_connectivity(num_vars, "falsifying")
+    rng = random.Random(9)
+    surveys = [survey_secure_connectivity(num_vars, "falsifying") for num_vars in (1, 2, 3)]
+    surveys.append(survey_secure_connectivity(4, tables=[rng.getrandbits(16) for _ in range(200)]))
+    for survey in surveys:
+        num_vars = survey.num_vars
         for row in survey.rows:
             sat = {m for m in range(1 << num_vars) if (row.table >> m) & 1}
             renamable = False
@@ -530,14 +560,20 @@ def test_survey_relabelable_matches_semantic_oracle():
             assert row.relabelable == renamable, row.table
 
 
-def test_survey_guard_rails():
+def test_survey_guard_rails(four_variable_survey):
     with pytest.raises(ValueError):
         survey_secure_connectivity(2, "sideways")
     with pytest.raises(BudgetExceededError):
         survey_secure_connectivity(5)
-    with pytest.raises(BudgetExceededError):
-        survey_secure_connectivity(4)  # needs an explicit sample
+    assert len(four_variable_survey.rows) == 65536  # exhaustive at the cap
     sample = survey_secure_connectivity(4, tables=[0, 1, 65535])
     assert len(sample.rows) == 3
     with pytest.raises(ValueError):
         survey_secure_connectivity(2, tables=[99999])
+    with pytest.raises(CoalGuardError, match="unknown reading"):
+        survey_secure_connectivity(3, "either")
+    for table in (-1, "3"):
+        with pytest.raises(CoalGuardError, match="out of range"):
+            survey_secure_connectivity(2, tables=[table])
+    with pytest.raises(CoalGuardError, match="at least one variable"):
+        formula_from_truth_table(0, 1)

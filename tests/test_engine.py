@@ -9,6 +9,7 @@ from coalguard import (
     ActionRequest,
     BlockForRandomInterval,
     BlockUntilTick,
+    CoalGuardError,
     DropTick,
     EngineConfig,
     Model,
@@ -72,6 +73,31 @@ def test_enqueue_rejects_stale_arrival(example1_model):
     q = ActionQueue(example1_model).push("a1", "v1", True)
     with pytest.raises(QueueOrderError):
         q.enqueue(ActionRequest("a1", "v7", True, 0))
+
+
+def test_queue_rejects_a_string_arrival_index():
+    model = Model(("a",), ("x",), {"a": ("x",)}, ())
+    requests = [ActionRequest("a", "x", True, "0"), ActionRequest("a", "x", True, 1)]
+    with pytest.raises(QueueOrderError, match=r"^queue\[0\]: arrival index must be an int"):
+        ActionQueue(model, requests)
+    with pytest.raises(QueueOrderError, match="arrival index must be an int"):
+        ActionQueue(model).push("a", "x", True).enqueue(ActionRequest("a", "x", True, "5"))
+
+
+def test_queue_rejects_a_bool_arrival_index():
+    model = Model(("a",), ("x",), {"a": ("x",)}, ())
+    with pytest.raises(QueueOrderError, match="arrival index must be an int, not True"):
+        ActionQueue(model, [ActionRequest("a", "x", True, True)])
+
+
+def test_queue_rejects_a_value_that_is_not_a_bool():
+    model = Model(("a",), ("x",), {"a": ("x",)}, ())
+    with pytest.raises(PreconditionError, match="new value must be a bool, not 3"):
+        ActionQueue(model, [ActionRequest("a", "x", 3, 0)])
+    with pytest.raises(PreconditionError, match="new value must be a bool"):
+        ActionQueue(model).enqueue(ActionRequest("a", "x", 1, 0))
+    with pytest.raises(PreconditionError, match="new value must be a bool, not 'false'"):
+        ActionQueue(model).push("a", "x", "false")
 
 
 def test_queue_built_from_requests_checks_ownership_once():
@@ -240,6 +266,9 @@ def test_config_validation():
         EngineConfig(policy="other")
     with pytest.raises(ValueError):
         EngineConfig(tie_break="random")
+    for malformed in ({"max_actions_per_tick": "2"}, {"policy": "other"}, {"tie_break": 1}):
+        with pytest.raises(CoalGuardError):
+            EngineConfig(**malformed)
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +334,8 @@ def test_random_interval_schedule_bounds():
         assert 4 + 2 + 1 <= release <= 4 + 2 + 3
     with pytest.raises(ValueError):
         BlockForRandomInterval(3, 1)
+    with pytest.raises(CoalGuardError, match="interval must satisfy"):
+        BlockForRandomInterval(-1, 2)
 
 
 def test_run_ticks_replay_invariant(example1_model, example1_state, example1_queue, example1_config):

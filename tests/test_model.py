@@ -5,9 +5,11 @@ from hypothesis import given, strategies as st
 
 from coalguard import (
     BudgetExceededError,
+    CoalGuardError,
     Model,
     ModalFormulaError,
     OwnershipViolationError,
+    PartialValuation,
     PreconditionError,
     SystemState,
     TOP,
@@ -85,6 +87,12 @@ def test_formula_mentioning_undeclared_variable():
 def test_system_state_rejects_a_non_mapping_valuation():
     with pytest.raises(PreconditionError, match="valuation must be a mapping"):
         SystemState(0, [1, 2])
+
+
+def test_partial_valuation_rejects_malformed_parts():
+    for coalition, assignment in ((5, {}), (("a1",), 5)):
+        with pytest.raises(CoalGuardError, match="malformed partial valuation"):
+            PartialValuation(coalition, assignment)
 
 
 def test_single_agent_formula_downgrades():
