@@ -98,7 +98,6 @@ from .analysis import (
 from .scenario import (
     Scenario,
     load_scenario,
-    record_to_dict,
     scenario_from_mapping,
     trace_line,
     trace_text,

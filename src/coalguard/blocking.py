@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import BudgetExceededError, PreconditionError
 from .model import Model, SystemState
-from .engine import ActionRequest, SimulationReport, apply_actions, simulate
+from .engine import TIE_BREAKS, ActionRequest, SimulationReport, apply_actions, simulate
 
 SUBSET_SEARCH_CAP = 16
 
@@ -33,48 +33,50 @@ class BlockingMatrix:
 
     A cell is marked when the agent controls any variable of the formula,
     whether or not the pending request touches it; counters sum each column.
+    ``row_agents`` holds each row's agent set (``model.compiled.agents`` at
+    the formula's index); ``marks`` is derived from it on demand.
     """
 
     formula_indices: tuple[int, ...]
     agents: tuple[str, ...]
-    marks: tuple[tuple[bool, ...], ...]
+    row_agents: tuple[frozenset[str], ...]
     counters: tuple[int, ...]
+
+    @property
+    def marks(self) -> tuple[tuple[bool, ...], ...]:
+        return tuple(tuple(map(row.__contains__, self.agents)) for row in self.row_agents)
 
 
 def build_matrix(model: Model, report: SimulationReport) -> BlockingMatrix:
-    rows = report.became_true
-    cols = report.implicated_agents
-    agents = model.compiled.agents
-    marks = tuple(tuple(map(agents[index].__contains__, cols)) for index in rows)
-    counters = tuple(map(sum, zip(*marks))) if rows else (0,) * len(cols)
-    return BlockingMatrix(rows, cols, marks, counters)
+    """The matrix of one simulation report, with its column sums counted cell
+    by cell: the reference each greedy round's incremental counters equal."""
+    rows, cols = report.became_true, report.implicated_agents
+    row_agents = tuple(map(model.compiled.agents.__getitem__, rows))
+    counters = tuple(sum(agent in row for row in row_agents) for agent in cols)
+    return BlockingMatrix(rows, cols, row_agents, counters)
 
 
-def first_positions(batch: Sequence[ActionRequest]) -> dict[str, int]:
-    """Each requester's position of first appearance in the batch."""
-    first_position: dict[str, int] = {}
-    for position, request in enumerate(batch):
-        first_position.setdefault(request.agent, position)
-    return first_position
+def _check_tie_break(tie_break: str) -> None:
+    if tie_break not in TIE_BREAKS:
+        raise PreconditionError(f"tie_break must be one of {TIE_BREAKS}, not {tie_break!r}")
 
 
 def rank_agents(
     matrix: BlockingMatrix,
     tie_break: str = "fifo",
     batch: Sequence[ActionRequest] = (),
-    first_position: Optional[Mapping[str, int]] = None,
 ) -> tuple[str, ...]:
     """Columns sorted by descending counter.
 
     Ties fall to the agent appearing earliest in the batch, then to the
     lexicographically smaller name; tie_break="lex" skips the batch position.
-    A caller ranking several times over one batch may pass
-    ``first_positions(batch)`` once instead of having it recomputed.
     """
+    _check_tie_break(tie_break)
     if not matrix.agents:
         raise PreconditionError("empty blocking matrix")
-    if first_position is None:
-        first_position = first_positions(batch)
+    first_position: dict[str, int] = {}
+    for position, request in enumerate(batch):
+        first_position.setdefault(request.agent, position)
 
     def key(item):
         agent, counter = item
@@ -129,37 +131,54 @@ def greedy_block(
     loop also catches formulas that only become reachable once other writes
     are vetoed. The batch is simulated once; blocking an agent resets only
     the variables it wrote (to the last surviving write, else to the state)
-    and re-evaluates only the formulas over those that changed, so every
-    round's report equals ``simulate`` on the surviving batch. Terminates
-    after at most one round per requester.
+    and re-evaluates only the formulas over those that changed. Each agent
+    keeps a counter of the would-flip formulas it controls, moved as those
+    formulas flip in or out, so no round rebuilds the matrix or sorts by a
+    tuple key; every round still equals ``simulate``, ``build_matrix`` and
+    ``rank_agents`` on the surviving batch. Terminates after at most one
+    round per requester.
     """
-    batch = tuple(batch)
-    blocked: list[str] = []
+    _check_tie_break(tie_break)
+    try:
+        batch = tuple(batch)
+    except TypeError:
+        raise PreconditionError(f"a batch holds ActionRequests, not {batch!r}") from None
+    for request in batch:
+        if not isinstance(request, ActionRequest):
+            raise PreconditionError(f"a batch holds ActionRequests, not {request!r}")
     iterations: list[GreedyIteration] = []
     report = simulate(model, state, batch)
     if not report.became_true:
         return BlockReport("greedy", (), batch, ())
     compiled = model.compiled
-    evaluators = compiled.evaluators
+    evaluators, formula_agents = compiled.evaluators, compiled.agents
     before = state.valuation
     after = dict(report.simulated_state.valuation)
     writes = _writes_by_variable(batch)
-    written_by: dict[str, dict[str, None]] = {}  # agent -> the variables it wrote, in order
+    written_by: dict[str, dict[str, None]] = {}  # requester -> its variables, first-seen order
     for request in batch:
         written_by.setdefault(request.agent, {})[request.variable] = None
-    first_position = first_positions(batch)
-    surviving = set(first_position)
-    became = set(report.became_true)
+    surviving = set(written_by)
+    # the surviving requesters in tie order; ranking sorts them stably by count
+    order = list(written_by) if tie_break == "fifo" else sorted(written_by)
+    rows, implicated = report.became_true, report.implicated_agents
+    became = set(rows)
+    count: dict[str, int] = {}  # agent -> formulas in became it controls: its column's sum
+    for index in rows:
+        for agent in formula_agents[index]:
+            count[agent] = count.get(agent, 0) + 1
     false_before = dict.fromkeys(became, True)  # formula index -> false at the state
     while True:
-        matrix = build_matrix(model, report)
-        ranking = rank_agents(matrix, tie_break, batch, first_position)
-        top = ranking[0]
-        blocked.append(top)
-        iterations.append(
-            GreedyIteration(report.became_true, report.implicated_agents, matrix, ranking, top)
+        row_agents = tuple(map(formula_agents.__getitem__, rows))
+        counters = tuple(map(count.__getitem__, implicated))
+        matrix = BlockingMatrix(rows, implicated, row_agents, counters)
+        ranking = tuple(
+            sorted([a for a in order if count.get(a)], key=count.__getitem__, reverse=True)
         )
+        top = ranking[0]
+        iterations.append(GreedyIteration(rows, implicated, matrix, ranking, top))
         surviving.discard(top)
+        order.remove(top)
         dirty: set[int] = set()
         for variable in written_by[top]:
             value = before.get(variable)
@@ -172,22 +191,27 @@ def greedy_block(
                 else:
                     after[variable] = value
                 dirty.update(compiled.by_variable.get(variable, ()))
+        pool = implicated  # without a formula flipping in, no agent joins the columns
         for index in dirty:
             if index not in false_before:
                 false_before[index] = not evaluators[index](before)
             if false_before[index] and evaluators[index](after):
-                became.add(index)
-            else:
+                if index not in became:
+                    became.add(index)
+                    pool = model.agents
+                    for agent in formula_agents[index]:
+                        count[agent] = count.get(agent, 0) + 1
+            elif index in became:
                 became.discard(index)
+                for agent in formula_agents[index]:
+                    count[agent] -= 1
         if not became:
             break
-        flipped = set().union(*(compiled.agents[index] for index in became))
-        implicated = tuple(a for a in model.agents if a in surviving and a in flipped)
-        report = SimulationReport(
-            tuple(sorted(became)), implicated, SystemState(state.tick + 1, after)
-        )
+        rows = tuple(sorted(became))
+        implicated = tuple(a for a in pool if a in surviving and count.get(a))
     allowed = tuple(request for request in batch if request.agent in surviving)
-    return BlockReport("greedy", tuple(blocked), allowed, tuple(iterations))
+    blocked = tuple(item.blocked_agent for item in iterations)
+    return BlockReport("greedy", blocked, allowed, tuple(iterations))
 
 
 # ---------------------------------------------------------------------------

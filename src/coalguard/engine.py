@@ -288,6 +288,8 @@ def tick(
     """Advance the system by one tick under the configured policy."""
     from . import blocking  # deferred: blocking builds on simulate()
 
+    if not isinstance(config, EngineConfig):
+        raise PreconditionError(f"config must be an EngineConfig, not {config!r}")
     rng = rng if rng is not None else random.Random(config.random_seed)
     strategy_rng = strategy_rng if strategy_rng is not None else rng
     forming = state.tick + 1  # registry entries name the first tick an agent may act in
@@ -339,6 +341,10 @@ def run_ticks(
     ticks: int,
 ) -> RunResult:
     """Run a fixed number of ticks, threading queue, registry, and RNG state."""
+    if not isinstance(config, EngineConfig):
+        raise PreconditionError(f"config must be an EngineConfig, not {config!r}")
+    if type(ticks) is not int or ticks < 0:  # a bool is no tick count
+        raise PreconditionError(f"ticks must be a non-negative int, not {ticks!r}")
     rng = random.Random(config.random_seed)
     strategy = config.blocking_strategy
     own_seed = getattr(strategy, "seed", None)

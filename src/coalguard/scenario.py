@@ -242,61 +242,6 @@ def override_config(
 # trace serialization
 
 
-def request_to_dict(request: ActionRequest) -> dict:
-    return {
-        "agent": request.agent,
-        "var": request.variable,
-        "value": request.new_value,
-        "arrival": request.arrival_index,
-    }
-
-
-def _matrix_to_dict(matrix: blocking.BlockingMatrix) -> dict:
-    return {
-        "formulas": list(matrix.formula_indices),
-        "agents": list(matrix.agents),
-        "marks": [list(row) for row in matrix.marks],
-        "counters": list(matrix.counters),
-    }
-
-
-def iteration_to_dict(item) -> dict:
-    if isinstance(item, blocking.GreedyIteration):
-        return {
-            "kind": "greedy",
-            "became_true": list(item.became_true),
-            "implicated": list(item.implicated),
-            "matrix": _matrix_to_dict(item.matrix),
-            "ranking": list(item.ranking),
-            "blocked": item.blocked_agent,
-        }
-    if isinstance(item, blocking.OracleRound):
-        return {
-            "kind": "oracle",
-            "cardinality": item.cardinality,
-            "candidates": [
-                {"subset": list(subset), "false_count": count}
-                for subset, count in item.evaluated
-            ],
-            "frontier": [list(subset) for subset in item.frontier],
-            "representative": list(item.representative),
-            "success": item.success,
-        }
-    raise TypeError(f"unknown iteration snapshot {type(item).__name__}")
-
-
-def record_to_dict(record: TickRecord) -> dict:
-    return {
-        "tick": record.tick,
-        "batch": [request_to_dict(r) for r in record.batch],
-        "iterations": [iteration_to_dict(i) for i in record.iterations],
-        "blocked": list(record.blocked),
-        "executed": [request_to_dict(r) for r in record.executed],
-        "valuation": dict(record.valuation),
-        "secure": record.secure,
-    }
-
-
 _canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _name = json.encoder.encode_basestring_ascii  # the C escaper json.dumps uses
 _MARK = {True: "true", False: "false"}
@@ -319,6 +264,19 @@ def _request_json(r: ActionRequest) -> str:
     )
 
 
+def _marks_json(matrix: blocking.BlockingMatrix) -> str:
+    """The marks rows, each set from its row's agents without a bool tuple."""
+    column = {agent: position for position, agent in enumerate(matrix.agents)}
+    blank = ["false"] * len(column)
+    rows = []
+    for row in matrix.row_agents:
+        cells = blank.copy()
+        for agent in column.keys() & row:
+            cells[column[agent]] = "true"
+        rows.append("[" + ",".join(cells) + "]")
+    return ",".join(rows)
+
+
 def _iteration_json(item) -> str:
     if isinstance(item, blocking.GreedyIteration):
         m = item.matrix
@@ -328,7 +286,7 @@ def _iteration_json(item) -> str:
         ) % (
             _list(item.became_true, str), _name(item.blocked_agent), _list(item.implicated),
             _list(m.agents), _list(m.counters, str), _list(m.formula_indices, str),
-            ",".join([_list(row, _MARK.__getitem__) for row in m.marks]), _list(item.ranking),
+            _marks_json(m), _list(item.ranking),
         )
     if isinstance(item, blocking.OracleRound):
         return (
@@ -344,9 +302,10 @@ def _iteration_json(item) -> str:
 
 
 def trace_line(record: TickRecord) -> str:
-    """The bytes of ``json.dumps(record_to_dict(record), sort_keys=True,
-    separators=(",", ":"))``, written directly with each key a literal in
-    sorted order; an executed request reuses its text from the batch."""
+    """One tick as canonical JSON: the bytes ``json.dumps`` prints with
+    ``sort_keys=True, separators=(",", ":")`` for the record as nested
+    dicts, written directly with each key a literal in sorted order; an
+    executed request reuses its text from the batch."""
     requests = [_request_json(r) for r in record.batch]
     by_id = dict(zip(map(id, record.batch), requests))
     values = record.valuation

@@ -5,11 +5,15 @@ from collections import deque
 
 from coalguard import (
     ActionRequest,
+    BlockingMatrix,
     Diamond,
+    GreedyIteration,
     Model,
     Not,
+    OracleRound,
     Or,
     SystemState,
+    TickRecord,
     Top,
     Var,
 )
@@ -270,3 +274,63 @@ def replay_matches(initial_valuation, records):
         if current != dict(record.valuation):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# trace records as dicts: ``json.dumps(record_to_dict(record), sort_keys=True,
+# separators=(",", ":"))`` is the reference for the bytes trace_line writes
+
+
+def request_to_dict(request: ActionRequest) -> dict:
+    return {
+        "agent": request.agent,
+        "var": request.variable,
+        "value": request.new_value,
+        "arrival": request.arrival_index,
+    }
+
+
+def _matrix_to_dict(matrix: BlockingMatrix) -> dict:
+    return {
+        "formulas": list(matrix.formula_indices),
+        "agents": list(matrix.agents),
+        "marks": [list(row) for row in matrix.marks],
+        "counters": list(matrix.counters),
+    }
+
+
+def iteration_to_dict(item) -> dict:
+    if isinstance(item, GreedyIteration):
+        return {
+            "kind": "greedy",
+            "became_true": list(item.became_true),
+            "implicated": list(item.implicated),
+            "matrix": _matrix_to_dict(item.matrix),
+            "ranking": list(item.ranking),
+            "blocked": item.blocked_agent,
+        }
+    if isinstance(item, OracleRound):
+        return {
+            "kind": "oracle",
+            "cardinality": item.cardinality,
+            "candidates": [
+                {"subset": list(subset), "false_count": count}
+                for subset, count in item.evaluated
+            ],
+            "frontier": [list(subset) for subset in item.frontier],
+            "representative": list(item.representative),
+            "success": item.success,
+        }
+    raise TypeError(f"unknown iteration snapshot {type(item).__name__}")
+
+
+def record_to_dict(record: TickRecord) -> dict:
+    return {
+        "tick": record.tick,
+        "batch": [request_to_dict(r) for r in record.batch],
+        "iterations": [iteration_to_dict(i) for i in record.iterations],
+        "blocked": list(record.blocked),
+        "executed": [request_to_dict(r) for r in record.executed],
+        "valuation": dict(record.valuation),
+        "secure": record.secure,
+    }

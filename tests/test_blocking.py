@@ -10,6 +10,7 @@ from coalguard import (
     GreedyIteration,
     Model,
     PreconditionError,
+    SimulationReport,
     SystemState,
     Var,
     apply_actions,
@@ -89,6 +90,24 @@ def test_greedy_no_threat_blocks_nobody(example1_model, example1_state):
     assert report.blocked == ()
     assert report.allowed_batch == batch
     assert report.iterations == ()
+
+
+def test_greedy_and_ranking_reject_an_unknown_tie_break(
+    example1_model, example1_state, example1_batch
+):
+    with pytest.raises(PreconditionError, match="tie_break must be one of"):
+        greedy_block(example1_model, example1_state, example1_batch, tie_break="FIFO")
+    matrix = build_matrix(example1_model, simulate(example1_model, example1_state, example1_batch))
+    with pytest.raises(PreconditionError, match="tie_break must be one of"):
+        rank_agents(matrix, "FIFO", example1_batch)
+
+
+@pytest.mark.parametrize("batch", [5, None, "ab", [5]])
+def test_greedy_rejects_a_batch_that_is_not_a_sequence_of_requests(
+    batch, example1_model, example1_state
+):
+    with pytest.raises(PreconditionError, match="a batch holds ActionRequests, not"):
+        greedy_block(example1_model, example1_state, batch)
 
 
 # ---------------------------------------------------------------------------
@@ -360,3 +379,44 @@ def test_greedy_rounds_on_the_cycle_match_full_resimulation():
     model, state, batch = build_cycle_instance(30, seed=3)
     report = greedy_block(model, state, batch)
     assert report.iterations == reference_greedy(model, state, batch, "fifo")[0]
+
+
+@pytest.mark.parametrize("size, rounds", [(200, 113), (400, 233), (800, 459)])
+def test_greedy_rounds_on_growing_cycles(size, rounds):
+    model, state, batch = build_cycle_instance(size, 0)
+    report = greedy_block(model, state, batch)
+    assert len(report.iterations) == len(report.blocked) == rounds
+
+
+@pytest.mark.parametrize("tie_break", ["fifo", "lex"])
+def test_greedy_on_a_200_cycle_matches_the_reference_field_by_field(tie_break):
+    model, state, batch = build_cycle_instance(200, 0)
+    report = greedy_block(model, state, batch, tie_break)
+    iterations, allowed = reference_greedy(model, state, batch, tie_break)
+    assert len(report.iterations) == len(iterations)
+    for got, want in zip(report.iterations, iterations):
+        assert got.became_true == want.became_true
+        assert got.implicated == want.implicated
+        assert got.matrix.formula_indices == want.matrix.formula_indices
+        assert got.matrix.agents == want.matrix.agents
+        assert got.matrix.row_agents == want.matrix.row_agents
+        assert got.matrix.marks == want.matrix.marks
+        assert got.matrix.counters == want.matrix.counters
+        assert got.ranking == want.ranking
+        assert got.blocked_agent == want.blocked_agent
+    assert report.allowed_batch == allowed
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(("fifo", "lex")))
+def test_greedy_marks_are_derived_from_row_agents(seed, tie_break):
+    rng = random.Random(seed)
+    case = modal_case(rng)
+    assume(case is not None)
+    model, state, batch = case
+    for item in greedy_block(model, state, batch, tie_break).iterations:
+        matrix = item.matrix
+        assert matrix.marks == tuple(
+            tuple(a in row for a in matrix.agents) for row in matrix.row_agents
+        )
+        report = SimulationReport(item.became_true, item.implicated, state)
+        assert matrix.marks == build_matrix(model, report).marks

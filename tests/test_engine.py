@@ -271,6 +271,28 @@ def test_config_validation():
             EngineConfig(**malformed)
 
 
+def test_tick_rejects_a_config_that_is_not_an_engine_config(
+    example1_model, example1_state, example1_queue
+):
+    with pytest.raises(PreconditionError, match="config must be an EngineConfig, not 'greedy'"):
+        tick(example1_model, example1_state, example1_queue, "greedy")
+
+
+def test_run_ticks_rejects_a_config_that_is_not_an_engine_config(
+    example1_model, example1_state, example1_queue
+):
+    with pytest.raises(PreconditionError, match="config must be an EngineConfig"):
+        run_ticks(example1_model, example1_state, example1_queue, None, 1)
+
+
+@pytest.mark.parametrize("ticks", ["3", True, -1, 2.0, None])
+def test_run_ticks_rejects_a_tick_count_that_is_not_a_non_negative_int(
+    ticks, example1_model, example1_state, example1_queue, example1_config
+):
+    with pytest.raises(PreconditionError, match="ticks must be a non-negative int"):
+        run_ticks(example1_model, example1_state, example1_queue, example1_config, ticks)
+
+
 # ---------------------------------------------------------------------------
 # blocking strategies and the registry
 

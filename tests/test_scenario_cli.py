@@ -19,7 +19,6 @@ from coalguard import (
     ScenarioError,
     SystemState,
     load_scenario,
-    record_to_dict,
     run_ticks,
     scenario_from_mapping,
     trace_line,
@@ -27,7 +26,7 @@ from coalguard import (
 )
 from coalguard.cli import main
 from coalguard.scenario import config_from_mapping, override_config, parse_strategy
-from helpers import random_model, random_secure_state, replay_matches
+from helpers import random_model, random_secure_state, record_to_dict, replay_matches
 
 
 def minimal_mapping():
