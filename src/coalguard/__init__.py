@@ -25,7 +25,6 @@ from .formula import (
     ClauseSet,
     Diamond,
     Formula,
-    HornDisjunction,
     HornLabeling,
     Literal,
     Not,
@@ -41,7 +40,6 @@ from .formula import (
     has_diamond,
     parse_formula,
     to_cnf,
-    to_horn_disjunction,
     vars_of,
 )
 from .model import (

@@ -34,6 +34,7 @@ from .model import Model, PartialValuation, SystemState
 GRAPH_VARIABLE_CAP = 16
 AUDIT_AGENT_CAP = 12
 SURVEY_VARIABLE_CAP = 4
+TRUTH_TABLE_VARIABLE_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -282,6 +283,11 @@ def _prime_implicates(clauses, table: int) -> list[tuple[tuple[int, bool], ...]]
     ]
 
 
+def _check_table(table: int, num_vars: int) -> None:
+    if not isinstance(table, int) or not 0 <= table < (1 << (1 << num_vars)):
+        raise PreconditionError(f"table {table!r} out of range for {num_vars} variables")
+
+
 def formula_from_truth_table(num_vars: int, table: int) -> Formula:
     """Minimal clause form of the function given by a truth-table integer.
 
@@ -290,10 +296,16 @@ def formula_from_truth_table(num_vars: int, table: int) -> Formula:
     prime implicates, every clause it entails with no entailed sub-clause,
     shortest first, so equivalent functions get identical formulas and
     clause-level properties reflect the function, not one arbitrary way of
-    writing it down. All 3^num_vars clauses are tested on the table's bits.
+    writing it down. All 3^num_vars clauses are tested on the table, an int in
+    0 .. 2^(2^num_vars) - 1, so num_vars is capped at TRUTH_TABLE_VARIABLE_CAP.
     """
     if num_vars < 1:
         raise PreconditionError("need at least one variable")
+    if num_vars > TRUTH_TABLE_VARIABLE_CAP:
+        raise BudgetExceededError(
+            f"{num_vars} variables exceed the truth-table cap of {TRUTH_TABLE_VARIABLE_CAP}"
+        )
+    _check_table(table, num_vars)
     primes = sorted(_prime_implicates(_all_clauses(num_vars), table), key=lambda c: (len(c), c))
     return conjoin(
         disjoin(Var(f"x{j + 1}") if positive else Not(Var(f"x{j + 1}")) for j, positive in clause)
@@ -345,11 +357,12 @@ def survey_secure_connectivity(
             f"survey supports 1..{SURVEY_VARIABLE_CAP} variables, got {num_vars}"
         )
     states = 1 << num_vars
+    if tables is not None and not isinstance(tables, Iterable):
+        raise PreconditionError(f"tables must be an iterable of ints, not {tables!r}")
     clauses = _all_clauses(num_vars)
     rows = []
     for table in range(1 << states) if tables is None else tables:
-        if not isinstance(table, int) or not 0 <= table < (1 << states):
-            raise PreconditionError(f"table {table!r} out of range for {num_vars} variables")
+        _check_table(table, num_vars)
         members = table if reading == "satisfying" else ((1 << states) - 1) ^ table
         connected = _connected(members, num_vars)
         relabelable = horn_renaming(_prime_implicates(clauses, table)) is not None

@@ -18,7 +18,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from operator import add
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import BudgetExceededError, PreconditionError
 from .model import Model, SystemState
@@ -315,16 +315,6 @@ def _keep_pattern_counter(
     return false_counts
 
 
-def _evaluate_candidates(
-    false_counts: Callable[[list[int]], list[int]],
-    bits: Mapping[str, int],
-    candidates: Iterable[tuple[str, ...]],
-) -> dict[tuple[str, ...], int]:
-    ordered = _evaluation_order(list(candidates))
-    keep_masks = [sum(map(bits.__getitem__, keep)) for keep in ordered]
-    return dict(zip(ordered, false_counts(keep_masks)))
-
-
 def nondet_block(
     model: Model,
     state: SystemState,
@@ -356,8 +346,9 @@ def nondet_block(
     rounds: list[OracleRound] = []
     chosen: Optional[tuple[str, ...]] = None
     for cardinality in range(len(requesters) - 1, -1, -1):
-        candidates = [tuple(c) for c in itertools.combinations(requesters, cardinality)]
-        counts = _evaluate_candidates(false_counts, bits, candidates)
+        candidates = _evaluation_order(list(itertools.combinations(requesters, cardinality)))
+        keep_masks = [sum(map(bits.__getitem__, keep)) for keep in candidates]
+        counts = dict(zip(candidates, false_counts(keep_masks)))
         best = max(counts.values())
         frontier = tuple(sorted(keep for keep, count in counts.items() if count == best))
         representative = rng.choice(frontier)

@@ -106,9 +106,6 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    if args.ticks < 0:
-        print("error: --ticks must be nonnegative", file=sys.stderr)
-        return 2
     scenario = load_scenario(args.scenario, allow_insecure_start=args.allow_insecure_start)
     config = override_config(scenario.config, args.policy, args.seed)
     result = run_ticks(
@@ -163,7 +160,7 @@ def _print_horn_section(scenario) -> None:
             print(f"  formula[{index}] {text}: renamable Horn (already Horn, no flips)")
         else:
             parts = ", ".join(
-                f"{v}: {'flip' if labeling.is_flipped(v) else 'keep'}"
+                f"{v}: {'flip' if v in labeling.flipped else 'keep'}"
                 for v in labeling.variables
             )
             print(f"  formula[{index}] {text}: renamable Horn ({parts})")
@@ -216,10 +213,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except CoalGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CoalGuardError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -29,6 +29,7 @@ from .errors import (
     BudgetExceededError,
     FormulaSyntaxError,
     ModalFormulaError,
+    PreconditionError,
     UnknownAgentError,
     UnknownVariableError,
 )
@@ -37,7 +38,6 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _RESERVED = {"true"}
 
 DIAMOND_VARIABLE_CAP = 20
-HORN_VARIABLE_CAP = 16
 # Most clauses one step of to_cnf may build: a | b distributes p clauses of a
 # over q of b into p * q, so k two-literal conjunctions joined by | need 2^k.
 CNF_CLAUSE_CAP = 4096
@@ -252,8 +252,11 @@ def parse_formula(text: str) -> Formula:
 
     Raises FormulaSyntaxError with a character position on malformed input,
     and BudgetExceededError when the tree has more levels, or the text nests
-    ~, <> or parentheses more deeply, than FORMULA_DEPTH_CAP.
+    ~, <> or parentheses more deeply, than FORMULA_DEPTH_CAP; text that is
+    not a str raises PreconditionError.
     """
+    if not isinstance(text, str):
+        raise PreconditionError(f"formula text must be a str, not {text!r}")
     return _Parser(_tokenize(text)).parse()
 
 
@@ -303,7 +306,7 @@ def _fmt(f: Formula, need: int) -> str:
         text = "<>{" + names + "}" + _fmt(f.child, _UNARY)
         own = _UNARY
     else:
-        raise TypeError(f"not a formula: {f!r}")
+        raise PreconditionError(f"not a formula: {f!r}")
     return f"({text})" if own < need else text
 
 
@@ -324,7 +327,7 @@ def vars_of(f: Formula) -> frozenset[str]:
         return vars_of(f.left) | vars_of(f.right)
     if isinstance(f, Diamond):
         return vars_of(f.child)
-    raise TypeError(f"not a formula: {f!r}")
+    raise PreconditionError(f"not a formula: {f!r}")
 
 
 def coalitions_of(f: Formula) -> frozenset[frozenset[str]]:
@@ -336,7 +339,7 @@ def coalitions_of(f: Formula) -> frozenset[frozenset[str]]:
         return coalitions_of(f.left) | coalitions_of(f.right)
     if isinstance(f, Diamond):
         return coalitions_of(f.child) | frozenset((f.coalition,))
-    raise TypeError(f"not a formula: {f!r}")
+    raise PreconditionError(f"not a formula: {f!r}")
 
 
 def has_diamond(f: Formula) -> bool:
@@ -381,7 +384,7 @@ def _eval(f: Formula, model, valuation: Mapping[str, bool]) -> bool:
     if isinstance(f, Diamond):
         relevant = [v for v in model.coalition_variables(f.coalition) if v in vars_of(f.child)]
         return first_witness(partial(_eval, f.child, model), valuation, relevant) is not None
-    raise TypeError(f"not a formula: {f!r}")
+    raise PreconditionError(f"not a formula: {f!r}")
 
 
 def compile_formula(f: Formula, model=None) -> Evaluator:
@@ -409,7 +412,7 @@ def compile_formula(f: Formula, model=None) -> Evaluator:
         inner = vars_of(f.child)
         relevant = tuple(v for v in model.coalition_variables(f.coalition) if v in inner)
         return lambda valuation: first_witness(child, valuation, relevant) is not None
-    raise TypeError(f"not a formula: {f!r}")
+    raise PreconditionError(f"not a formula: {f!r}")
 
 
 def first_witness(
@@ -497,7 +500,7 @@ def truth_tables(formulas: Iterable[Formula], model) -> tuple[int, ...]:
                     j = slot[variable]
                     result |= flip_across(result, j, masks[j])
             return result
-        raise TypeError(f"not a formula: {f!r}")
+        raise PreconditionError(f"not a formula: {f!r}")
 
     return tuple(table(f) for f in formulas)
 
@@ -584,55 +587,11 @@ def _cnf(f: Formula, negated: bool) -> list[frozenset[Literal]]:
                 f"cap is {CNF_CLAUSE_CAP}"
             )
         return [l | r for l in left for r in right]
-    raise TypeError(f"not a formula: {f!r}")
+    raise PreconditionError(f"not a formula: {f!r}")
 
 
 # ---------------------------------------------------------------------------
 # Horn tooling
-
-
-@dataclass(frozen=True)
-class HornDisjunction:
-    """An equivalent disjunction of minterms over the formula's variables.
-
-    Each disjunct is a conjunction of one literal per variable, so each is a
-    Horn clause set under the identity labeling.
-    """
-
-    variables: tuple[str, ...]
-    disjuncts: tuple[Formula, ...]
-
-    def as_formula(self) -> Formula:
-        return disjoin(self.disjuncts)
-
-
-def to_horn_disjunction(f: Formula, model=None) -> HornDisjunction:
-    """Expand a Diamond-free formula into its satisfying minterms.
-
-    Variable order follows the model when one is given, else sorts the
-    formula's variables. The expansion is exponential in the variable count
-    and capped at 16 variables.
-    """
-    if has_diamond(f):
-        raise ModalFormulaError("cannot expand a modal formula")
-    used = vars_of(f)
-    if model is not None:
-        check_names(f, model)
-        order = tuple(v for v in model.variables if v in used)
-    else:
-        order = tuple(sorted(used))
-    if len(order) > HORN_VARIABLE_CAP:
-        raise BudgetExceededError(
-            f"formula has {len(order)} variables, minterm cap is {HORN_VARIABLE_CAP}"
-        )
-    evaluate = compile_formula(f)
-    disjuncts = []
-    for combo in itertools.product((False, True), repeat=len(order)):
-        assignment = dict(zip(order, combo))
-        if evaluate(assignment):
-            literals = [Var(v) if assignment[v] else Not(Var(v)) for v in order]
-            disjuncts.append(conjoin(literals))
-    return HornDisjunction(order, tuple(disjuncts))
 
 
 @dataclass(frozen=True)
@@ -641,9 +600,6 @@ class HornLabeling:
 
     variables: tuple[str, ...]
     flipped: frozenset[str]
-
-    def is_flipped(self, variable: str) -> bool:
-        return variable in self.flipped
 
 
 def find_horn_labeling(f: Formula) -> Optional[HornLabeling]:

@@ -109,9 +109,6 @@ class Model:
             raise UnknownAgentError(f"unknown agent: {agent!r}")
         return self.partition.get(agent, ())
 
-    def owned_set(self, agent: str) -> frozenset[str]:
-        return frozenset(self.owned(agent))
-
     def coalition_variables(self, coalition: Iterable[str]) -> tuple[str, ...]:
         """Variables the coalition controls, in model variable order."""
         members = set(coalition)
@@ -210,23 +207,20 @@ class Violation:
 @dataclass(frozen=True)
 class ValidationResult:
     violations: tuple[Violation, ...]
-    warnings: tuple[Violation, ...] = ()
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-def validate_model(model: Model, strict_formula_control: bool = True) -> ValidationResult:
+def validate_model(model: Model) -> ValidationResult:
     """Check that the sets are nonempty and the critical formulas well-formed.
 
     Model construction already enforces the partition and the formulas'
     names. Here each critical formula must mention variables of at least two
-    distinct agents (downgraded to a warning when ``strict_formula_control``
-    is false).
+    distinct agents.
     """
     violations: list[Violation] = []
-    warnings: list[Violation] = []
 
     if not model.agents:
         violations.append(Violation("empty-agent-set", "", "model declares no agents"))
@@ -242,9 +236,9 @@ def validate_model(model: Model, strict_formula_control: bool = True) -> Validat
                 subject,
                 f"{subject} is controlled by fewer than two agents",
             )
-            (violations if strict_formula_control else warnings).append(item)
+            violations.append(item)
 
-    return ValidationResult(tuple(violations), tuple(warnings))
+    return ValidationResult(tuple(violations))
 
 
 def is_secure(model: Model, state: SystemState) -> bool:

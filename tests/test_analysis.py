@@ -15,6 +15,7 @@ from coalguard import (
     StateGraph,
     SystemState,
     UnknownVariableError,
+    Var,
     audit_vulnerabilities,
     build_state_graph,
     diamond_holds,
@@ -30,6 +31,7 @@ from coalguard import (
     to_cnf,
 )
 from coalguard.analysis import SurveyRow, _connected
+from coalguard.formula import valuation_masks
 from helpers import (
     brute_prime_implicates,
     random_formula,
@@ -385,7 +387,7 @@ def pairs_model(pairs):
 
 @pytest.mark.parametrize("pairs", [7, 9])
 def test_single_flip_agents_on_wide_formulas(pairs):
-    # 14 variables (an expansion of 2^14 valuations), and 18, past HORN_VARIABLE_CAP
+    # 14 and 18 variables: one evaluation per flipped variable, no pass over 2^n valuations
     model = pairs_model(pairs)
     formula = model.critical_formulas[0]
     low = SystemState(0, {v: False for v in model.variables})
@@ -577,3 +579,20 @@ def test_survey_guard_rails(four_variable_survey):
             survey_secure_connectivity(2, tables=[table])
     with pytest.raises(CoalGuardError, match="at least one variable"):
         formula_from_truth_table(0, 1)
+
+
+def test_survey_rejects_a_sample_that_is_not_iterable():
+    for tables in (5, 2.0):
+        with pytest.raises(PreconditionError, match="iterable of ints"):
+            survey_secure_connectivity(2, tables=tables)
+
+
+def test_truth_table_formula_guard_rails():
+    # ten variables, the cap, still answer; eleven raise before any work
+    assert formula_from_truth_table(10, valuation_masks(10)[3]) == Var("x4")
+    with pytest.raises(BudgetExceededError, match="truth-table cap of 10"):
+        formula_from_truth_table(11, 0)
+    # a table is an int in 0 .. 2^(2^n) - 1 (the edge-table test answers 0 and 15)
+    for table in (-1, 16, 1.5, "3", None):
+        with pytest.raises(PreconditionError, match="out of range"):
+            formula_from_truth_table(2, table)

@@ -77,7 +77,7 @@ def reference_simulate(model, state, batch):
     flipped = set().union(*(vars_in(model.critical_formulas[i]) for i in became))
     requesters = {r.agent for r in batch}
     implicated = tuple(
-        a for a in model.agents if a in requesters and model.owned_set(a) & flipped
+        a for a in model.agents if a in requesters and set(model.owned(a)) & flipped
     )
     return became, implicated, after
 

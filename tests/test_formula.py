@@ -14,6 +14,7 @@ from coalguard import (
     Model,
     Not,
     Or,
+    PreconditionError,
     TOP,
     Var,
     compile_formula,
@@ -25,7 +26,6 @@ from coalguard import (
     has_diamond,
     parse_formula,
     to_cnf,
-    to_horn_disjunction,
     validate_model,
     vars_of,
 )
@@ -160,9 +160,20 @@ def test_to_cnf_rejects_modal():
         to_cnf(parse_formula("<>{a} p"))
 
 
+@pytest.mark.parametrize("bad", [5, [5]], ids=["int", "list"])
+@pytest.mark.parametrize("call", [parse_formula, format_formula, compile_formula, to_cnf])
+def test_non_formulas_raise_precondition_error(call, bad):
+    with pytest.raises(PreconditionError, match="formula"):
+        call(bad)
+
+
 def test_built_trees_stay_within_the_recursive_walkers():
     names = tuple(f"x{i}" for i in range(10))
-    expanded = to_horn_disjunction(parse_formula(" | ".join(names))).as_formula()
+    # the 1023 satisfying minterms of x0 | ... | x9, one conjunction each
+    expanded = disjoin(
+        conjoin(Var(v) if bits >> i & 1 else Not(Var(v)) for i, v in enumerate(names))
+        for bits in range(1, 1024)
+    )
     assert parse_formula(format_formula(expanded)) == expanded
     assert vars_of(expanded) == set(names)
     model = Model(("a",), names, {"a": names})
@@ -241,29 +252,3 @@ def test_labeling_agrees_with_enumeration(f):
         assert witnesses == []
     else:
         assert clauses.is_horn(labeling)
-
-
-# ---------------------------------------------------------------------------
-# Horn disjunction rewriting
-
-
-def test_horn_disjunction_covers_satisfying_rows():
-    f = parse_formula("(~v5 | ~v3) & ~v6")
-    rewriting = to_horn_disjunction(f)
-    assert rewriting.variables == ("v3", "v5", "v6")
-    names = rewriting.variables
-    for mask in range(1 << len(names)):
-        valuation = {v: bool((mask >> j) & 1) for j, v in enumerate(names)}
-        rewritten = any(truth_eval(d, valuation) for d in rewriting.disjuncts)
-        assert rewritten == truth_eval(f, valuation)
-
-
-@given(formulas(names=("p", "q", "r"), max_depth=3))
-def test_horn_disjunction_equivalent(f):
-    rewriting = to_horn_disjunction(f)
-    names = sorted(vars_in(f))
-    for mask in range(1 << len(names)):
-        valuation = {v: bool((mask >> j) & 1) for j, v in enumerate(names)}
-        assert any(truth_eval(d, valuation) for d in rewriting.disjuncts) == truth_eval(
-            f, valuation
-        )

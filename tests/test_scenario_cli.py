@@ -439,6 +439,15 @@ def test_cli_run_policy_none_goes_insecure(capsys, scenario_dir):
     assert "INSECURE" in out
 
 
+def test_cli_run_negative_ticks(capsys, scenario_dir):
+    # run_ticks rejects the count; main turns that into one error line
+    code = main(["run", str(scenario_dir / "example1.yaml"), "--ticks", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: ticks must be a non-negative int, not -1\n"
+
+
 def test_cli_run_missing_file(capsys, tmp_path):
     code = main(["run", str(tmp_path / "ghost.yaml")])
     err = capsys.readouterr().err
