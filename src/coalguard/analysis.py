@@ -219,6 +219,8 @@ def audit_vulnerabilities(model: Model, state: SystemState) -> tuple[Vulnerabili
     for f in model.critical_formulas:
         if has_diamond(f):
             raise ModalFormulaError("the audit requires propositional critical formulas")
+    for variable in model.variables:
+        state.value(variable)  # raises for a variable the state leaves unassigned
     compiled = model.compiled
     findings = []
     for index, f in enumerate(model.critical_formulas):
@@ -299,6 +301,8 @@ def formula_from_truth_table(num_vars: int, table: int) -> Formula:
     writing it down. All 3^num_vars clauses are tested on the table, an int in
     0 .. 2^(2^num_vars) - 1, so num_vars is capped at TRUTH_TABLE_VARIABLE_CAP.
     """
+    if type(num_vars) is not int:  # a bool is no variable count
+        raise PreconditionError(f"num_vars must be an int, not {num_vars!r}")
     if num_vars < 1:
         raise PreconditionError("need at least one variable")
     if num_vars > TRUTH_TABLE_VARIABLE_CAP:
@@ -352,6 +356,8 @@ def survey_secure_connectivity(
     """
     if reading not in ("falsifying", "satisfying"):
         raise PreconditionError(f"unknown reading: {reading!r}")
+    if type(num_vars) is not int:  # a bool is no variable count
+        raise PreconditionError(f"num_vars must be an int, not {num_vars!r}")
     if num_vars < 1 or num_vars > SURVEY_VARIABLE_CAP:
         raise BudgetExceededError(
             f"survey supports 1..{SURVEY_VARIABLE_CAP} variables, got {num_vars}"

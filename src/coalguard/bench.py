@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 from .blocking import greedy_block
 from .engine import ActionRequest
+from .errors import PreconditionError
 from .formula import Var
 from .model import Model, SystemState
 
@@ -29,7 +30,7 @@ def build_cycle_instance(
 ) -> tuple[Model, SystemState, tuple[ActionRequest, ...]]:
     """One agent and one variable per index; formula i joins x_i and x_{i+1}."""
     if size < 3:
-        raise ValueError("cycle instances need at least 3 positions")
+        raise PreconditionError("cycle instances need at least 3 positions")
     agents = tuple(f"a{i + 1}" for i in range(size))
     variables = tuple(f"x{i + 1}" for i in range(size))
     partition = {agent: (variable,) for agent, variable in zip(agents, variables)}
@@ -71,7 +72,7 @@ def fit_loglog_slope(sizes: Sequence[int], seconds: Sequence[float]) -> float:
     numerator = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     denominator = sum((x - mean_x) ** 2 for x in xs)
     if denominator == 0:
-        raise ValueError("need at least two distinct sizes")
+        raise PreconditionError("need at least two distinct sizes")
     return numerator / denominator
 
 
@@ -82,12 +83,11 @@ def run_bench(sizes: Sequence[int] = DEFAULT_SIZES, seed: int = 0) -> BenchRepor
     accumulated work) and the minimum is kept, to damp scheduler noise.
     """
     if len(set(sizes)) < 2:
-        raise ValueError("need at least two distinct sizes")
+        raise PreconditionError("need at least two distinct sizes")
     rows = []
     for size in sizes:
         model, state, batch = build_cycle_instance(size, seed)
         timings = []
-        report = None
         for _ in range(3):
             start = time.perf_counter()
             report = greedy_block(model, state, batch)

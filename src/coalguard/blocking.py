@@ -21,8 +21,8 @@ from operator import add
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import BudgetExceededError, PreconditionError
-from .model import Model, SystemState
-from .engine import TIE_BREAKS, ActionRequest, SimulationReport, apply_actions, simulate
+from .model import Model, SystemState, is_secure, unassigned
+from .engine import TIE_BREAKS, ActionRequest, SimulationReport, apply_actions, check_batch, simulate
 
 SUBSET_SEARCH_CAP = 16
 
@@ -107,18 +107,6 @@ class BlockReport:
     iterations: tuple
 
 
-def _writes_by_variable(batch: Sequence[ActionRequest]) -> dict[str, list[ActionRequest]]:
-    """Each written variable's requests in batch order; the last one kept wins.
-
-    Derived from the writes, not from ownership, so two writers of one
-    variable and an agent writing twice both stay exact.
-    """
-    writes: dict[str, list[ActionRequest]] = {}
-    for request in batch:
-        writes.setdefault(request.variable, []).append(request)
-    return writes
-
-
 def greedy_block(
     model: Model,
     state: SystemState,
@@ -130,22 +118,16 @@ def greedy_block(
     Each round sees the surviving batch applied to the same state, so the
     loop also catches formulas that only become reachable once other writes
     are vetoed. The batch is simulated once; blocking an agent resets only
-    the variables it wrote (to the last surviving write, else to the state)
-    and re-evaluates only the formulas over those that changed. Each agent
-    keeps a counter of the would-flip formulas it controls, moved as those
-    formulas flip in or out, so no round rebuilds the matrix or sorts by a
-    tuple key; every round still equals ``simulate``, ``build_matrix`` and
-    ``rank_agents`` on the surviving batch. Terminates after at most one
+    the variables it wrote, which no other requester writes, to the state's
+    values and re-evaluates only the formulas over those that changed. Each
+    agent keeps a counter of the would-flip formulas it controls, moved as
+    those formulas flip in or out, so no round rebuilds the matrix or sorts
+    by a tuple key; every round still equals ``simulate``, ``build_matrix``
+    and ``rank_agents`` on the surviving batch. Terminates after at most one
     round per requester.
     """
     _check_tie_break(tie_break)
-    try:
-        batch = tuple(batch)
-    except TypeError:
-        raise PreconditionError(f"a batch holds ActionRequests, not {batch!r}") from None
-    for request in batch:
-        if not isinstance(request, ActionRequest):
-            raise PreconditionError(f"a batch holds ActionRequests, not {request!r}")
+    batch = check_batch(model, batch)
     iterations: list[GreedyIteration] = []
     report = simulate(model, state, batch)
     if not report.became_true:
@@ -154,7 +136,6 @@ def greedy_block(
     evaluators, formula_agents = compiled.evaluators, compiled.agents
     before = state.valuation
     after = dict(report.simulated_state.valuation)
-    writes = _writes_by_variable(batch)
     written_by: dict[str, dict[str, None]] = {}  # requester -> its variables, first-seen order
     for request in batch:
         written_by.setdefault(request.agent, {})[request.variable] = None
@@ -181,30 +162,26 @@ def greedy_block(
         order.remove(top)
         dirty: set[int] = set()
         for variable in written_by[top]:
-            value = before.get(variable)
-            for request in writes[variable]:
-                if request.agent in surviving:
-                    value = request.new_value
-            if value != after.get(variable):
-                if value is None:  # unassigned at the state and no longer written
-                    del after[variable]
-                else:
-                    after[variable] = value
+            if after[variable] != before[variable]:
+                after[variable] = before[variable]
                 dirty.update(compiled.by_variable.get(variable, ()))
         pool = implicated  # without a formula flipping in, no agent joins the columns
-        for index in dirty:
-            if index not in false_before:
-                false_before[index] = not evaluators[index](before)
-            if false_before[index] and evaluators[index](after):
-                if index not in became:
-                    became.add(index)
-                    pool = model.agents
+        try:
+            for index in dirty:
+                if index not in false_before:
+                    false_before[index] = not evaluators[index](before)
+                if false_before[index] and evaluators[index](after):
+                    if index not in became:
+                        became.add(index)
+                        pool = model.agents
+                        for agent in formula_agents[index]:
+                            count[agent] = count.get(agent, 0) + 1
+                elif index in became:
+                    became.discard(index)
                     for agent in formula_agents[index]:
-                        count[agent] = count.get(agent, 0) + 1
-            elif index in became:
-                became.discard(index)
-                for agent in formula_agents[index]:
-                    count[agent] -= 1
+                        count[agent] -= 1
+        except KeyError as exc:  # an evaluator read a variable the state leaves unassigned
+            raise unassigned(exc.args[0]) from None
         if not became:
             break
         rows = tuple(sorted(became))
@@ -227,11 +204,6 @@ class OracleRound:
     success: bool
 
 
-def _false_count(model: Model, state: SystemState, batch: Sequence[ActionRequest]) -> int:
-    after = apply_actions(state, batch).valuation
-    return sum(1 for evaluate in model.compiled.evaluators if not evaluate(after))
-
-
 def _evaluation_order(candidates: list) -> list:
     """Hook: the order candidate simulations run in. Results are reduced
     canonically, so any permutation yields the same frontier."""
@@ -242,7 +214,8 @@ class _PatternTable(dict):
     """False counts of the formulas sharing one dependency mask, keyed by the
     pattern of their kept writers. A missing pattern is evaluated on lookup:
     each member's written variables are set in a shared scratch valuation,
-    the last kept write winning, and the member is evaluated on it."""
+    to the owner's last write where it is kept and else to the state's value,
+    and the member is evaluated on it."""
 
     def __init__(self, members: list, scratch: dict):
         super().__init__()
@@ -252,14 +225,8 @@ class _PatternTable(dict):
         scratch = self.scratch
         count = 0
         for evaluate, written in self.members:
-            for variable, value, kept_writes in written:
-                for bit, new_value in kept_writes:
-                    if pattern & bit:
-                        value = new_value
-                if value is None:  # unassigned at the state and not written
-                    scratch.pop(variable, None)
-                else:
-                    scratch[variable] = value
+            for variable, value, bit, new_value in written:
+                scratch[variable] = new_value if pattern & bit else value
             count += not evaluate(scratch)
         self[pattern] = count
         return count
@@ -271,8 +238,8 @@ def _keep_pattern_counter(
     batch: Sequence[ActionRequest],
     bits: Mapping[str, int],
 ) -> Callable[[list[int]], list[int]]:
-    """``_false_count`` of the batch restricted to each of a list of keep
-    masks, by table lookup.
+    """How many critical formulas the batch restricted to each of a list of
+    keep masks leaves false, by table lookup.
 
     ``bits`` gives each requester one bit of a mask. A formula's dependency
     mask holds the requesters writing any variable it mentions; a formula no
@@ -283,15 +250,12 @@ def _keep_pattern_counter(
     """
     compiled = model.compiled
     before = state.valuation
-    writes = {  # variable -> (writer's bit, value) in batch order; bit 0 is never kept
-        variable: tuple((bits.get(r.agent, 0), r.new_value) for r in requests)
-        for variable, requests in _writes_by_variable(batch).items()
-    }
+    writes = {r.variable: (bits[r.agent], r.new_value) for r in batch}  # the owner's last write
     constant = 0
     groups: dict[int, list] = {}
     for evaluate, used in zip(compiled.evaluators, compiled.variables):
         written = tuple(
-            (variable, before.get(variable), writes[variable])
+            (variable, before[variable], *writes[variable])
             for variable in used
             if variable in writes
         )
@@ -299,9 +263,8 @@ def _keep_pattern_counter(
             constant += not evaluate(before)
             continue
         deps = 0
-        for _, _, kept_writes in written:
-            for bit, _ in kept_writes:
-                deps |= bit
+        for _, _, bit, _ in written:
+            deps |= bit
         groups.setdefault(deps, []).append((evaluate, written))
     scratch = dict(before)
     tables = [(deps, _PatternTable(members, scratch)) for deps, members in groups.items()]
@@ -329,10 +292,11 @@ def nondet_block(
     keep-set leaves all critical formulas false. Frontier members tie by
     construction, so one seeded draw picks the survivor set.
     """
+    batch = check_batch(model, batch)
     rng = rng if rng is not None else random.Random(seed)
     initial = simulate(model, state, batch)
     if not initial.became_true:
-        return BlockReport("nondeterministic", (), tuple(batch), ())
+        return BlockReport("nondeterministic", (), batch, ())
 
     requesters = tuple(a for a in model.agents if a in {r.agent for r in batch})
     if len(requesters) > SUBSET_SEARCH_CAP:
@@ -342,24 +306,25 @@ def nondet_block(
         )
     total = len(model.critical_formulas)
     bits = {agent: 1 << position for position, agent in enumerate(requesters)}
-    false_counts = _keep_pattern_counter(model, state, batch, bits)
     rounds: list[OracleRound] = []
-    chosen: Optional[tuple[str, ...]] = None
-    for cardinality in range(len(requesters) - 1, -1, -1):
-        candidates = _evaluation_order(list(itertools.combinations(requesters, cardinality)))
-        keep_masks = [sum(map(bits.__getitem__, keep)) for keep in candidates]
-        counts = dict(zip(candidates, false_counts(keep_masks)))
-        best = max(counts.values())
-        frontier = tuple(sorted(keep for keep, count in counts.items() if count == best))
-        representative = rng.choice(frontier)
-        success = best == total
-        evaluated = tuple(sorted(counts.items()))
-        rounds.append(OracleRound(cardinality, evaluated, frontier, representative, success))
-        if success:
-            chosen = representative
-            break
-    if chosen is None:
-        chosen = ()  # unreachable from a secure start; block everyone defensively
+    chosen: tuple[str, ...] = ()  # stays empty, blocking everyone, only from an insecure start
+    try:
+        false_counts = _keep_pattern_counter(model, state, batch, bits)
+        for cardinality in range(len(requesters) - 1, -1, -1):
+            candidates = _evaluation_order(list(itertools.combinations(requesters, cardinality)))
+            keep_masks = [sum(map(bits.__getitem__, keep)) for keep in candidates]
+            counts = dict(zip(candidates, false_counts(keep_masks)))
+            best = max(counts.values())
+            frontier = tuple(sorted(keep for keep, count in counts.items() if count == best))
+            representative = rng.choice(frontier)
+            success = best == total
+            evaluated = tuple(sorted(counts.items()))
+            rounds.append(OracleRound(cardinality, evaluated, frontier, representative, success))
+            if success:
+                chosen = representative
+                break
+    except KeyError as exc:  # an evaluator read a variable the state leaves unassigned
+        raise unassigned(exc.args[0]) from None
     keep = set(chosen)
     blocked = tuple(a for a in requesters if a not in keep)
     allowed = tuple(r for r in batch if r.agent in keep)
@@ -374,19 +339,19 @@ def brute_force_min_block(
     Among minimum-size solutions returns the lexicographically least blocked
     tuple. Exponential in the requester count; capped at 16 requesters.
     """
+    batch = check_batch(model, batch)
     requesters = tuple(a for a in model.agents if a in {r.agent for r in batch})
     if len(requesters) > SUBSET_SEARCH_CAP:
         raise BudgetExceededError(
             f"{len(requesters)} requesting agents exceed the subset-search cap "
             f"of {SUBSET_SEARCH_CAP}"
         )
-    total = len(model.critical_formulas)
     for keep_size in range(len(requesters), -1, -1):
         winners = []
         for keep in itertools.combinations(requesters, keep_size):
             members = set(keep)
             restricted = tuple(r for r in batch if r.agent in members)
-            if _false_count(model, state, restricted) == total:
+            if is_secure(model, apply_actions(state, restricted)):
                 winners.append(tuple(sorted(set(requesters) - members)))
         if winners:
             blocked = min(winners)

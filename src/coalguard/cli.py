@@ -35,12 +35,9 @@ SLOPE_GATE = 3.5
 
 def _comma_ints(text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("need at least one size")
-    return values
 
 
 def build_parser() -> argparse.ArgumentParser:

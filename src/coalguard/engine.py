@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import CoalGuardError, OwnershipViolationError, PreconditionError, QueueOrderError
-from .model import Model, SystemState, is_secure
+from .model import Model, SystemState, is_secure, unassigned
 
 POLICIES = ("none", "greedy", "nondeterministic")
 TIE_BREAKS = ("fifo", "lex")
@@ -47,6 +47,21 @@ def check_request(model: Model, request: ActionRequest, last: Optional[ActionReq
         raise QueueOrderError(
             f"arrival index {request.arrival_index} not after {last.arrival_index}"
         )
+
+
+def check_batch(model: Model, batch: Iterable[ActionRequest]) -> tuple[ActionRequest, ...]:
+    """The batch as a tuple of ActionRequests whose agents own their variables;
+    a request that is not owned raises what check_request, and enqueueing, would."""
+    try:
+        batch = tuple(batch)
+    except TypeError:
+        raise PreconditionError(f"a batch holds ActionRequests, not {batch!r}") from None
+    for request in batch:
+        if not isinstance(request, ActionRequest):
+            raise PreconditionError(f"a batch holds ActionRequests, not {request!r}")
+        if model.owner_of(request.variable) != request.agent:
+            check_request(model, request, None)
+    return batch
 
 
 class _Buffer(list):
@@ -213,7 +228,12 @@ class EngineConfig:
 
 def apply_actions(state: SystemState, batch: Sequence[ActionRequest]) -> SystemState:
     """Apply a batch in arrival order (later writes win) and advance the clock."""
-    changes = {request.variable: request.new_value for request in batch}
+    if not isinstance(state, SystemState):
+        raise PreconditionError(f"state must be a SystemState, not {state!r}")
+    try:
+        changes = {request.variable: request.new_value for request in batch}
+    except (AttributeError, TypeError):
+        raise PreconditionError(f"a batch holds ActionRequests, not {batch!r}") from None
     return state.with_updates(changes, tick=state.tick + 1)
 
 
@@ -238,15 +258,18 @@ def simulate(model: Model, state: SystemState, batch: Sequence[ActionRequest]) -
     compiled = model.compiled
     before, now = state.valuation, after.valuation
     touched = set()
-    for request in batch:
-        if before.get(request.variable) != now[request.variable]:
-            touched.update(compiled.by_variable.get(request.variable, ()))
     evaluators = compiled.evaluators
-    became = tuple(
-        index
-        for index in sorted(touched)
-        if not evaluators[index](before) and evaluators[index](now)
-    )
+    try:
+        for request in batch:
+            if before[request.variable] != now[request.variable]:
+                touched.update(compiled.by_variable.get(request.variable, ()))
+        became = tuple(
+            index
+            for index in sorted(touched)
+            if not evaluators[index](before) and evaluators[index](now)
+        )
+    except KeyError as exc:
+        raise unassigned(exc.args[0]) from None
     requesters = {request.agent for request in batch}
     flipped = set().union(*(compiled.agents[index] for index in became))
     implicated = tuple(a for a in model.agents if a in requesters and a in flipped)

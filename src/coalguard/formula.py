@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -314,7 +314,6 @@ def _fmt(f: Formula, need: int) -> str:
 # structure queries
 
 
-@lru_cache(maxsize=None)
 def vars_of(f: Formula) -> frozenset[str]:
     """Variables occurring in f. Coalition names are agents, not variables."""
     if isinstance(f, (Top,)):

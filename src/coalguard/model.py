@@ -165,6 +165,8 @@ class SystemState:
     valuation: Mapping[str, bool]
 
     def __post_init__(self):
+        if type(self.tick) is not int:  # a bool is no tick
+            raise PreconditionError(f"tick must be an int, not {self.tick!r}")
         try:
             object.__setattr__(self, "valuation", dict(self.valuation))
         except (TypeError, ValueError) as exc:
@@ -174,12 +176,17 @@ class SystemState:
         try:
             return self.valuation[variable]
         except KeyError:
-            raise UnknownVariableError(f"state does not assign {variable!r}") from None
+            raise unassigned(variable) from None
 
     def with_updates(self, changes: Mapping[str, bool], tick: Optional[int] = None) -> "SystemState":
         valuation = dict(self.valuation)
         valuation.update(changes)
         return SystemState(self.tick if tick is None else tick, valuation)
+
+
+def unassigned(variable: str) -> UnknownVariableError:
+    """The error for reading a variable a state leaves unassigned."""
+    return UnknownVariableError(f"state does not assign {variable!r}")
 
 
 @dataclass(frozen=True)
@@ -244,7 +251,10 @@ def validate_model(model: Model) -> ValidationResult:
 def is_secure(model: Model, state: SystemState) -> bool:
     """True when every critical formula evaluates false at the state."""
     valuation = getattr(state, "valuation", state)
-    return not any(evaluate(valuation) for evaluate in model.compiled.evaluators)
+    try:
+        return not any(evaluate(valuation) for evaluate in model.compiled.evaluators)
+    except KeyError as exc:
+        raise unassigned(exc.args[0]) from None
 
 
 def diamond_holds(

@@ -420,6 +420,11 @@ def test_audit_example1(example1_model, example1_state):
         assert truth_eval(finding.formula, merged)
 
 
+def test_audit_on_a_state_that_leaves_a_variable_unassigned(example1_model):
+    with pytest.raises(UnknownVariableError, match="state does not assign 'v1'"):
+        audit_vulnerabilities(example1_model, SystemState(0, {}))
+
+
 def test_audit_reports_only_minimal_coalitions(example1_model, example1_state):
     findings = audit_vulnerabilities(example1_model, example1_state)
     by_formula = {}
@@ -596,3 +601,11 @@ def test_truth_table_formula_guard_rails():
     for table in (-1, 16, 1.5, "3", None):
         with pytest.raises(PreconditionError, match="out of range"):
             formula_from_truth_table(2, table)
+
+
+def test_truth_table_formula_and_survey_reject_a_variable_count_that_is_not_an_int():
+    for num_vars in ("3", True):
+        with pytest.raises(PreconditionError, match="num_vars must be an int"):
+            formula_from_truth_table(num_vars, 0)
+    with pytest.raises(PreconditionError, match="num_vars must be an int"):
+        survey_secure_connectivity("2")

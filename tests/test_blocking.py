@@ -9,9 +9,11 @@ from coalguard import (
     Diamond,
     GreedyIteration,
     Model,
+    OwnershipViolationError,
     PreconditionError,
     SimulationReport,
     SystemState,
+    UnknownVariableError,
     Var,
     apply_actions,
     brute_force_min_block,
@@ -108,6 +110,39 @@ def test_greedy_rejects_a_batch_that_is_not_a_sequence_of_requests(
 ):
     with pytest.raises(PreconditionError, match="a batch holds ActionRequests, not"):
         greedy_block(example1_model, example1_state, batch)
+
+
+# Formula 1 reads w only once x is true and y false: the state below leaves w
+# unassigned, which the full batch never reveals (simulate reads x & ~y as
+# false first), but blocking b, keeping a alone, does.
+LATE_READ = Model(
+    ("a", "b", "c"),
+    ("x", "y", "w"),
+    {"a": ("x",), "b": ("y",), "c": ("w",)},
+    (parse_formula("x & y"), parse_formula("x & ~y & w")),
+)
+LATE_READ_BATCH = (ActionRequest("b", "y", True, 0), ActionRequest("a", "x", True, 1))
+
+
+@pytest.mark.parametrize("block", [greedy_block, nondet_block, brute_force_min_block])
+@pytest.mark.parametrize(
+    "valuation, batch, error",
+    [
+        ({"x": False, "y": False, "w": False}, (ActionRequest("a", "y", True, 0),),
+         OwnershipViolationError),
+        ({"x": False, "y": False, "w": False}, (ActionRequest("a", "z", True, 0),),
+         UnknownVariableError),
+        ({"x": False, "y": False, "w": False}, "ab", PreconditionError),
+        ({"x": False, "y": False, "w": False}, 5, PreconditionError),
+        ({}, LATE_READ_BATCH, UnknownVariableError),
+        ({"x": False, "y": False}, LATE_READ_BATCH, UnknownVariableError),
+    ],
+    ids=["foreign-writer", "undeclared-variable", "str-batch", "int-batch", "empty-state",
+         "partial-state"],
+)
+def test_blocking_functions_check_the_batch_and_the_state(block, valuation, batch, error):
+    with pytest.raises(error):
+        block(LATE_READ, SystemState(0, valuation), batch)
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +317,18 @@ def test_blocking_soundness_and_optimality(seed):
     assert len(greedy.iterations) <= len({r.agent for r in batch})
 
 
-@given(st.integers(0, 2**32 - 1))
-def test_blocked_agents_are_requesters(seed):
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_blocked_agents_are_requesters(seed, foreign):
     rng = random.Random(seed)
     model, state, batch = random_scenario(rng, max_vars=6, max_agents=4)
+    if foreign:  # another agent writes a batch variable: every policy refuses, as a queue does
+        request = rng.choice(batch)
+        other = rng.choice([a for a in model.agents if a != request.agent])
+        batch += (ActionRequest(other, request.variable, True, len(batch)),)
+        for block in (greedy_block, nondet_block, brute_force_min_block):
+            with pytest.raises(OwnershipViolationError):
+                block(model, state, batch)
+        return
     requesters = {r.agent for r in batch}
     for report in (
         greedy_block(model, state, batch),

@@ -199,6 +199,19 @@ def test_apply_actions_frame_property(seed):
     assert state.tick == 0
 
 
+def test_apply_actions_and_simulate_reject_what_is_not_a_state_or_a_batch(
+    example1_model, example1_state, example1_batch
+):
+    with pytest.raises(PreconditionError, match="a batch holds ActionRequests"):
+        apply_actions(example1_state, [5])
+    with pytest.raises(PreconditionError, match="state must be a SystemState"):
+        apply_actions(None, ())
+    with pytest.raises(PreconditionError, match="state must be a SystemState"):
+        simulate(example1_model, None, ())
+    with pytest.raises(UnknownVariableError, match="state does not assign"):
+        simulate(example1_model, SystemState(0, {}), example1_batch)
+
+
 def test_simulate_full_batch_flips_everything(example1_model, example1_state, example1_batch):
     report = simulate(example1_model, example1_state, example1_batch)
     assert report.became_true == (0, 1, 2, 3)

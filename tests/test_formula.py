@@ -167,6 +167,14 @@ def test_non_formulas_raise_precondition_error(call, bad):
         call(bad)
 
 
+def test_vars_of_and_eval_formula_reject_an_unhashable_argument():
+    model = Model(("a",), ("x",), {"a": ("x",)})
+    with pytest.raises(PreconditionError, match="not a formula"):
+        vars_of([5])
+    with pytest.raises(PreconditionError, match="not a formula"):
+        eval_formula([5], model, {"x": False})
+
+
 def test_built_trees_stay_within_the_recursive_walkers():
     names = tuple(f"x{i}" for i in range(10))
     # the 1023 satisfying minterms of x0 | ... | x9, one conjunction each

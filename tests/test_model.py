@@ -89,6 +89,12 @@ def test_system_state_rejects_a_non_mapping_valuation():
         SystemState(0, [1, 2])
 
 
+@pytest.mark.parametrize("tick", ["0", True, 0.0])
+def test_system_state_rejects_a_tick_that_is_not_an_int(tick):
+    with pytest.raises(PreconditionError, match="tick must be an int"):
+        SystemState(tick, {})
+
+
 def test_partial_valuation_rejects_malformed_parts():
     for coalition, assignment in ((5, {}), (("a1",), 5)):
         with pytest.raises(CoalGuardError, match="malformed partial valuation"):
@@ -119,6 +125,11 @@ def test_state_lookup_errors(example1_model, example1_state):
 
 def test_example1_start_secure(example1_model, example1_state):
     assert is_secure(example1_model, example1_state)
+
+
+def test_is_secure_on_a_state_that_leaves_a_variable_unassigned(example1_model):
+    with pytest.raises(UnknownVariableError, match="state does not assign"):
+        is_secure(example1_model, SystemState(0, {}))
 
 
 def test_eval_rejects_unknown_names(example1_model, example1_state):

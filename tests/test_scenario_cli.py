@@ -16,9 +16,11 @@ from coalguard import (
     EngineConfig,
     InsecureStartError,
     Model,
+    PreconditionError,
     ScenarioError,
     SystemState,
     load_scenario,
+    run_bench,
     run_ticks,
     scenario_from_mapping,
     trace_line,
@@ -446,6 +448,24 @@ def test_cli_run_negative_ticks(capsys, scenario_dir):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: ticks must be a non-negative int, not -1\n"
+
+
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        ("25", "need at least two distinct sizes"),
+        ("25,25", "need at least two distinct sizes"),
+        ("2,3", "cycle instances need at least 3 positions"),
+    ],
+    ids=["one-size", "repeated-size", "too-small"],
+)
+def test_bench_rejects_sizes_it_cannot_fit(capsys, sizes, message):
+    with pytest.raises(PreconditionError, match=message):
+        run_bench(tuple(map(int, sizes.split(","))))
+    assert main(["bench", "--sizes", sizes]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_cli_run_missing_file(capsys, tmp_path):
