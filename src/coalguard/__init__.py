@@ -46,7 +46,6 @@ from .model import (
     Model,
     PartialValuation,
     SystemState,
-    ValidationResult,
     Violation,
     diamond_holds,
     is_secure,

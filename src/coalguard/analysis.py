@@ -29,7 +29,7 @@ from .formula import (
     valuation_masks,
     vars_of,
 )
-from .model import Model, PartialValuation, SystemState
+from .model import Model, PartialValuation, SystemState, check_state
 
 GRAPH_VARIABLE_CAP = 16
 AUDIT_AGENT_CAP = 12
@@ -216,6 +216,7 @@ def audit_vulnerabilities(model: Model, state: SystemState) -> tuple[Vulnerabili
     every agent alone is able, so no larger coalition is tried.
     AUDIT_AGENT_CAP bounds the agents combined for one formula.
     """
+    check_state(state)
     for f in model.critical_formulas:
         if has_diamond(f):
             raise ModalFormulaError("the audit requires propositional critical formulas")

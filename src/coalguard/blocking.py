@@ -298,7 +298,8 @@ def nondet_block(
     if not initial.became_true:
         return BlockReport("nondeterministic", (), batch, ())
 
-    requesters = tuple(a for a in model.agents if a in {r.agent for r in batch})
+    asking = {r.agent for r in batch}
+    requesters = tuple(a for a in model.agents if a in asking)
     if len(requesters) > SUBSET_SEARCH_CAP:
         raise BudgetExceededError(
             f"{len(requesters)} requesting agents exceed the subset-search cap "
@@ -340,7 +341,8 @@ def brute_force_min_block(
     tuple. Exponential in the requester count; capped at 16 requesters.
     """
     batch = check_batch(model, batch)
-    requesters = tuple(a for a in model.agents if a in {r.agent for r in batch})
+    asking = {r.agent for r in batch}
+    requesters = tuple(a for a in model.agents if a in asking)
     if len(requesters) > SUBSET_SEARCH_CAP:
         raise BudgetExceededError(
             f"{len(requesters)} requesting agents exceed the subset-search cap "

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import CoalGuardError, OwnershipViolationError, PreconditionError, QueueOrderError
-from .model import Model, SystemState, is_secure, unassigned
+from .model import Model, SystemState, check_state, is_secure, unassigned
 
 POLICIES = ("none", "greedy", "nondeterministic")
 TIE_BREAKS = ("fifo", "lex")
@@ -177,6 +177,10 @@ class DropTick(BlockingStrategy):
 class BlockUntilTick(BlockingStrategy):
     release_tick: int
 
+    def __post_init__(self):
+        if type(self.release_tick) is not int:  # a bool is no tick
+            raise PreconditionError(f"release tick must be an int, not {self.release_tick!r}")
+
     def schedule(self, agents, current_tick, rng):
         return {agent: self.release_tick for agent in agents}
 
@@ -190,6 +194,8 @@ class BlockForRandomInterval(BlockingStrategy):
     seed: Optional[int] = None
 
     def __post_init__(self):
+        if type(self.low) is not int or type(self.high) is not int:  # a bool is no bound
+            raise PreconditionError(f"interval bounds must be ints: {self.low!r}, {self.high!r}")
         if self.low < 0 or self.high < self.low:
             raise PreconditionError("interval must satisfy 0 <= low <= high")
 
@@ -215,6 +221,8 @@ class EngineConfig:
             raise PreconditionError(f"policy must be one of {POLICIES}")
         if self.tie_break not in TIE_BREAKS:
             raise PreconditionError(f"tie_break must be one of {TIE_BREAKS}")
+        if not isinstance(self.blocking_strategy, BlockingStrategy):
+            raise PreconditionError(f"not a BlockingStrategy: {self.blocking_strategy!r}")
 
     def batch_size(self, model: Model) -> int:
         if self.max_actions_per_tick == "auto":
@@ -228,8 +236,7 @@ class EngineConfig:
 
 def apply_actions(state: SystemState, batch: Sequence[ActionRequest]) -> SystemState:
     """Apply a batch in arrival order (later writes win) and advance the clock."""
-    if not isinstance(state, SystemState):
-        raise PreconditionError(f"state must be a SystemState, not {state!r}")
+    check_state(state)
     try:
         changes = {request.variable: request.new_value for request in batch}
     except (AttributeError, TypeError):

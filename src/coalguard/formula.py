@@ -80,8 +80,9 @@ class Var(Formula):
     name: str
 
     def __post_init__(self):
-        if not _IDENT_RE.fullmatch(self.name) or self.name in _RESERVED:
-            raise ValueError(f"invalid variable name: {self.name!r}")
+        name = self.name
+        if not isinstance(name, str) or not _IDENT_RE.fullmatch(name) or name in _RESERVED:
+            raise PreconditionError(f"invalid variable name: {name!r}")
 
 
 @dataclass(frozen=True)
@@ -103,9 +104,12 @@ class Diamond(Formula):
     child: Formula
 
     def __init__(self, coalition: Iterable[str], child: Formula):
-        names = frozenset(coalition)
+        try:
+            names = frozenset(coalition)
+        except TypeError:
+            raise PreconditionError(f"coalition must be iterable, not {coalition!r}") from None
         if not names:
-            raise ValueError("coalition must be nonempty")
+            raise PreconditionError("coalition must be nonempty")
         object.__setattr__(self, "coalition", names)
         object.__setattr__(self, "child", child)
 
@@ -354,10 +358,19 @@ def eval_formula(f: Formula, model, state) -> bool:
 
     Diamond nodes quantify existentially over assignments to the coalition's
     variables, everything else held fixed. ``state`` may be a SystemState or
-    a plain variable -> bool mapping.
+    a plain variable -> bool mapping; one that leaves a variable f reads
+    unassigned raises UnknownVariableError.
     """
     check_names(f, model)
-    return _eval(f, model, getattr(state, "valuation", state))
+    try:
+        return _eval(f, model, getattr(state, "valuation", state))
+    except KeyError as exc:
+        raise unassigned(exc.args[0]) from None
+
+
+def unassigned(variable: str) -> UnknownVariableError:
+    """The error for reading a variable a state leaves unassigned."""
+    return UnknownVariableError(f"state does not assign {variable!r}")
 
 
 def check_names(f: Formula, model) -> None:
@@ -386,10 +399,10 @@ def _eval(f: Formula, model, valuation: Mapping[str, bool]) -> bool:
     raise PreconditionError(f"not a formula: {f!r}")
 
 
-def compile_formula(f: Formula, model=None) -> Evaluator:
-    """A closure evaluating f over a valuation mapping as eval_formula does,
-    without its name checks, which callers make once. Only <> nodes need the
-    model; such a node checks its budget only when it is evaluated."""
+def compile_formula(f: Formula, model) -> Evaluator:
+    """A closure evaluating f over a valuation mapping of the model as
+    eval_formula does, without its name checks, which callers make once. A <>
+    node checks its budget only when it is evaluated."""
     if isinstance(f, Top):
         return lambda valuation: True
     if isinstance(f, Var):
@@ -405,8 +418,6 @@ def compile_formula(f: Formula, model=None) -> Evaluator:
         left, right = compile_formula(f.left, model), compile_formula(f.right, model)
         return lambda valuation: left(valuation) or right(valuation)
     if isinstance(f, Diamond):
-        if model is None:
-            raise ModalFormulaError("a <> node needs a model to evaluate")
         child = compile_formula(f.child, model)
         inner = vars_of(f.child)
         relevant = tuple(v for v in model.coalition_variables(f.coalition) if v in inner)
@@ -534,15 +545,6 @@ class ClauseSet:
             cleaned.add(clause)
         ordered = sorted(cleaned, key=lambda c: sorted((l.variable, l.positive) for l in c))
         return cls(tuple(ordered))
-
-    def variables(self) -> frozenset[str]:
-        return frozenset(lit.variable for clause in self.clauses for lit in clause)
-
-    def evaluate(self, assignment: Mapping[str, bool]) -> bool:
-        return all(
-            any(assignment[lit.variable] == lit.positive for lit in clause)
-            for clause in self.clauses
-        )
 
     def is_horn(self, labeling: Optional["HornLabeling"] = None) -> bool:
         """True when every clause has at most one positive literal.

@@ -25,6 +25,7 @@ from .formula import (
     compile_formula,
     first_witness,
     has_diamond,
+    unassigned,
     vars_of,
 )
 
@@ -38,14 +39,14 @@ class Model:
     _owner: dict = field(init=False, repr=False, compare=False)
     _variable_set: frozenset = field(init=False, repr=False, compare=False)
     _agent_set: frozenset = field(init=False, repr=False, compare=False)
-    _compiled: Optional["CompiledModel"] = field(init=False, repr=False, compare=False)
+    compiled: CompiledModel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         """Enforce the partition: every declared variable is listed exactly
         once, by a declared agent, and no agent or variable name repeats.
         Then check that the critical formulas name only declared variables
         and agents, raising what eval_formula would for the first that does
-        not, in index order."""
+        not, in index order, and compile them once."""
         try:
             agents, variables = tuple(self.agents), tuple(self.variables)
             normalized = {agent: tuple(owned) for agent, owned in self.partition.items()}
@@ -84,11 +85,11 @@ class Model:
         object.__setattr__(self, "_owner", owner)
         object.__setattr__(self, "_variable_set", variable_set)
         object.__setattr__(self, "_agent_set", agent_set)
-        object.__setattr__(self, "_compiled", None)
         for f in formulas:
             if not isinstance(f, Formula):
                 raise PreconditionError(f"critical formulas must be formulas, got {f!r}")
             check_names(f, self)
+        object.__setattr__(self, "compiled", compile_model(self))
 
     @property
     def variable_set(self) -> frozenset[str]:
@@ -117,13 +118,6 @@ class Model:
             raise UnknownAgentError(f"unknown agents: {sorted(missing)}")
         return tuple(v for v in self.variables if self._owner[v] in members)
 
-    @property
-    def compiled(self) -> "CompiledModel":
-        """The critical formulas compiled once, on first use."""
-        if self._compiled is None:
-            object.__setattr__(self, "_compiled", compile_model(self))
-        return self._compiled
-
 
 # ---------------------------------------------------------------------------
 # compiled formulas
@@ -145,7 +139,7 @@ class CompiledModel(NamedTuple):
 
 
 def compile_model(model: Model) -> CompiledModel:
-    """Build the compiled form; Model.compiled builds it once and caches it."""
+    """Build the compiled form; Model construction builds it once, as model.compiled."""
     formulas = model.critical_formulas
     variables = tuple(vars_of(f) for f in formulas)
     evaluators = tuple(compile_formula(f, model) for f in formulas)
@@ -184,11 +178,6 @@ class SystemState:
         return SystemState(self.tick if tick is None else tick, valuation)
 
 
-def unassigned(variable: str) -> UnknownVariableError:
-    """The error for reading a variable a state leaves unassigned."""
-    return UnknownVariableError(f"state does not assign {variable!r}")
-
-
 @dataclass(frozen=True)
 class PartialValuation:
     """An assignment to some of a coalition's variables, used as a witness."""
@@ -211,17 +200,9 @@ class Violation:
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    violations: tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_model(model: Model) -> ValidationResult:
-    """Check that the sets are nonempty and the critical formulas well-formed.
+def validate_model(model: Model) -> tuple[Violation, ...]:
+    """Check that the sets are nonempty and the critical formulas well-formed;
+    an empty tuple means the model is valid.
 
     Model construction already enforces the partition and the formulas'
     names. Here each critical formula must mention variables of at least two
@@ -234,23 +215,25 @@ def validate_model(model: Model) -> ValidationResult:
     if not model.variables:
         violations.append(Violation("empty-variable-set", "", "model declares no variables"))
 
-    for index, f in enumerate(model.critical_formulas):
-        subject = f"formula {index}"
-        controllers = set(map(model.owner_of, vars_of(f)))
-        if len(controllers) < 2:
-            item = Violation(
-                "single-agent-formula",
-                subject,
-                f"{subject} is controlled by fewer than two agents",
-            )
-            violations.append(item)
+    for index, agents in enumerate(model.compiled.agents):
+        if len(agents) < 2:
+            subject = f"formula {index}"
+            message = f"{subject} is controlled by fewer than two agents"
+            violations.append(Violation("single-agent-formula", subject, message))
 
-    return ValidationResult(tuple(violations))
+    return tuple(violations)
+
+
+def check_state(state: SystemState) -> None:
+    """Raise PreconditionError for a state that is not a SystemState."""
+    if not isinstance(state, SystemState):
+        raise PreconditionError(f"state must be a SystemState, not {state!r}")
 
 
 def is_secure(model: Model, state: SystemState) -> bool:
     """True when every critical formula evaluates false at the state."""
-    valuation = getattr(state, "valuation", state)
+    check_state(state)
+    valuation = state.valuation
     try:
         return not any(evaluate(valuation) for evaluate in model.compiled.evaluators)
     except KeyError as exc:
@@ -266,13 +249,17 @@ def diamond_holds(
     variables that occur in f; applying it to the state makes f true.
     Enumeration is exhaustive over those variables and capped at 20.
     """
+    check_state(state)
     if has_diamond(f):
         raise ModalFormulaError("ability checks take a propositional formula")
     members = frozenset(coalition)
     owned = model.coalition_variables(members)
     check_names(f, model)
     relevant = tuple(v for v in owned if v in vars_of(f))
-    assignment = first_witness(compile_formula(f, model), state.valuation, relevant)
+    try:
+        assignment = first_witness(compile_formula(f, model), state.valuation, relevant)
+    except KeyError as exc:
+        raise unassigned(exc.args[0]) from None
     if assignment is None:
         return False, None
     return True, PartialValuation(members, assignment)

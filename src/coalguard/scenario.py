@@ -41,7 +41,7 @@ from .errors import (
     InsecureStartError,
     ScenarioError,
 )
-from .formula import compile_formula, parse_formula
+from .formula import parse_formula
 from .model import Model, SystemState, validate_model
 
 _TOP_KEYS = {"agents", "formulas", "initial", "queue", "config"}
@@ -165,9 +165,9 @@ def scenario_from_mapping(data: Mapping, allow_insecure_start: bool = False) -> 
         model = Model(tuple(agents), tuple(variables), partition, tuple(formulas))
     except CoalGuardError as exc:
         raise ScenarioError(f"invalid model: {exc}") from exc
-    result = validate_model(model)
-    if not result.ok:
-        findings = "; ".join(f"{v.kind}({v.subject})" for v in result.violations)
+    violations = validate_model(model)
+    if violations:
+        findings = "; ".join(f"{v.kind}({v.subject})" for v in violations)
         raise ScenarioError(f"invalid model: {findings}")
 
     initial = _require_mapping(data["initial"], "initial")
@@ -180,9 +180,7 @@ def scenario_from_mapping(data: Mapping, allow_insecure_start: bool = False) -> 
     valuation = {v: _require(initial[v], bool, f"initial[{v}]") for v in variables}
     state = SystemState(0, valuation)
 
-    satisfied = [
-        index for index, f in enumerate(formulas) if compile_formula(f, model)(valuation)
-    ]
+    satisfied = [i for i, evaluate in enumerate(model.compiled.evaluators) if evaluate(valuation)]
     if satisfied and not allow_insecure_start:
         raise InsecureStartError(
             f"initial state satisfies critical formula(s) {satisfied}"

@@ -61,12 +61,28 @@ def brute_diamond(model, state, coalition, f):
 
 
 # ---------------------------------------------------------------------------
+# clause sets read directly
+
+
+def clause_variables(clause_set):
+    return frozenset(lit.variable for clause in clause_set.clauses for lit in clause)
+
+
+def clauses_hold(clause_set, assignment):
+    """Every clause has a literal the assignment makes true."""
+    return all(
+        any(assignment[lit.variable] == lit.positive for lit in clause)
+        for clause in clause_set.clauses
+    )
+
+
+# ---------------------------------------------------------------------------
 # Horn labeling by brute force
 
 
 def enumerate_labelings(clause_set):
     """All flip sets under which every clause has <= 1 positive literal."""
-    names = sorted(clause_set.variables())
+    names = sorted(clause_variables(clause_set))
     good = []
     for k in range(len(names) + 1):
         for combo in itertools.combinations(names, k):

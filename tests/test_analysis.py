@@ -420,9 +420,14 @@ def test_audit_example1(example1_model, example1_state):
         assert truth_eval(finding.formula, merged)
 
 
-def test_audit_on_a_state_that_leaves_a_variable_unassigned(example1_model):
+@pytest.mark.parametrize(
+    "call",
+    [audit_vulnerabilities, lambda m, s: single_flip_agents(m, s, m.critical_formulas[0])],
+    ids=["audit_vulnerabilities", "single_flip_agents"],
+)
+def test_audit_on_a_state_that_leaves_a_variable_unassigned(example1_model, call):
     with pytest.raises(UnknownVariableError, match="state does not assign 'v1'"):
-        audit_vulnerabilities(example1_model, SystemState(0, {}))
+        call(example1_model, SystemState(0, {}))
 
 
 def test_audit_reports_only_minimal_coalitions(example1_model, example1_state):

@@ -30,7 +30,10 @@ from coalguard import (
     vars_of,
 )
 from coalguard.formula import CNF_CLAUSE_CAP, FORMULA_DEPTH_CAP, valuation_masks
-from helpers import enumerate_labelings, random_formula, truth_eval, vars_in
+from helpers import clauses_hold, enumerate_labelings, random_formula, truth_eval, vars_in
+
+# one agent owning the variables formulas() draws from
+PQRS = Model(("a",), ("p", "q", "r", "s"), {"a": ("p", "q", "r", "s")})
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +89,7 @@ def test_formula_at_depth_cap_is_usable(at_cap, past_cap):
     assert FORMULA_DEPTH_CAP == 256
     f = parse_formula(at_cap)
     model = Model(("a1", "a2"), ("x", "y"), {"a1": ("x",), "a2": ("y",)}, (f,))
-    assert validate_model(model).ok
+    assert validate_model(model) == ()
     for x, y in itertools.product((False, True), repeat=2):
         valuation = {"x": x, "y": y}
         assert model.compiled.evaluators[0](valuation) == eval_formula(f, model, valuation)
@@ -129,7 +132,7 @@ def test_vars_of_matches_reference(f):
 @given(formulas(), st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()))
 def test_evaluate_matches_reference(f, bits):
     valuation = dict(zip(("p", "q", "r", "s"), bits))
-    assert compile_formula(f)(valuation) == truth_eval(f, valuation)
+    assert compile_formula(f, PQRS)(valuation) == truth_eval(f, valuation)
 
 
 def test_has_diamond():
@@ -161,7 +164,11 @@ def test_to_cnf_rejects_modal():
 
 
 @pytest.mark.parametrize("bad", [5, [5]], ids=["int", "list"])
-@pytest.mark.parametrize("call", [parse_formula, format_formula, compile_formula, to_cnf])
+@pytest.mark.parametrize(
+    "call",
+    [parse_formula, format_formula, lambda f: compile_formula(f, PQRS), to_cnf],
+    ids=["parse_formula", "format_formula", "compile_formula", "to_cnf"],
+)
 def test_non_formulas_raise_precondition_error(call, bad):
     with pytest.raises(PreconditionError, match="formula"):
         call(bad)
@@ -217,7 +224,7 @@ def test_cnf_equivalent_on_all_rows(f):
     clauses = to_cnf(f)
     for mask in range(1 << len(names)):
         valuation = {v: bool((mask >> j) & 1) for j, v in enumerate(names)}
-        assert clauses.evaluate(valuation) == truth_eval(f, valuation)
+        assert clauses_hold(clauses, valuation) == truth_eval(f, valuation)
 
 
 # ---------------------------------------------------------------------------

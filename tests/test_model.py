@@ -4,8 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coalguard import (
+    BlockForRandomInterval,
+    BlockUntilTick,
     BudgetExceededError,
     CoalGuardError,
+    Diamond,
+    EngineConfig,
     Model,
     ModalFormulaError,
     OwnershipViolationError,
@@ -15,6 +19,8 @@ from coalguard import (
     TOP,
     UnknownAgentError,
     UnknownVariableError,
+    Var,
+    audit_vulnerabilities,
     diamond_holds,
     eval_formula,
     is_secure,
@@ -24,14 +30,12 @@ from coalguard import (
 from helpers import brute_diamond, random_formula, random_model, truth_eval
 
 
-def kinds(result):
-    return {v.kind for v in result.violations}
+def kinds(violations):
+    return {v.kind for v in violations}
 
 
 def test_example1_is_valid(example1_model):
-    result = validate_model(example1_model)
-    assert result.ok
-    assert result.violations == ()
+    assert validate_model(example1_model) == ()
 
 
 TWO = (("a1", "a2"), ("x", "y"), {"a1": ("x",), "a2": ("y",)})
@@ -127,9 +131,40 @@ def test_example1_start_secure(example1_model, example1_state):
     assert is_secure(example1_model, example1_state)
 
 
-def test_is_secure_on_a_state_that_leaves_a_variable_unassigned(example1_model):
-    with pytest.raises(UnknownVariableError, match="state does not assign"):
-        is_secure(example1_model, SystemState(0, {}))
+@pytest.mark.parametrize(
+    "call",
+    [
+        is_secure,
+        lambda m, s: eval_formula(m.critical_formulas[0], m, s),
+        lambda m, s: diamond_holds(m, s, ("a2",), m.critical_formulas[0]),
+    ],
+    ids=["is_secure", "eval_formula", "diamond_holds"],
+)
+def test_is_secure_on_a_state_that_leaves_a_variable_unassigned(example1_model, call):
+    with pytest.raises(UnknownVariableError, match="state does not assign 'v1'"):
+        call(example1_model, SystemState(0, {}))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: is_secure(m, None),
+        lambda m: audit_vulnerabilities(m, None),
+        lambda m: diamond_holds(m, None, ("a1",), m.critical_formulas[0]),
+        lambda m: Var(5),
+        lambda m: Var("1x"),
+        lambda m: Diamond([], TOP),
+        lambda m: Diamond(5, TOP),
+        lambda m: EngineConfig(blocking_strategy=5),
+        lambda m: BlockUntilTick("3"),
+        lambda m: BlockForRandomInterval(0.5, 2.5),
+    ],
+    ids=["is_secure-none", "audit-none", "diamond_holds-none", "var-int", "var-digit-first",
+         "diamond-empty", "diamond-int", "config-strategy", "until-string", "interval-floats"],
+)
+def test_malformed_arguments_raise_precondition_error(example1_model, call):
+    with pytest.raises(PreconditionError):
+        call(example1_model)
 
 
 def test_eval_rejects_unknown_names(example1_model, example1_state):
