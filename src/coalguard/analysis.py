@@ -182,6 +182,7 @@ def single_flip_agents(model: Model, state: SystemState, formula: Formula) -> fr
     qualifies when it controls such a variable whose lone flip satisfies
     the formula.
     """
+    check_state(state)
     if has_diamond(formula):
         raise ModalFormulaError("single-flip analysis takes a propositional formula")
     if eval_formula(formula, model, state):

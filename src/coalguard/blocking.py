@@ -8,19 +8,21 @@ many of them as possible, and draws among ties from a seeded generator.
 Both exploit batch locality: a formula's value after the tick depends only on
 which of the requesters writing its variables are kept. Greedy therefore
 re-evaluates only the formulas over the variables the blocked agent wrote,
-and the subset search looks each formula up by the pattern of its own
-writers instead of re-applying the batch for every candidate.
+and the subset search walks each formula once per level over all candidates
+at once, one lane of an int apiece, instead of re-applying the batch to each.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import sys
+from array import array
 from dataclasses import dataclass
-from operator import add
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import BudgetExceededError, PreconditionError
+from .formula import eval_lanes
 from .model import Model, SystemState, is_secure, unassigned
 from .engine import TIE_BREAKS, ActionRequest, SimulationReport, apply_actions, check_batch, simulate
 
@@ -210,70 +212,41 @@ def _evaluation_order(candidates: list) -> list:
     return candidates
 
 
-class _PatternTable(dict):
-    """False counts of the formulas sharing one dependency mask, keyed by the
-    pattern of their kept writers. A missing pattern is evaluated on lookup:
-    each member's written variables are set in a shared scratch valuation,
-    to the owner's last write where it is kept and else to the state's value,
-    and the member is evaluated on it."""
-
-    def __init__(self, members: list, scratch: dict):
-        super().__init__()
-        self.members, self.scratch = members, scratch
-
-    def __missing__(self, pattern: int) -> int:
-        scratch = self.scratch
-        count = 0
-        for evaluate, written in self.members:
-            for variable, value, bit, new_value in written:
-                scratch[variable] = new_value if pattern & bit else value
-            count += not evaluate(scratch)
-        self[pattern] = count
-        return count
-
-
-def _keep_pattern_counter(
-    model: Model,
-    state: SystemState,
-    batch: Sequence[ActionRequest],
-    bits: Mapping[str, int],
-) -> Callable[[list[int]], list[int]]:
+def _false_counter(
+    model: Model, state: SystemState, batch: Sequence[ActionRequest], requesters: Sequence[str]
+) -> Callable[[list[tuple[str, ...]]], Sequence[int]]:
     """How many critical formulas the batch restricted to each of a list of
-    keep masks leaves false, by table lookup.
+    keep-sets leaves false, counted bit-parallel (Knuth, TAOCP 4A, 7.1.3).
 
-    ``bits`` gives each requester one bit of a mask. A formula's dependency
-    mask holds the requesters writing any variable it mentions; a formula no
-    request writes counts as a constant. The others are grouped by dependency
-    mask into one lazily filled table per group, keyed by ``keep_mask & deps``,
-    so a formula is evaluated at most once per distinct pattern of its own
-    writers.
+    A formula mentioning no variable that a write changes is a constant. For
+    the rest, each keep-set's mask of requesters is one lane of an int, an
+    ``array`` item wide enough for the mask and a count. A variable's lanes
+    are its value at the state, flipped where its writer is kept; walking
+    each formula once over them sums its false lanes into every count.
     """
-    compiled = model.compiled
-    before = state.valuation
-    writes = {r.variable: (bits[r.agent], r.new_value) for r in batch}  # the owner's last write
-    constant = 0
-    groups: dict[int, list] = {}
-    for evaluate, used in zip(compiled.evaluators, compiled.variables):
-        written = tuple(
-            (variable, before[variable], *writes[variable])
-            for variable in used
-            if variable in writes
-        )
-        if not written:
+    compiled, before = model.compiled, state.valuation
+    position = {agent: i for i, agent in enumerate(requesters)}
+    bits = {agent: 1 << i for agent, i in position.items()}
+    writes = {r.variable: (position[r.agent], r.new_value) for r in batch}  # the owner's last
+    changed = {v: i for v, (i, value) in writes.items() if value != before[v]}
+    constant, live = 0, []
+    for f, evaluate, used in zip(model.critical_formulas, compiled.evaluators, compiled.variables):
+        if used.isdisjoint(changed):
             constant += not evaluate(before)
-            continue
-        deps = 0
-        for _, _, bit, _ in written:
-            deps |= bit
-        groups.setdefault(deps, []).append((evaluate, written))
-    scratch = dict(before)
-    tables = [(deps, _PatternTable(members, scratch)) for deps, members in groups.items()]
+        else:
+            live.append(f)
+    width = max(len(requesters), len(model.critical_formulas).bit_length())
+    code = next(code for code in "BHILQ" if array(code).itemsize * 8 >= width)
 
-    def false_counts(keep_masks: list[int]) -> list[int]:
-        counts = [constant] * len(keep_masks)
-        for deps, table in tables:
-            counts = list(map(add, counts, map(table.__getitem__, map(deps.__and__, keep_masks))))
-        return counts
+    def false_counts(candidates: list[tuple[str, ...]]) -> Sequence[int]:
+        packed = array(code, [sum(map(bits.__getitem__, keep)) for keep in candidates])
+        masks = int.from_bytes(packed, sys.byteorder)
+        ones = int.from_bytes(array(code, [1]) * len(packed), sys.byteorder)
+        values = {variable: ones if value else 0 for variable, value in before.items()}
+        for variable, i in changed.items():
+            values[variable] ^= (masks >> i) & ones
+        count = constant * ones + sum(ones ^ eval_lanes(f, model, values, ones) for f in live)
+        return array(code, count.to_bytes(len(packed) * packed.itemsize, sys.byteorder))
 
     return false_counts
 
@@ -293,6 +266,8 @@ def nondet_block(
     construction, so one seeded draw picks the survivor set.
     """
     batch = check_batch(model, batch)
+    if type(seed) not in (int, type(None)) or not isinstance(rng, (random.Random, type(None))):
+        raise PreconditionError(f"seed must be an int and rng a random.Random: {seed!r}, {rng!r}")
     rng = rng if rng is not None else random.Random(seed)
     initial = simulate(model, state, batch)
     if not initial.became_true:
@@ -306,15 +281,13 @@ def nondet_block(
             f"of {SUBSET_SEARCH_CAP}"
         )
     total = len(model.critical_formulas)
-    bits = {agent: 1 << position for position, agent in enumerate(requesters)}
     rounds: list[OracleRound] = []
     chosen: tuple[str, ...] = ()  # stays empty, blocking everyone, only from an insecure start
     try:
-        false_counts = _keep_pattern_counter(model, state, batch, bits)
+        false_counts = _false_counter(model, state, batch, requesters)
         for cardinality in range(len(requesters) - 1, -1, -1):
             candidates = _evaluation_order(list(itertools.combinations(requesters, cardinality)))
-            keep_masks = [sum(map(bits.__getitem__, keep)) for keep in candidates]
-            counts = dict(zip(candidates, false_counts(keep_masks)))
+            counts = dict(zip(candidates, false_counts(candidates)))
             best = max(counts.values())
             frontier = tuple(sorted(keep for keep, count in counts.items() if count == best))
             representative = rng.choice(frontier)

@@ -196,6 +196,8 @@ class BlockForRandomInterval(BlockingStrategy):
     def __post_init__(self):
         if type(self.low) is not int or type(self.high) is not int:  # a bool is no bound
             raise PreconditionError(f"interval bounds must be ints: {self.low!r}, {self.high!r}")
+        if self.seed is not None and type(self.seed) is not int:  # nor a seed
+            raise PreconditionError(f"interval seed must be an int, not {self.seed!r}")
         if self.low < 0 or self.high < self.low:
             raise PreconditionError("interval must satisfy 0 <= low <= high")
 
@@ -223,6 +225,8 @@ class EngineConfig:
             raise PreconditionError(f"tie_break must be one of {TIE_BREAKS}")
         if not isinstance(self.blocking_strategy, BlockingStrategy):
             raise PreconditionError(f"not a BlockingStrategy: {self.blocking_strategy!r}")
+        if type(self.random_seed) is not int:  # a bool is no seed
+            raise PreconditionError(f"random_seed must be an int, not {self.random_seed!r}")
 
     def batch_size(self, model: Model) -> int:
         if self.max_actions_per_tick == "auto":
@@ -320,14 +324,19 @@ def tick(
 
     if not isinstance(config, EngineConfig):
         raise PreconditionError(f"config must be an EngineConfig, not {config!r}")
+    if not isinstance(queue, ActionQueue):
+        raise PreconditionError(f"queue must be an ActionQueue, not {queue!r}")
+    if blocked_registry is not None and not isinstance(blocked_registry, Mapping):
+        raise PreconditionError(f"blocked_registry must be a mapping, not {blocked_registry!r}")
     rng = rng if rng is not None else random.Random(config.random_seed)
     strategy_rng = strategy_rng if strategy_rng is not None else rng
     forming = state.tick + 1  # registry entries name the first tick an agent may act in
-    registry = {
-        agent: release
-        for agent, release in (blocked_registry or {}).items()
-        if release > forming
-    }
+    registry = {}
+    for agent, release in (blocked_registry or {}).items():
+        if type(release) is not int:  # a bool is no tick
+            raise PreconditionError(f"blocked_registry maps agents to int ticks, not {release!r}")
+        if release > forming:
+            registry[agent] = release
 
     batch, _, remaining = queue.take_batch_excluding(config.batch_size(model), registry)
 

@@ -362,8 +362,11 @@ def eval_formula(f: Formula, model, state) -> bool:
     unassigned raises UnknownVariableError.
     """
     check_names(f, model)
+    valuation = getattr(state, "valuation", state)
+    if not isinstance(valuation, Mapping):
+        raise PreconditionError(f"state must be a SystemState or a mapping, not {state!r}")
     try:
-        return _eval(f, model, getattr(state, "valuation", state))
+        return _eval(f, model, valuation)
     except KeyError as exc:
         raise unassigned(exc.args[0]) from None
 
@@ -394,7 +397,7 @@ def _eval(f: Formula, model, valuation: Mapping[str, bool]) -> bool:
     if isinstance(f, Or):
         return _eval(f.left, model, valuation) or _eval(f.right, model, valuation)
     if isinstance(f, Diamond):
-        relevant = [v for v in model.coalition_variables(f.coalition) if v in vars_of(f.child)]
+        relevant = _diamond_variables(f, model)
         return first_witness(partial(_eval, f.child, model), valuation, relevant) is not None
     raise PreconditionError(f"not a formula: {f!r}")
 
@@ -419,10 +422,24 @@ def compile_formula(f: Formula, model) -> Evaluator:
         return lambda valuation: left(valuation) or right(valuation)
     if isinstance(f, Diamond):
         child = compile_formula(f.child, model)
-        inner = vars_of(f.child)
-        relevant = tuple(v for v in model.coalition_variables(f.coalition) if v in inner)
+        relevant = _diamond_variables(f, model)
         return lambda valuation: first_witness(child, valuation, relevant) is not None
     raise PreconditionError(f"not a formula: {f!r}")
+
+
+def _diamond_variables(f: Diamond, model) -> tuple[str, ...]:
+    """The variables of f's coalition that f's child mentions, in model order."""
+    inner = vars_of(f.child)
+    return tuple(v for v in model.coalition_variables(f.coalition) if v in inner)
+
+
+def _check_budget(relevant: Sequence[str]) -> None:
+    """Raise BudgetExceededError for more than DIAMOND_VARIABLE_CAP variables."""
+    if len(relevant) > DIAMOND_VARIABLE_CAP:
+        raise BudgetExceededError(
+            f"coalition controls {len(relevant)} variables of the formula, "
+            f"cap is {DIAMOND_VARIABLE_CAP}"
+        )
 
 
 def first_witness(
@@ -433,11 +450,7 @@ def first_witness(
     Assignments are tried in itertools.product order, False before True, the
     rest of the valuation held fixed. Capped at DIAMOND_VARIABLE_CAP variables.
     """
-    if len(relevant) > DIAMOND_VARIABLE_CAP:
-        raise BudgetExceededError(
-            f"coalition controls {len(relevant)} variables of the formula, "
-            f"cap is {DIAMOND_VARIABLE_CAP}"
-        )
+    _check_budget(relevant)
     trial = dict(valuation)
     for combo in itertools.product((False, True), repeat=len(relevant)):
         assignment = dict(zip(relevant, combo))
@@ -503,16 +516,40 @@ def truth_tables(formulas: Iterable[Formula], model) -> tuple[int, ...]:
             return table(f.left) | table(f.right)
         if isinstance(f, Diamond):
             result = table(f.child)
-            inner = vars_of(f.child)
-            for variable in model.coalition_variables(f.coalition):
-                if variable in inner:
-                    # valuation i may take the value of its neighbour across variable j
-                    j = slot[variable]
-                    result |= flip_across(result, j, masks[j])
+            for variable in _diamond_variables(f, model):
+                # valuation i may take the value of its neighbour across variable j
+                j = slot[variable]
+                result |= flip_across(result, j, masks[j])
             return result
         raise PreconditionError(f"not a formula: {f!r}")
 
     return tuple(table(f) for f in formulas)
+
+
+def eval_lanes(f: Formula, model, values: Mapping[str, int], ones: int) -> int:
+    """f in every lane at once, with bit 0 of each lane of ``values[v]`` v's
+    value there and ``ones`` setting it in every lane. <>{C} g ORs g over the
+    assignments to C's variables that g mentions, up to DIAMOND_VARIABLE_CAP."""
+    if isinstance(f, Var):
+        return values[f.name]
+    pair = as_conjunction(f)
+    if pair is not None:
+        return eval_lanes(pair[0], model, values, ones) & eval_lanes(pair[1], model, values, ones)
+    if isinstance(f, Not):
+        return ones ^ eval_lanes(f.child, model, values, ones)
+    if isinstance(f, Or):
+        return eval_lanes(f.left, model, values, ones) | eval_lanes(f.right, model, values, ones)
+    if isinstance(f, Diamond):
+        relevant = _diamond_variables(f, model)
+        _check_budget(relevant)
+        trial, result = dict(values), 0
+        for combo in itertools.product((0, ones), repeat=len(relevant)):
+            trial.update(zip(relevant, combo))
+            result |= eval_lanes(f.child, model, trial, ones)
+        return result
+    if isinstance(f, Top):
+        return ones
+    raise PreconditionError(f"not a formula: {f!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from coalguard import (
     ActionRequest,
@@ -211,6 +211,25 @@ def test_nondet_budget_cap():
         nondet_block(big, state, batch, seed=0)
 
 
+def test_nondet_diamond_over_the_cap():
+    """simulate short-circuits past the <> (x is false before, ~z after), so
+    only the oracle's own evaluation of the keep-set {a} reaches it."""
+    wide = tuple(f"y{i}" for i in range(21))
+    model = Model(
+        agents=("a", "b", "c"),
+        variables=("x", "z") + wide,
+        partition={"a": ("x",), "b": wide, "c": ("z",)},
+        critical_formulas=(
+            parse_formula("x & ~z & <>{b}(" + " & ".join(wide) + ")"),
+            parse_formula("x & z"),
+        ),
+    )
+    state = SystemState(0, {v: False for v in model.variables})
+    batch = (ActionRequest("a", "x", True, 0), ActionRequest("c", "z", True, 1))
+    with pytest.raises(BudgetExceededError, match="cap is 20"):
+        nondet_block(model, state, batch, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # exact minimum
 
@@ -340,7 +359,7 @@ def test_blocked_agents_are_requesters(seed, foreign):
 
 
 # ---------------------------------------------------------------------------
-# batch locality against the references: keep-pattern tables in the oracle,
+# batch locality against the references: lane counts in the oracle,
 # incremental rounds in greedy
 
 
@@ -387,13 +406,40 @@ def reference_greedy(model, state, batch, tie_break):
         current = tuple(r for r in current if r.agent != top)
 
 
-@given(st.integers(0, 2**32 - 1))
-def test_oracle_counts_match_reference_evaluation(seed):
-    rng = random.Random(seed)
-    case = modal_case(rng)
-    assume(case is not None)
-    model, state, batch = case
-    report = nondet_block(model, state, batch, seed=seed)
+def hub_case(rng, size, count):
+    """``size`` agents owning one variable each, all requesting, and ``count``
+    formulas ``h & body`` over one or two hub variables h, which start false
+    and are written true; bodies mix ~, &, | and <> over the other variables.
+    The last agent in model order writes a hub, so the top mask bit decides
+    every count, and the search ends once it blocks every hub."""
+    agents = tuple(f"a{i:02}" for i in range(size))
+    variables = tuple(f"v{i:02}" for i in range(size))
+    hubs = variables[-rng.randint(1, 2):]
+    others = variables[:-len(hubs)]
+
+    def body():
+        span = rng.sample(others, rng.randint(1, min(3, len(others))))
+        inner = Var(span[0]) if rng.random() < 0.5 else ~Var(span[0])
+        for name in span[1:]:
+            inner = inner & Var(name) if rng.random() < 0.6 else inner | ~Var(name)
+        if rng.random() < 0.3:
+            return Diamond(rng.sample(agents, rng.randint(1, 3)), inner)
+        return inner
+
+    formulas = [Var(h) & Var(others[0]) for h in hubs]  # true once the batch is applied
+    formulas += [Var(rng.choice(hubs)) & body() for _ in range(count - len(hubs))]
+    model = Model(agents, variables, dict(zip(agents, zip(variables))), tuple(formulas))
+    state = SystemState(0, {v: v not in hubs and rng.random() < 0.5 for v in variables})
+    values = [v in hubs or v == others[0] or rng.random() < 0.5 for v in variables]
+    writes = list(zip(agents, variables, values))
+    rng.shuffle(writes)
+    agent, variable, value = rng.choice(writes)  # a second write; the last one counts
+    writes.insert(0, (agent, variable, not value))
+    batch = tuple(ActionRequest(*write, arrival) for arrival, write in enumerate(writes))
+    return model, state, batch, len(hubs)
+
+
+def assert_counts_match_reference(model, state, batch, report):
     for round_ in report.iterations:
         for keep, count in round_.evaluated:
             restricted = tuple(r for r in batch if r.agent in set(keep))
@@ -401,8 +447,30 @@ def test_oracle_counts_match_reference_evaluation(seed):
             assert count == sum(
                 not eval_formula(f, model, after) for f in model.critical_formulas
             )
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_oracle_counts_match_reference_evaluation(seed):
+    rng = random.Random(seed)
+    case = modal_case(rng)
+    assume(case is not None)
+    model, state, batch = case
+    report = nondet_block(model, state, batch, seed=seed)
+    assert_counts_match_reference(model, state, batch, report)
     exact = brute_force_min_block(model, state, batch)
     assert len(report.blocked) == len(exact.blocked)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(16, 12), (5, 260)]))
+def test_oracle_counts_in_wide_lanes_match_reference_evaluation(seed, shape):
+    """All 16 requesters, so every mask bit is in use, or 260 formulas, so
+    counts need more than a byte although masks need fewer than eight bits."""
+    model, state, batch, hubs = hub_case(random.Random(seed), *shape)
+    report = nondet_block(model, state, batch, seed=seed)
+    assert [r.cardinality for r in report.iterations][-1] == shape[0] - hubs
+    assert report.iterations[-1].success
+    assert_counts_match_reference(model, state, batch, report)
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from(("fifo", "lex")))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coalguard import (
+    ActionQueue,
     BlockForRandomInterval,
     BlockUntilTick,
     BudgetExceededError,
@@ -24,10 +25,17 @@ from coalguard import (
     diamond_holds,
     eval_formula,
     is_secure,
+    nondet_block,
     parse_formula,
+    single_flip_agents,
+    tick,
     validate_model,
 )
 from helpers import brute_diamond, random_formula, random_model, truth_eval
+
+
+def zeros(model):
+    return SystemState(0, dict.fromkeys(model.variables, False))
 
 
 def kinds(violations):
@@ -158,9 +166,22 @@ def test_is_secure_on_a_state_that_leaves_a_variable_unassigned(example1_model, 
         lambda m: EngineConfig(blocking_strategy=5),
         lambda m: BlockUntilTick("3"),
         lambda m: BlockForRandomInterval(0.5, 2.5),
+        lambda m: EngineConfig(random_seed=[1]),
+        lambda m: EngineConfig(random_seed=True),
+        lambda m: BlockForRandomInterval(0, 2, seed=[1]),
+        lambda m: eval_formula(m.critical_formulas[0], m, None),
+        lambda m: single_flip_agents(m, None, m.critical_formulas[0]),
+        lambda m: nondet_block(m, zeros(m), (), rng=5),
+        lambda m: nondet_block(m, zeros(m), (), seed=[1]),
+        lambda m: tick(m, zeros(m), None, EngineConfig()),
+        lambda m: tick(m, zeros(m), ActionQueue(m), EngineConfig(), 5),
+        lambda m: tick(m, zeros(m), ActionQueue(m), EngineConfig(), {"a1": "x"}),
     ],
     ids=["is_secure-none", "audit-none", "diamond_holds-none", "var-int", "var-digit-first",
-         "diamond-empty", "diamond-int", "config-strategy", "until-string", "interval-floats"],
+         "diamond-empty", "diamond-int", "config-strategy", "until-string", "interval-floats",
+         "config-seed-list", "config-seed-bool", "interval-seed-list", "eval_formula-none",
+         "single_flip-none", "nondet-rng-int", "nondet-seed-list", "tick-queue-none",
+         "tick-registry-int", "tick-registry-str"],
 )
 def test_malformed_arguments_raise_precondition_error(example1_model, call):
     with pytest.raises(PreconditionError):
