@@ -146,6 +146,8 @@ def secure_path(
     lands in the layer before. The returned states advance the tick by one
     per flip, starting from the start state's tick.
     """
+    check_state(start)
+    check_state(goal)
     source = graph.vertex_index(start)
     target = graph.vertex_index(goal)
     members = graph.secure_bits

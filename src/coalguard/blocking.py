@@ -14,6 +14,7 @@ at once, one lane of an int apiece, instead of re-applying the batch to each.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import sys
@@ -206,27 +207,44 @@ class OracleRound:
     success: bool
 
 
-def _evaluation_order(candidates: list) -> list:
-    """Hook: the order candidate simulations run in. Results are reduced
-    canonically, so any permutation yields the same frontier."""
-    return candidates
+def _evaluation_order(positions: list[int]) -> list[int]:
+    """Hook: the order a level's candidates, given by their positions in
+    the level, are counted in. Results are reduced canonically, so any
+    permutation yields the same frontier."""
+    return positions
+
+
+@functools.lru_cache(maxsize=None)
+def _level_masks(size: int, cardinality: int, code: str) -> array:
+    """The keep masks of ``itertools.combinations(range(size), cardinality)``
+    in that order, bit i set when position i is kept, packed as ``code``.
+
+    Shared by every tick: callers read it and never write to it. The domain
+    is bounded, since ``nondet_block`` asks only for 0 <= cardinality < size
+    <= ``SUBSET_SEARCH_CAP`` = 16: at most 136 levels per item code, the
+    largest 12,870 items, and under 2**17 items (1 MiB at 8 bytes an item)
+    over all levels of one code.
+    """
+    return array(code, [sum(1 << i for i in keep)
+                        for keep in itertools.combinations(range(size), cardinality)])
 
 
 def _false_counter(
     model: Model, state: SystemState, batch: Sequence[ActionRequest], requesters: Sequence[str]
-) -> Callable[[list[tuple[str, ...]]], Sequence[int]]:
+) -> Callable[[array], Sequence[int]]:
     """How many critical formulas the batch restricted to each of a list of
     keep-sets leaves false, counted bit-parallel (Knuth, TAOCP 4A, 7.1.3).
 
-    A formula mentioning no variable that a write changes is a constant. For
-    the rest, each keep-set's mask of requesters is one lane of an int, an
-    ``array`` item wide enough for the mask and a count. A variable's lanes
-    are its value at the state, flipped where its writer is kept; walking
-    each formula once over them sums its false lanes into every count.
+    The keep-sets come as their masks over the requesters, bit i for
+    ``requesters[i]``, packed in an ``array`` whose items are wide enough
+    for a mask and a count; each item is one lane of an int. A formula
+    mentioning no variable that a write changes is a constant. For the
+    rest, a variable's lanes are its value at the state, flipped where its
+    writer is kept; walking each formula once over them sums its false
+    lanes into every count.
     """
     compiled, before = model.compiled, state.valuation
     position = {agent: i for i, agent in enumerate(requesters)}
-    bits = {agent: 1 << i for agent, i in position.items()}
     writes = {r.variable: (position[r.agent], r.new_value) for r in batch}  # the owner's last
     changed = {v: i for v, (i, value) in writes.items() if value != before[v]}
     constant, live = 0, []
@@ -235,18 +253,15 @@ def _false_counter(
             constant += not evaluate(before)
         else:
             live.append(f)
-    width = max(len(requesters), len(model.critical_formulas).bit_length())
-    code = next(code for code in "BHILQ" if array(code).itemsize * 8 >= width)
 
-    def false_counts(candidates: list[tuple[str, ...]]) -> Sequence[int]:
-        packed = array(code, [sum(map(bits.__getitem__, keep)) for keep in candidates])
+    def false_counts(packed: array) -> Sequence[int]:
         masks = int.from_bytes(packed, sys.byteorder)
-        ones = int.from_bytes(array(code, [1]) * len(packed), sys.byteorder)
+        ones = int.from_bytes(array(packed.typecode, [1]) * len(packed), sys.byteorder)
         values = {variable: ones if value else 0 for variable, value in before.items()}
         for variable, i in changed.items():
             values[variable] ^= (masks >> i) & ones
         count = constant * ones + sum(ones ^ eval_lanes(f, model, values, ones) for f in live)
-        return array(code, count.to_bytes(len(packed) * packed.itemsize, sys.byteorder))
+        return array(packed.typecode, count.to_bytes(len(packed) * packed.itemsize, sys.byteorder))
 
     return false_counts
 
@@ -281,18 +296,22 @@ def nondet_block(
             f"of {SUBSET_SEARCH_CAP}"
         )
     total = len(model.critical_formulas)
+    width = max(len(requesters), total.bit_length())
+    code = next(code for code in "BHILQ" if array(code).itemsize * 8 >= width)
     rounds: list[OracleRound] = []
     chosen: tuple[str, ...] = ()  # stays empty, blocking everyone, only from an insecure start
     try:
         false_counts = _false_counter(model, state, batch, requesters)
         for cardinality in range(len(requesters) - 1, -1, -1):
-            candidates = _evaluation_order(list(itertools.combinations(requesters, cardinality)))
-            counts = dict(zip(candidates, false_counts(candidates)))
-            best = max(counts.values())
-            frontier = tuple(sorted(keep for keep, count in counts.items() if count == best))
+            level = list(itertools.combinations(requesters, cardinality))
+            order = _evaluation_order(list(range(len(level))))
+            masks = _level_masks(len(requesters), cardinality, code)
+            counts = false_counts(array(code, map(masks.__getitem__, order)))
+            evaluated = tuple(sorted(zip(map(level.__getitem__, order), counts)))
+            best = max(counts)
+            frontier = tuple(keep for keep, count in evaluated if count == best)
             representative = rng.choice(frontier)
             success = best == total
-            evaluated = tuple(sorted(counts.items()))
             rounds.append(OracleRound(cardinality, evaluated, frontier, representative, success))
             if success:
                 chosen = representative

@@ -328,6 +328,9 @@ def tick(
         raise PreconditionError(f"queue must be an ActionQueue, not {queue!r}")
     if blocked_registry is not None and not isinstance(blocked_registry, Mapping):
         raise PreconditionError(f"blocked_registry must be a mapping, not {blocked_registry!r}")
+    for generator in (rng, strategy_rng):
+        if generator is not None and not isinstance(generator, random.Random):
+            raise PreconditionError(f"rng and strategy_rng must be random.Randoms: {generator!r}")
     rng = rng if rng is not None else random.Random(config.random_seed)
     strategy_rng = strategy_rng if strategy_rng is not None else rng
     forming = state.tick + 1  # registry entries name the first tick an agent may act in

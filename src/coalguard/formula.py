@@ -104,14 +104,19 @@ class Diamond(Formula):
     child: Formula
 
     def __init__(self, coalition: Iterable[str], child: Formula):
-        try:
-            names = frozenset(coalition)
-        except TypeError:
-            raise PreconditionError(f"coalition must be iterable, not {coalition!r}") from None
+        names = coalition_names(coalition)
         if not names:
             raise PreconditionError("coalition must be nonempty")
         object.__setattr__(self, "coalition", names)
         object.__setattr__(self, "child", child)
+
+
+def coalition_names(coalition: Iterable[str]) -> frozenset[str]:
+    """The coalition as a frozenset; PreconditionError if it is not iterable."""
+    try:
+        return frozenset(coalition)
+    except TypeError:
+        raise PreconditionError(f"coalition must be iterable, not {coalition!r}") from None
 
 
 def _halves(parts: Sequence[Formula], join: Callable[[Formula, Formula], Formula]) -> Formula:

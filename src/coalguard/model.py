@@ -22,6 +22,7 @@ from .formula import (
     Evaluator,
     Formula,
     check_names,
+    coalition_names,
     compile_formula,
     first_witness,
     has_diamond,
@@ -252,7 +253,7 @@ def diamond_holds(
     check_state(state)
     if has_diamond(f):
         raise ModalFormulaError("ability checks take a propositional formula")
-    members = frozenset(coalition)
+    members = coalition_names(coalition)
     owned = model.coalition_variables(members)
     check_names(f, model)
     relevant = tuple(v for v in owned if v in vars_of(f))

@@ -16,7 +16,9 @@ canonical JSON (sorted keys, no spaces) so equal runs are byte-identical.
 
 from __future__ import annotations
 
+import functools
 import json
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
@@ -39,6 +41,7 @@ from .errors import (
     CoalGuardError,
     FormulaSyntaxError,
     InsecureStartError,
+    PreconditionError,
     ScenarioError,
 )
 from .formula import parse_formula
@@ -256,6 +259,15 @@ def _list(items, write=_name) -> str:
     return "[" + ",".join(map(write, items)) + "]"
 
 
+@functools.lru_cache(maxsize=4096)
+def _subset_json(keep: tuple[str, ...]) -> str:
+    """An oracle keep-set's names as a JSON list, kept across ticks: a run
+    whose ticks ask with the same requesters lists the same keep-sets each
+    tick. Keyed by the tuple's value; at most 4,096 entries, each holding
+    its keep tuple and its text: about 2 MB for names of 10 characters."""
+    return _list(keep)
+
+
 def _request_json(r: ActionRequest) -> str:
     return '{"agent":%s,"arrival":%s,"value":%s,"var":%s}' % (
         _name(r.agent), _leaf(r.arrival_index), _leaf(r.new_value), _name(r.variable)
@@ -291,9 +303,10 @@ def _iteration_json(item) -> str:
             '{"candidates":[%s],"cardinality":%d,"frontier":%s,"kind":"oracle",'
             '"representative":%s,"success":%s}'
         ) % (
-            ",".join(['{"false_count":%d,"subset":%s}' % (n, _list(keep))
+            ",".join(['{"false_count":%d,"subset":%s}' % (n, _subset_json(keep))
                       for keep, n in item.evaluated]),
-            item.cardinality, _list(item.frontier, _list), _list(item.representative),
+            item.cardinality, _list(item.frontier, _subset_json),
+            _subset_json(item.representative),
             _leaf(item.success),
         )
     raise TypeError(f"unknown iteration snapshot {type(item).__name__}")
@@ -331,7 +344,12 @@ def trace_text(records: Sequence[TickRecord]) -> str:
 
 
 def write_trace(records: Sequence[TickRecord], path: Union[str, Path]) -> None:
-    """Write the trace line by line, never holding the whole text."""
+    """Write the trace line by line, never holding the whole text.
+
+    Only a ``str`` or ``os.PathLike`` names a file: ``open`` would take an
+    int, or a bool, as a descriptor to write to and then close."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise PreconditionError(f"a trace path is a str or os.PathLike, not {path!r}")
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
             handle.write(trace_line(record) + "\n")

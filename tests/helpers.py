@@ -16,6 +16,7 @@ from coalguard import (
     TickRecord,
     Top,
     Var,
+    eval_formula,
 )
 
 
@@ -276,6 +277,26 @@ def oracle_min_block(model, state, batch):
             if stays_secure(model, state, batch, blocked):
                 return frozenset(blocked)
     raise AssertionError("even blocking every requester fails; start was insecure")
+
+
+def assert_counts_match_reference(model, state, batch, report):
+    """Each oracle round lists every keep-set of its size once, in name
+    order, each with the count of critical formulas ``eval_formula`` finds
+    false after the batch restricted to it; the frontier is the keep-sets
+    with the highest count, and the representative one of them."""
+    asking = {r.agent for r in batch}
+    requesters = [a for a in model.agents if a in asking]
+    for round_ in report.iterations:
+        keeps = [keep for keep, _ in round_.evaluated]
+        assert keeps == sorted(itertools.combinations(requesters, round_.cardinality))
+        for keep, count in round_.evaluated:
+            after = run_batch(state.valuation, batch, asking - set(keep))
+            assert count == sum(
+                not eval_formula(f, model, after) for f in model.critical_formulas
+            )
+        best = max(count for _, count in round_.evaluated)
+        assert round_.frontier == tuple(keep for keep, count in round_.evaluated if count == best)
+        assert round_.representative in round_.frontier
 
 
 # ---------------------------------------------------------------------------

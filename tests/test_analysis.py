@@ -253,6 +253,13 @@ def test_secure_path_rejects_insecure_endpoints():
         secure_path(graph, secure, insecure)
 
 
+def test_secure_path_rejects_endpoints_that_are_not_states():
+    graph = build_state_graph(two_var_model())
+    valuation = {"A": False, "B": False}
+    with pytest.raises(PreconditionError, match="state must be a SystemState"):
+        secure_path(graph, valuation, dict(valuation))
+
+
 @given(st.integers(0, 2**32 - 1))
 def test_secure_path_properties(seed):
     rng = random.Random(seed)

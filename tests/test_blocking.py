@@ -1,12 +1,16 @@
+import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from coalguard import (
+    ActionQueue,
     ActionRequest,
     BudgetExceededError,
     Diamond,
+    EngineConfig,
     GreedyIteration,
     Model,
     OwnershipViolationError,
@@ -15,7 +19,6 @@ from coalguard import (
     SystemState,
     UnknownVariableError,
     Var,
-    apply_actions,
     brute_force_min_block,
     build_cycle_instance,
     build_matrix,
@@ -25,8 +28,19 @@ from coalguard import (
     parse_formula,
     rank_agents,
     simulate,
+    tick,
+    trace_line,
 )
-from helpers import oracle_min_block, random_model, random_requests, random_scenario, stays_secure
+from coalguard import blocking as blocking_mod, scenario as scenario_mod
+from helpers import (
+    assert_counts_match_reference,
+    oracle_min_block,
+    random_model,
+    random_requests,
+    random_scenario,
+    record_to_dict,
+    stays_secure,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -439,16 +453,6 @@ def hub_case(rng, size, count):
     return model, state, batch, len(hubs)
 
 
-def assert_counts_match_reference(model, state, batch, report):
-    for round_ in report.iterations:
-        for keep, count in round_.evaluated:
-            restricted = tuple(r for r in batch if r.agent in set(keep))
-            after = apply_actions(state, restricted)
-            assert count == sum(
-                not eval_formula(f, model, after) for f in model.critical_formulas
-            )
-
-
 @given(st.integers(0, 2**32 - 1))
 def test_oracle_counts_match_reference_evaluation(seed):
     rng = random.Random(seed)
@@ -471,6 +475,40 @@ def test_oracle_counts_in_wide_lanes_match_reference_evaluation(seed, shape):
     assert [r.cardinality for r in report.iterations][-1] == shape[0] - hubs
     assert report.iterations[-1].success
     assert_counts_match_reference(model, state, batch, report)
+
+
+def renamed_cycle(size, names):
+    """``build_cycle_instance(size)`` with agent i named ``names[i]``."""
+    model, state, batch = build_cycle_instance(size)
+    rename = dict(zip(model.agents, names))
+    partition = {rename[a]: model.owned(a) for a in model.agents}
+    renamed = Model(tuple(names), model.variables, partition, model.critical_formulas)
+    return renamed, state, tuple(replace(r, agent=rename[r.agent]) for r in batch)
+
+
+def test_oracle_caches_serve_interleaved_models_with_other_names():
+    """The level masks are cached per requester count and the trace's subset
+    text per keep tuple. Two 6-cycles take turns: one names its agents in
+    name order, the other against it, so each tick reads what a tick of the
+    other model cached."""
+    plain = build_cycle_instance(6)
+    backwards = renamed_cycle(6, [f"r{6 - i}" for i in range(6)])
+    assert list(backwards[0].agents) != sorted(backwards[0].agents)
+    masks_hits = blocking_mod._level_masks.cache_info().hits
+    text_hits = scenario_mod._subset_json.cache_info().hits
+    for seed in range(3):
+        for model, state, batch in (plain, backwards):
+            queue = ActionQueue(model, batch)
+            config = EngineConfig(len(batch), "nondeterministic", random_seed=seed)
+            record = tick(model, state, queue, config).record
+            report = nondet_block(model, state, batch, rng=random.Random(seed))
+            assert record.iterations == report.iterations and len(report.blocked) == 3
+            assert_counts_match_reference(model, state, batch, report)
+            assert trace_line(record) == json.dumps(
+                record_to_dict(record), sort_keys=True, separators=(",", ":")
+            )
+    assert blocking_mod._level_masks.cache_info().hits > masks_hits
+    assert scenario_mod._subset_json.cache_info().hits > text_hits
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from(("fifo", "lex")))

@@ -291,6 +291,17 @@ def test_tick_rejects_a_config_that_is_not_an_engine_config(
         tick(example1_model, example1_state, example1_queue, "greedy")
 
 
+@pytest.mark.parametrize("generators", [(5, None), (None, 5)], ids=["rng", "strategy_rng"])
+def test_tick_rejects_a_generator_that_is_not_a_random_under_any_policy(
+    example1_model, example1_state, example1_queue, generators
+):
+    """Greedy never reads ``rng``, and the strategy reads ``strategy_rng``
+    only once it blocks someone, which greedy does here."""
+    config = EngineConfig(policy="greedy", blocking_strategy=BlockForRandomInterval(0, 2))
+    with pytest.raises(PreconditionError, match="must be random.Randoms: 5"):
+        tick(example1_model, example1_state, example1_queue, config, None, *generators)
+
+
 def test_run_ticks_rejects_a_config_that_is_not_an_engine_config(
     example1_model, example1_state, example1_queue
 ):

@@ -159,6 +159,7 @@ def test_is_secure_on_a_state_that_leaves_a_variable_unassigned(example1_model, 
         lambda m: is_secure(m, None),
         lambda m: audit_vulnerabilities(m, None),
         lambda m: diamond_holds(m, None, ("a1",), m.critical_formulas[0]),
+        lambda m: diamond_holds(m, zeros(m), 5, m.critical_formulas[0]),
         lambda m: Var(5),
         lambda m: Var("1x"),
         lambda m: Diamond([], TOP),
@@ -177,8 +178,9 @@ def test_is_secure_on_a_state_that_leaves_a_variable_unassigned(example1_model, 
         lambda m: tick(m, zeros(m), ActionQueue(m), EngineConfig(), 5),
         lambda m: tick(m, zeros(m), ActionQueue(m), EngineConfig(), {"a1": "x"}),
     ],
-    ids=["is_secure-none", "audit-none", "diamond_holds-none", "var-int", "var-digit-first",
-         "diamond-empty", "diamond-int", "config-strategy", "until-string", "interval-floats",
+    ids=["is_secure-none", "audit-none", "diamond_holds-none", "diamond_holds-coalition-int",
+         "var-int", "var-digit-first", "diamond-empty", "diamond-int", "config-strategy",
+         "until-string", "interval-floats",
          "config-seed-list", "config-seed-bool", "interval-seed-list", "eval_formula-none",
          "single_flip-none", "nondet-rng-int", "nondet-seed-list", "tick-queue-none",
          "tick-registry-int", "tick-registry-str"],

@@ -1,7 +1,11 @@
 import copy
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,13 +23,19 @@ from coalguard import (
     PreconditionError,
     ScenarioError,
     SystemState,
+    TickRecord,
+    apply_actions,
+    build_cycle_instance,
+    is_secure,
     load_scenario,
+    nondet_block,
     run_bench,
     run_ticks,
     scenario_from_mapping,
     trace_line,
     trace_text,
 )
+import coalguard
 from coalguard.cli import main
 from coalguard.scenario import config_from_mapping, override_config, parse_strategy
 from helpers import random_model, random_secure_state, record_to_dict, replay_matches
@@ -390,6 +400,22 @@ def test_trace_line_writes_hand_built_records_as_json_does(scenario_dir):
     assert trace_line(record).endswith('"valuation":{"2":0,"10":true}}')
 
 
+def test_trace_line_writes_rounds_larger_than_the_subset_memo_as_json_does():
+    """The 15-cycle's last two rounds list 6,435 keep-sets each, more than
+    the 4,096 texts the trace writer keeps, so the memo evicts texts within
+    a round; the line is still the one json.dumps writes."""
+    model, state, batch = build_cycle_instance(15)
+    report = nondet_block(model, state, batch, seed=0)
+    assert [len(r.evaluated) for r in report.iterations][-2:] == [6435, 6435]
+    after = apply_actions(state, report.allowed_batch)
+    record = TickRecord(after.tick, batch, report.iterations, report.blocked,
+                        report.allowed_batch, after.valuation, is_secure(model, after))
+    line, reference = trace_line(record), reference_line(record)
+    # the first differing position, not a diff of two 1.5 MB lines
+    mismatch = next((i for i, (a, b) in enumerate(zip(line, reference)) if a != b), None)
+    assert (mismatch, len(line)) == (None, len(reference))
+
+
 def test_trace_text_round_trips(tmp_path, scenario_dir):
     from coalguard import write_trace
 
@@ -399,6 +425,32 @@ def test_trace_text_round_trips(tmp_path, scenario_dir):
     out = tmp_path / "trace.jsonl"
     write_trace(result.records, out)
     assert out.read_text(encoding="utf-8") == text
+
+
+def test_write_trace_refuses_a_path_that_is_not_a_str_or_path_like():
+    """open() takes an int, or a bool, as a file descriptor, so write_trace
+    once wrote to descriptor 1 and closed it; a child process shows that
+    standard output is still open after the refusals."""
+    script = (
+        "from coalguard import PreconditionError, write_trace\n"
+        "for path in (True, 1, None):\n"
+        "    try:\n"
+        "        write_trace([], path)\n"
+        "    except PreconditionError as exc:\n"
+        "        print('refused', exc)\n"
+        "print('stdout still open')\n"
+    )
+    src = str(Path(coalguard.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "refused a trace path is a str or os.PathLike, not True",
+        "refused a trace path is a str or os.PathLike, not 1",
+        "refused a trace path is a str or os.PathLike, not None",
+        "stdout still open",
+    ]
 
 
 # ---------------------------------------------------------------------------
