@@ -22,11 +22,9 @@ from .errors import (
 )
 from .formula import (
     TOP,
-    ClauseSet,
     Diamond,
     Formula,
     HornLabeling,
-    Literal,
     Not,
     Or,
     Top,
@@ -39,7 +37,6 @@ from .formula import (
     format_formula,
     has_diamond,
     parse_formula,
-    to_cnf,
     vars_of,
 )
 from .model import (

@@ -16,6 +16,8 @@ from typing import Iterable, Iterator, Mapping, Optional, Union
 from .errors import BudgetExceededError, ModalFormulaError, PreconditionError, UnknownVariableError
 from .formula import (
     Formula,
+    _all_clauses,
+    _prime_implicates,
     Not,
     Var,
     conjoin,
@@ -34,7 +36,6 @@ from .model import Model, PartialValuation, SystemState, check_state
 GRAPH_VARIABLE_CAP = 16
 AUDIT_AGENT_CAP = 12
 SURVEY_VARIABLE_CAP = 4
-TRUTH_TABLE_VARIABLE_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -259,36 +260,6 @@ def audit_vulnerabilities(model: Model, state: SystemState) -> tuple[Vulnerabili
 # truth-table survey: secure-set connectivity vs. Horn relabelability
 
 
-def _all_clauses(num_vars: int) -> list[tuple[int, tuple[tuple[int, bool], ...], tuple[int, ...]]]:
-    """Every clause over x1..x{num_vars} as (falsified, literals, drops).
-
-    falsified is the bitset of the valuations that falsify the clause,
-    literals its (variable index, positive) pairs by index, and drops the
-    positions of the clauses with one literal dropped. A clause's position
-    sums 3^j for a literal x{j+1} and 2 * 3^j for its negation.
-    """
-    full = (1 << (1 << num_vars)) - 1
-    clauses = [(full, (), ())]
-    for j, mask in enumerate(valuation_masks(num_vars)):
-        size = len(clauses)
-        for digit, positive, falsified in ((1, True, full ^ mask), (2, False, mask)):
-            for code, (bits, literals, drops) in enumerate(clauses[:size]):
-                dropped = (*(d + digit * size for d in drops), code)
-                clauses.append((bits & falsified, (*literals, (j, positive)), dropped))
-    return clauses
-
-
-def _prime_implicates(clauses, table: int) -> list[tuple[tuple[int, bool], ...]]:
-    """The literals of each clause of _all_clauses that the table implies (no
-    model falsifies it) while it implies none of the clause's drops."""
-    implied = [not bits & table for bits, _, _ in clauses]
-    return [
-        literals
-        for (_, literals, drops), holds in zip(clauses, implied)
-        if holds and not any(implied[d] for d in drops)
-    ]
-
-
 def _check_table(table: int, num_vars: int) -> None:
     if not isinstance(table, int) or not 0 <= table < (1 << (1 << num_vars)):
         raise PreconditionError(f"table {table!r} out of range for {num_vars} variables")
@@ -309,12 +280,9 @@ def formula_from_truth_table(num_vars: int, table: int) -> Formula:
         raise PreconditionError(f"num_vars must be an int, not {num_vars!r}")
     if num_vars < 1:
         raise PreconditionError("need at least one variable")
-    if num_vars > TRUTH_TABLE_VARIABLE_CAP:
-        raise BudgetExceededError(
-            f"{num_vars} variables exceed the truth-table cap of {TRUTH_TABLE_VARIABLE_CAP}"
-        )
+    clauses = _all_clauses(num_vars)  # raises past TRUTH_TABLE_VARIABLE_CAP
     _check_table(table, num_vars)
-    primes = sorted(_prime_implicates(_all_clauses(num_vars), table), key=lambda c: (len(c), c))
+    primes = sorted(_prime_implicates(clauses, table), key=lambda c: (len(c), c))
     return conjoin(
         disjoin(Var(f"x{j + 1}") if positive else Not(Var(f"x{j + 1}")) for j, positive in clause)
         for clause in primes

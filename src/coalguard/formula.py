@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -38,9 +38,6 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _RESERVED = {"true"}
 
 DIAMOND_VARIABLE_CAP = 20
-# Most clauses one step of to_cnf may build: a | b distributes p clauses of a
-# over q of b into p * q, so k two-literal conjunctions joined by | need 2^k.
-CNF_CLAUSE_CAP = 4096
 # Deepest formula parse_formula accepts; evaluators and printers recurse on
 # trees, so this keeps them far from Python's recursion limit.
 FORMULA_DEPTH_CAP = 256
@@ -389,7 +386,7 @@ def check_names(f: Formula, model) -> None:
     for coalition in coalitions_of(f):
         missing = coalition - model.agent_set
         if missing:
-            raise UnknownAgentError(f"unknown agents: {sorted(missing)}")
+            raise UnknownAgentError(f"unknown agents: {sorted(missing, key=repr)}")
 
 
 def _eval(f: Formula, model, valuation: Mapping[str, bool]) -> bool:
@@ -558,83 +555,50 @@ def eval_lanes(f: Formula, model, values: Mapping[str, int], ones: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# clause form
-
-
-class Literal(NamedTuple):
-    variable: str
-    positive: bool
-
-
-@dataclass(frozen=True)
-class ClauseSet:
-    """A CNF as a canonically ordered tuple of literal sets.
-
-    Tautological clauses are dropped and duplicate clauses merged at
-    construction. The empty tuple is truth; a member empty clause is falsity.
-    """
-
-    clauses: tuple[frozenset[Literal], ...]
-
-    @classmethod
-    def from_clauses(cls, clauses: Iterable[Iterable[Literal]]) -> "ClauseSet":
-        cleaned = set()
-        for clause in clauses:
-            clause = frozenset(clause)
-            variables = [lit.variable for lit in clause]
-            if len(set(variables)) < len(variables):  # v and ~v together
-                continue
-            cleaned.add(clause)
-        ordered = sorted(cleaned, key=lambda c: sorted((l.variable, l.positive) for l in c))
-        return cls(tuple(ordered))
-
-    def is_horn(self, labeling: Optional["HornLabeling"] = None) -> bool:
-        """True when every clause has at most one positive literal.
-
-        With a labeling, positivity is judged after flipping the labeled
-        variables.
-        """
-        flipped = labeling.flipped if labeling is not None else frozenset()
-        for clause in self.clauses:
-            if sum(1 for variable, positive in clause if positive != (variable in flipped)) > 1:
-                return False
-        return True
-
-
-def to_cnf(f: Formula) -> ClauseSet:
-    """Convert a Diamond-free formula to an equivalent clause set.
-
-    Raises BudgetExceededError before distributing | over two clause lists
-    whose product exceeds CNF_CLAUSE_CAP clauses.
-    """
-    if has_diamond(f):
-        raise ModalFormulaError("cannot convert a modal formula to clauses")
-    return ClauseSet.from_clauses(_cnf(f, False))
-
-
-def _cnf(f: Formula, negated: bool) -> list[frozenset[Literal]]:
-    if isinstance(f, Top):
-        return [frozenset()] if negated else []
-    if isinstance(f, Var):
-        return [frozenset((Literal(f.name, not negated),))]
-    if isinstance(f, Not):
-        return _cnf(f.child, not negated)
-    if isinstance(f, Or):
-        if negated:  # ~(a|b) = ~a & ~b
-            return _cnf(f.left, True) + _cnf(f.right, True)
-        left = _cnf(f.left, False)
-        right = _cnf(f.right, False)
-        if len(left) * len(right) > CNF_CLAUSE_CAP:
-            raise BudgetExceededError(
-                f"clause form needs {len(left)} x {len(right)} clauses, "
-                f"cap is {CNF_CLAUSE_CAP}"
-            )
-        return [l | r for l in left for r in right]
-    raise PreconditionError(f"not a formula: {f!r}")
-
-
-# ---------------------------------------------------------------------------
 # Horn tooling
+
+
+# Most variables a truth table may span for prime implicates: all 3^n clauses
+# are tested on a 2^n-bit table, about 3x the work per extra variable.
+TRUTH_TABLE_VARIABLE_CAP = 10
+
+
+@lru_cache(maxsize=None)  # one entry per variable count, at most the cap + 1
+def _all_clauses(
+    num_vars: int,
+) -> tuple[tuple[int, tuple[tuple[int, bool], ...], tuple[int, ...]], ...]:
+    """Every clause over x1..x{num_vars} as (falsified, literals, drops).
+
+    falsified is the bitset of the valuations that falsify the clause,
+    literals its (variable index, positive) pairs by index, and drops the
+    positions of the clauses with one literal dropped. A clause's position
+    sums 3^j for a literal x{j+1} and 2 * 3^j for its negation. Raises
+    BudgetExceededError past TRUTH_TABLE_VARIABLE_CAP variables.
+    """
+    if num_vars > TRUTH_TABLE_VARIABLE_CAP:
+        raise BudgetExceededError(
+            f"{num_vars} variables exceed the truth-table cap of {TRUTH_TABLE_VARIABLE_CAP}"
+        )
+    full = (1 << (1 << num_vars)) - 1
+    clauses = [(full, (), ())]
+    for j, mask in enumerate(valuation_masks(num_vars)):
+        size = len(clauses)
+        for digit, positive, falsified in ((1, True, full ^ mask), (2, False, mask)):
+            for code, (bits, literals, drops) in enumerate(clauses[:size]):
+                dropped = (*(d + digit * size for d in drops), code)
+                clauses.append((bits & falsified, (*literals, (j, positive)), dropped))
+    return tuple(clauses)
+
+
+def _prime_implicates(clauses, table: int) -> list[tuple[tuple[int, bool], ...]]:
+    """The literals of each clause of _all_clauses that the table implies (no
+    model falsifies it) while it implies none of the clause's drops."""
+    implied = [not bits & table for bits, _, _ in clauses]
+    return [
+        literals
+        for (_, literals, drops), holds in zip(clauses, implied)
+        if holds and not any(map(implied.__getitem__, drops))
+    ]
 
 
 @dataclass(frozen=True)
@@ -646,24 +610,34 @@ class HornLabeling:
 
 
 def find_horn_labeling(f: Formula) -> Optional[HornLabeling]:
-    """The horn_renaming of to_cnf(f) as a labeling of f's variables, or None.
+    """The horn_renaming of f's prime implicates as a labeling of f's
+    variables, or None when no renaming makes them Horn.
 
-    Renamability is judged on the clause form produced by to_cnf, not on
-    every equivalent CNF.
+    The prime implicates are read off f's truth table, so equivalent
+    formulas get the same verdict: a function has a renamable Horn clause
+    form exactly when its prime implicates do (Lewis, JACM 1978). Raises
+    ModalFormulaError for a modal formula and BudgetExceededError past
+    TRUTH_TABLE_VARIABLE_CAP variables.
     """
-    flipped = horn_renaming(to_cnf(f).clauses)
-    return None if flipped is None else HornLabeling(tuple(sorted(vars_of(f))), flipped)
+    if has_diamond(f):
+        raise ModalFormulaError("cannot decide Horn renamability of a modal formula")
+    names = tuple(sorted(vars_of(f)))
+    clauses = _all_clauses(len(names))
+    full = (1 << (1 << len(names))) - 1
+    table = eval_lanes(f, None, dict(zip(names, valuation_masks(len(names)))), full)
+    flipped = horn_renaming(_prime_implicates(clauses, table))
+    return None if flipped is None else HornLabeling(names, frozenset(names[j] for j in flipped))
 
 
 def horn_renaming(clauses: Iterable[Iterable[tuple]]) -> Optional[frozenset]:
     """The variables to flip so that every clause keeps at most one positive
     literal, or None when no renaming does (Lewis, JACM 1978).
 
-    A literal is a (variable, positive) pair, such as a Literal. Clauses
-    already Horn need no flip; otherwise the standard 2-SAT reduction decides.
+    A literal is a (variable, positive) pair. Clauses already Horn need no
+    flip; otherwise the standard 2-SAT reduction decides.
     """
     clauses = tuple(clauses)
-    if ClauseSet(clauses).is_horn():
+    if all(sum(positive for _, positive in clause) <= 1 for clause in clauses):
         return frozenset()
     # For every pair of literals in a clause, at most one may stay positive
     # after renaming: flip-literal(l) = s_v when l is positive, ~s_v when

@@ -116,7 +116,7 @@ class Model:
         members = set(coalition)
         missing = members - self._agent_set
         if missing:
-            raise UnknownAgentError(f"unknown agents: {sorted(missing)}")
+            raise UnknownAgentError(f"unknown agents: {sorted(missing, key=repr)}")
         return tuple(v for v in self.variables if self._owner[v] in members)
 
 

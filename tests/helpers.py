@@ -62,54 +62,75 @@ def brute_diamond(model, state, coalition, f):
 
 
 # ---------------------------------------------------------------------------
-# clause sets read directly
+# clause sets as sets of (name, positive) literals
 
 
-def clause_variables(clause_set):
-    return frozenset(lit.variable for clause in clause_set.clauses for lit in clause)
+def read_clauses(f):
+    """The clauses of a conjunction of disjunctions of literals, such as
+    formula_from_truth_table builds: true has none, ~true is the empty clause."""
+    if isinstance(f, Top):
+        return set()
+    if f == Not(Top()):
+        return {frozenset()}
+    if isinstance(f, Not) and isinstance(f.child, Or):  # a & b is ~(~a | ~b)
+        return read_clauses(f.child.left.child) | read_clauses(f.child.right.child)
+    return {frozenset(_read_literals(f))}
 
 
-def clauses_hold(clause_set, assignment):
-    """Every clause has a literal the assignment makes true."""
-    return all(
-        any(assignment[lit.variable] == lit.positive for lit in clause)
-        for clause in clause_set.clauses
-    )
+def _read_literals(f):
+    if isinstance(f, Var):
+        return {(f.name, True)}
+    if isinstance(f, Not) and isinstance(f.child, Var):
+        return {(f.child.name, False)}
+    if isinstance(f, Or):
+        return _read_literals(f.left) | _read_literals(f.right)
+    raise ValueError(f"not a clause: {f!r}")
 
 
 # ---------------------------------------------------------------------------
 # Horn labeling by brute force
 
 
-def enumerate_labelings(clause_set):
-    """All flip sets under which every clause has <= 1 positive literal."""
-    names = sorted(clause_variables(clause_set))
+def enumerate_labelings(clauses):
+    """All flip sets of the clauses' names under which every clause has <= 1
+    positive literal; a clause is an iterable of (name, positive) pairs."""
+    clauses = [tuple(clause) for clause in clauses]
+    names = sorted({name for clause in clauses for name, _ in clause})
     good = []
     for k in range(len(names) + 1):
         for combo in itertools.combinations(names, k):
             flipped = frozenset(combo)
-            ok = True
-            for clause in clause_set.clauses:
-                positives = sum(
-                    1 for lit in clause if lit.positive != (lit.variable in flipped)
-                )
-                if positives > 1:
-                    ok = False
-                    break
-            if ok:
+            if all(
+                sum(positive != (name in flipped) for name, positive in clause) <= 1
+                for clause in clauses
+            ):
                 good.append(flipped)
     return good
 
 
-def brute_prime_implicates(num_vars, table):
+def formula_table(f, names):
+    """f's truth table over names: bit m is f where names[j] is bit j of m."""
+    return sum(
+        truth_eval(f, {v: bool((m >> j) & 1) for j, v in enumerate(names)}) << m
+        for m in range(1 << len(names))
+    )
+
+
+def formula_prime_implicates(f):
+    """brute_prime_implicates of f's truth table over its own variables."""
+    names = sorted(vars_in(f))
+    return brute_prime_implicates(len(names), formula_table(f, names), names)
+
+
+def brute_prime_implicates(num_vars, table, names=None):
     """Prime implicates of a truth table, one valuation at a time.
 
-    Tries all 3^num_vars clauses over x1..xn as sets of (name, positive):
-    a clause is implied when every model of the table (bit m set, variable
-    x{j+1} being bit j of m) satisfies it, and prime when, in addition, no
-    clause with one literal dropped is implied.
+    Tries all 3^num_vars clauses over names (x1..xn by default) as sets of
+    (name, positive): a clause is implied when every model of the table
+    (bit m set, names[j] being bit j of m) satisfies it, and prime when, in
+    addition, no clause with one literal dropped is implied.
     """
-    names = [f"x{j + 1}" for j in range(num_vars)]
+    names = names or [f"x{j + 1}" for j in range(num_vars)]
     models = [m for m in range(1 << num_vars) if (table >> m) & 1]
 
     def implied(clause):

@@ -9,7 +9,6 @@ from coalguard import (
     Diamond,
     FormulaSyntaxError,
     HornLabeling,
-    Literal,
     ModalFormulaError,
     Model,
     Not,
@@ -23,14 +22,21 @@ from coalguard import (
     eval_formula,
     find_horn_labeling,
     format_formula,
+    formula_from_truth_table,
     has_diamond,
     parse_formula,
-    to_cnf,
     validate_model,
     vars_of,
 )
-from coalguard.formula import CNF_CLAUSE_CAP, FORMULA_DEPTH_CAP, valuation_masks
-from helpers import clauses_hold, enumerate_labelings, random_formula, truth_eval, vars_in
+from coalguard.formula import FORMULA_DEPTH_CAP, valuation_masks
+from helpers import (
+    enumerate_labelings,
+    formula_prime_implicates,
+    formula_table,
+    random_formula,
+    truth_eval,
+    vars_in,
+)
 
 # one agent owning the variables formulas() draws from
 PQRS = Model(("a",), ("p", "q", "r", "s"), {"a": ("p", "q", "r", "s")})
@@ -140,34 +146,11 @@ def test_has_diamond():
     assert has_diamond(parse_formula("a | <>{c1} b"))
 
 
-# ---------------------------------------------------------------------------
-# CNF
-
-
-def test_to_cnf_drops_tautologies_and_merges():
-    f = parse_formula("(~A & B) | (A & ~B)")
-    clauses = to_cnf(f).clauses
-    assert set(clauses) == {
-        frozenset({Literal("A", True), Literal("B", True)}),
-        frozenset({Literal("A", False), Literal("B", False)}),
-    }
-
-
-def test_to_cnf_of_contradiction_is_empty_clause():
-    assert to_cnf(Not(TOP)).clauses == (frozenset(),)
-    assert to_cnf(TOP).clauses == ()
-
-
-def test_to_cnf_rejects_modal():
-    with pytest.raises(ModalFormulaError):
-        to_cnf(parse_formula("<>{a} p"))
-
-
 @pytest.mark.parametrize("bad", [5, [5]], ids=["int", "list"])
 @pytest.mark.parametrize(
     "call",
-    [parse_formula, format_formula, lambda f: compile_formula(f, PQRS), to_cnf],
-    ids=["parse_formula", "format_formula", "compile_formula", "to_cnf"],
+    [parse_formula, format_formula, lambda f: compile_formula(f, PQRS), find_horn_labeling],
+    ids=["parse_formula", "format_formula", "compile_formula", "find_horn_labeling"],
 )
 def test_non_formulas_raise_precondition_error(call, bad):
     with pytest.raises(PreconditionError, match="formula"):
@@ -206,42 +189,26 @@ def test_valuation_masks_are_variable_truth_tables():
         assert valuation_masks(n) == expected
 
 
-def test_to_cnf_clause_cap():
-    # (p1 & ... & pk) | (q1 & ... & qm) distributes to k * m two-literal clauses
-    def conjunction(prefix, k):
-        return conjoin(Var(f"{prefix}{i}") for i in range(k))
-
-    assert CNF_CLAUSE_CAP == 64 * 64 == 17 * 241 - 1
-    at_cap = to_cnf(conjunction("p", 64) | conjunction("q", 64))
-    assert len(at_cap.clauses) == CNF_CLAUSE_CAP
-    with pytest.raises(BudgetExceededError, match="17 x 241 clauses, cap is 4096"):
-        to_cnf(conjunction("p", 17) | conjunction("q", 241))
-
-
-@given(formulas(names=("p", "q", "r", "s", "t", "u"), max_depth=4))
-def test_cnf_equivalent_on_all_rows(f):
-    names = sorted(vars_in(f))
-    clauses = to_cnf(f)
-    for mask in range(1 << len(names)):
-        valuation = {v: bool((mask >> j) & 1) for j, v in enumerate(names)}
-        assert clauses_hold(clauses, valuation) == truth_eval(f, valuation)
-
-
 # ---------------------------------------------------------------------------
 # Horn labeling
 
 
+XOR = parse_formula("(~A & B) | (A & ~B)")
+# the prime implicates of exclusive-or: A | B and ~A | ~B
+XOR_PRIMES = [{("A", True), ("B", True)}, {("A", False), ("B", False)}]
+
+
 def test_xor_labeling_flips_one_side():
-    f = parse_formula("(~A & B) | (A & ~B)")
-    labeling = find_horn_labeling(f)
+    labeling = find_horn_labeling(XOR)
     assert labeling is not None
     assert labeling.flipped in ({"A"}, {"B"})
-    assert to_cnf(f).is_horn(labeling)
+    assert labeling.flipped in enumerate_labelings(XOR_PRIMES)
 
 
 def test_flip_a_xor_labeling_is_accepted():
-    f = parse_formula("(~A & B) | (A & ~B)")
-    assert to_cnf(f).is_horn(HornLabeling(("A", "B"), frozenset({"A"})))
+    assert formula_prime_implicates(XOR) == {frozenset(c) for c in XOR_PRIMES}
+    assert frozenset({"A"}) in enumerate_labelings(XOR_PRIMES)
+    assert find_horn_labeling(XOR) == HornLabeling(("A", "B"), frozenset({"A"}))
 
 
 def test_three_way_parity_has_no_labeling():
@@ -249,7 +216,7 @@ def test_three_way_parity_has_no_labeling():
         "(A & ~B & ~C) | (~A & B & ~C) | (~A & ~B & C) | (A & B & C)"
     )
     assert find_horn_labeling(f) is None
-    assert enumerate_labelings(to_cnf(f)) == []
+    assert enumerate_labelings(formula_prime_implicates(f)) == []
 
 
 def test_already_horn_needs_no_flip():
@@ -258,12 +225,50 @@ def test_already_horn_needs_no_flip():
     assert labeling.flipped == frozenset()
 
 
+def test_labeling_is_decided_on_the_function_not_its_clauses():
+    # the two three-literal clauses are not Horn under any flip of x, y, z
+    # together, but the whole formula equals x & ~y, which is Horn already
+    f = parse_formula("(x | y | z) & (~x | ~y | ~z) & x & ~y")
+    assert find_horn_labeling(f) == HornLabeling(("x", "y", "z"), frozenset())
+
+
+def test_constants_are_horn_without_flips():
+    for f in (TOP, Not(TOP)):
+        assert find_horn_labeling(f) == HornLabeling((), frozenset())
+
+
+def test_find_horn_labeling_rejects_modal():
+    with pytest.raises(ModalFormulaError):
+        find_horn_labeling(parse_formula("<>{a} p"))
+
+
+def test_horn_labeling_truth_table_cap():
+    # ten variables, the cap, still answer; eleven raise before any table is built
+    names = tuple(f"v{i}" for i in range(10))
+    labeling = find_horn_labeling(disjoin(Var(v) for v in names))
+    assert labeling == HornLabeling(names, frozenset(names))  # one clause, all flipped
+    with pytest.raises(BudgetExceededError, match="11 variables exceed the truth-table cap of 10"):
+        find_horn_labeling(conjoin(Var(f"v{i}") for i in range(11)))
+
+
 @given(formulas(names=("p", "q", "r", "s"), max_depth=4))
 def test_labeling_agrees_with_enumeration(f):
-    clauses = to_cnf(f)
-    witnesses = enumerate_labelings(clauses)
+    witnesses = enumerate_labelings(formula_prime_implicates(f))
     labeling = find_horn_labeling(f)
     if labeling is None:
         assert witnesses == []
     else:
-        assert clauses.is_horn(labeling)
+        assert labeling.variables == tuple(sorted(vars_in(f)))
+        assert labeling.flipped in witnesses
+
+
+@given(formulas(names=("p", "q", "r", "s"), max_depth=4))
+def test_equivalent_formulas_get_the_same_verdict(f):
+    # formula_from_truth_table writes the same function over x1..x4
+    names = {"p": "x1", "q": "x2", "r": "x3", "s": "x4"}
+    table = formula_table(f, sorted(names))
+    labeling = find_horn_labeling(f)
+    other = find_horn_labeling(formula_from_truth_table(4, table))
+    assert (labeling is None) == (other is None)
+    if labeling is not None:
+        assert {names[v] for v in labeling.flipped} == other.flipped

@@ -22,6 +22,7 @@ from coalguard import (
     UnknownVariableError,
     Var,
     audit_vulnerabilities,
+    build_cycle_instance,
     diamond_holds,
     eval_formula,
     is_secure,
@@ -195,6 +196,16 @@ def test_eval_rejects_unknown_names(example1_model, example1_state):
         eval_formula(parse_formula("v1 & zz"), example1_model, example1_state)
     with pytest.raises(UnknownAgentError):
         eval_formula(parse_formula("<>{ghost} v1"), example1_model, example1_state)
+
+
+def test_unknown_agent_names_that_do_not_order_raise_unknown_agent_error():
+    model, state, _ = build_cycle_instance(5)
+    with pytest.raises(UnknownAgentError, match="unknown agents"):
+        diamond_holds(model, state, [5, None], Var("x1"))
+    with pytest.raises(UnknownAgentError, match="unknown agents"):
+        eval_formula(Diamond([5, None], TOP), model, state)
+    with pytest.raises(UnknownAgentError, match="unknown agents"):
+        Model(("a",), ("x",), {"a": ("x",)}, critical_formulas=(Diamond(["b", 5], Var("x")),))
 
 
 # ---------------------------------------------------------------------------

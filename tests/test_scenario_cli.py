@@ -592,8 +592,31 @@ def test_cli_analyze_sections_are_selectable(capsys, scenario_dir):
     assert "vulnerability audit" not in out
 
 
+HORN_SECTIONS = {
+    "example1.yaml": [
+        "  formula[0] v1 & v2 & (~v3 | v5 | ~v4): renamable Horn (already Horn, no flips)",
+        "  formula[1] (~v5 | ~v3) & ~v6: renamable Horn (already Horn, no flips)",
+        "  formula[2] v7 & (~v8 | ~v6): renamable Horn (already Horn, no flips)",
+        "  formula[3] (v8 | v5 | ~v9) & v2 & v1: renamable Horn "
+        "(v1: keep, v2: keep, v5: flip, v8: flip, v9: flip)",
+    ],
+    "greedy_gap.yaml": [
+        "  formula[0] x1 & x2 & ~z1: renamable Horn (already Horn, no flips)",
+        "  formula[1] x3 & x4 & ~z2: renamable Horn (already Horn, no flips)",
+    ],
+    "xor_pair.yaml": ["  formula[0] ~A & B | A & ~B: renamable Horn (A: flip, B: keep)"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(HORN_SECTIONS))
+def test_cli_analyze_horn_output_of_the_bundled_scenarios(capsys, scenario_dir, name):
+    assert main(["analyze", str(scenario_dir / name), "--horn"]) == 0
+    lines = ["Horn relabelings:", *HORN_SECTIONS[name]]
+    assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
+
+
 def test_cli_analyze_horn_past_the_clause_cap(capsys, tmp_path):
-    # (x0&y0) | ... | (x17&y17) distributes to 2^18 clauses
+    # (x0&y0) | ... | (x17&y17) spans 36 variables, past the truth-table cap
     xs, ys = [f"x{i}" for i in range(18)], [f"y{i}" for i in range(18)]
     wide = tmp_path / "wide.yaml"
     wide.write_text(
@@ -604,8 +627,7 @@ def test_cli_analyze_horn_past_the_clause_cap(capsys, tmp_path):
     assert main(["analyze", str(wide), "--horn"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "Horn relabelings:\n"
-    assert captured.err.startswith("error: clause form needs ")
-    assert captured.err.count("\n") == 1
+    assert captured.err == "error: 36 variables exceed the truth-table cap of 10\n"
 
 
 def test_cli_bench(capsys):
