@@ -20,16 +20,15 @@ from .formula import (
     _prime_implicates,
     Not,
     Var,
+    check_names,
+    compile_formula,
     conjoin,
     disjoin,
-    eval_formula,
     first_witness,
     flip_across,
     has_diamond,
     horn_renaming,
-    truth_tables,
     valuation_masks,
-    vars_of,
 )
 from .model import Model, PartialValuation, SystemState, check_state
 
@@ -97,7 +96,8 @@ class StateGraph:
 def build_state_graph(model: Model) -> StateGraph:
     """Flag the valuations where no critical formula holds.
 
-    The secure set is the complement of the OR of the formulas' truth tables.
+    The secure set is the complement of the OR of the formulas' truth
+    tables, each a compiled closure run once on the valuation masks.
     """
     n = len(model.variables)
     if n > GRAPH_VARIABLE_CAP:
@@ -105,10 +105,12 @@ def build_state_graph(model: Model) -> StateGraph:
             f"{n} variables exceed the state-graph cap of {GRAPH_VARIABLE_CAP}"
         )
     labels = tuple(model.owner_of(v) for v in model.variables)
+    full = (1 << (1 << n)) - 1
+    lanes = dict(zip(model.variables, valuation_masks(n)))
     insecure = 0
-    for table in truth_tables(model.critical_formulas, model):
-        insecure |= table
-    return StateGraph(tuple(model.variables), labels, ((1 << (1 << n)) - 1) ^ insecure)
+    for evaluate in model.compiled.evaluators:
+        insecure |= evaluate(lanes, full)
+    return StateGraph(tuple(model.variables), labels, full ^ insecure)
 
 
 def _connected(members: int, num_vars: int) -> bool:
@@ -188,12 +190,14 @@ def single_flip_agents(model: Model, state: SystemState, formula: Formula) -> fr
     check_state(state)
     if has_diamond(formula):
         raise ModalFormulaError("single-flip analysis takes a propositional formula")
-    if eval_formula(formula, model, state):
+    used = check_names(formula, model)
+    valuation = {v: state.value(v) for v in model.variables if v in used}  # first unassigned raises
+    evaluate = compile_formula(formula, model)
+    if evaluate(valuation, True):
         raise PreconditionError("formula is already true at this state")
     agents = set()
-    for variable in vars_of(formula):
-        flipped = state.with_updates({variable: not state.value(variable)})
-        if eval_formula(formula, model, flipped):
+    for variable in used:
+        if evaluate({**valuation, variable: not valuation[variable]}, True):
             agents.add(model.owner_of(variable))
     return frozenset(agents)
 
@@ -229,7 +233,7 @@ def audit_vulnerabilities(model: Model, state: SystemState) -> tuple[Vulnerabili
     compiled = model.compiled
     findings = []
     for index, f in enumerate(model.critical_formulas):
-        if compiled.evaluators[index](state.valuation):
+        if compiled.evaluators[index](state.valuation, True):
             candidates = model.agents
         else:
             candidates = tuple(a for a in model.agents if a in compiled.agents[index])

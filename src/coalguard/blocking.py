@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .errors import BudgetExceededError, PreconditionError
-from .formula import eval_lanes
 from .model import Model, SystemState, is_secure, unassigned
 from .engine import TIE_BREAKS, ActionRequest, SimulationReport, apply_actions, check_batch, simulate
 
@@ -172,8 +171,8 @@ def greedy_block(
         try:
             for index in dirty:
                 if index not in false_before:
-                    false_before[index] = not evaluators[index](before)
-                if false_before[index] and evaluators[index](after):
+                    false_before[index] = not evaluators[index](before, True)
+                if false_before[index] and evaluators[index](after, True):
                     if index not in became:
                         became.add(index)
                         pool = model.agents
@@ -240,19 +239,19 @@ def _false_counter(
     for a mask and a count; each item is one lane of an int. A formula
     mentioning no variable that a write changes is a constant. For the
     rest, a variable's lanes are its value at the state, flipped where its
-    writer is kept; walking each formula once over them sums its false
-    lanes into every count.
+    writer is kept; the formula's compiled closure, run once over them,
+    sums its false lanes into every count.
     """
     compiled, before = model.compiled, state.valuation
     position = {agent: i for i, agent in enumerate(requesters)}
     writes = {r.variable: (position[r.agent], r.new_value) for r in batch}  # the owner's last
     changed = {v: i for v, (i, value) in writes.items() if value != before[v]}
     constant, live = 0, []
-    for f, evaluate, used in zip(model.critical_formulas, compiled.evaluators, compiled.variables):
+    for evaluate, used in zip(compiled.evaluators, compiled.variables):
         if used.isdisjoint(changed):
-            constant += not evaluate(before)
+            constant += not evaluate(before, True)
         else:
-            live.append(f)
+            live.append(evaluate)
 
     def false_counts(packed: array) -> Sequence[int]:
         masks = int.from_bytes(packed, sys.byteorder)
@@ -260,7 +259,7 @@ def _false_counter(
         values = {variable: ones if value else 0 for variable, value in before.items()}
         for variable, i in changed.items():
             values[variable] ^= (masks >> i) & ones
-        count = constant * ones + sum(ones ^ eval_lanes(f, model, values, ones) for f in live)
+        count = constant * ones + sum(ones ^ evaluate(values, ones) for evaluate in live)
         return array(packed.typecode, count.to_bytes(len(packed) * packed.itemsize, sys.byteorder))
 
     return false_counts

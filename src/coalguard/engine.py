@@ -277,7 +277,7 @@ def simulate(model: Model, state: SystemState, batch: Sequence[ActionRequest]) -
         became = tuple(
             index
             for index in sorted(touched)
-            if not evaluators[index](before) and evaluators[index](now)
+            if not evaluators[index](before, True) and evaluators[index](now, True)
         )
     except KeyError as exc:
         raise unassigned(exc.args[0]) from None

@@ -21,8 +21,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from operator import itemgetter
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -42,7 +41,7 @@ DIAMOND_VARIABLE_CAP = 20
 # trees, so this keeps them far from Python's recursion limit.
 FORMULA_DEPTH_CAP = 256
 
-Evaluator = Callable[[Mapping[str, bool]], bool]
+Evaluator = Callable[[Mapping[str, int], int], int]
 
 
 class Formula:
@@ -361,7 +360,7 @@ def eval_formula(f: Formula, model, state) -> bool:
     Diamond nodes quantify existentially over assignments to the coalition's
     variables, everything else held fixed. ``state`` may be a SystemState or
     a plain variable -> bool mapping; one that leaves a variable f reads
-    unassigned raises UnknownVariableError.
+    unassigned raises UnknownVariableError. The reference for compile_formula.
     """
     check_names(f, model)
     valuation = getattr(state, "valuation", state)
@@ -378,15 +377,18 @@ def unassigned(variable: str) -> UnknownVariableError:
     return UnknownVariableError(f"state does not assign {variable!r}")
 
 
-def check_names(f: Formula, model) -> None:
-    """Raise for the first undeclared variable or agent that f names."""
-    unknown = vars_of(f) - model.variable_set
+def check_names(f: Formula, model) -> frozenset[str]:
+    """Raise for the first undeclared variable or agent that f names; else
+    return the variables f mentions."""
+    used = vars_of(f)
+    unknown = used - model.variable_set
     if unknown:
         raise UnknownVariableError(f"unknown variables: {sorted(unknown)}")
     for coalition in coalitions_of(f):
         missing = coalition - model.agent_set
         if missing:
             raise UnknownAgentError(f"unknown agents: {sorted(missing, key=repr)}")
+    return used
 
 
 def _eval(f: Formula, model, valuation: Mapping[str, bool]) -> bool:
@@ -400,32 +402,47 @@ def _eval(f: Formula, model, valuation: Mapping[str, bool]) -> bool:
         return _eval(f.left, model, valuation) or _eval(f.right, model, valuation)
     if isinstance(f, Diamond):
         relevant = _diamond_variables(f, model)
-        return first_witness(partial(_eval, f.child, model), valuation, relevant) is not None
+        witness = first_witness(lambda trial, _: _eval(f.child, model, trial), valuation, relevant)
+        return witness is not None
     raise PreconditionError(f"not a formula: {f!r}")
 
 
 def compile_formula(f: Formula, model) -> Evaluator:
-    """A closure evaluating f over a valuation mapping of the model as
-    eval_formula does, without its name checks, which callers make once. A <>
-    node checks its budget only when it is evaluated."""
+    """A closure ``(lanes, ones) -> int`` evaluating f in every lane at once
+    (Knuth, TAOCP 4A, 7.1.3), where ``ones`` sets bit 0 of each lane and
+    ``lanes[v]`` holds v's values; ``(valuation, True)`` is truthy exactly
+    when eval_formula holds. Names are not checked. ``&`` and ``|`` stop at
+    a left side of 0 and of ``ones``; <>{C} g ORs g over the assignments to
+    C's variables that g mentions until all lanes hold, checking its budget
+    only when evaluated. A propositional f needs no model."""
     if isinstance(f, Top):
-        return lambda valuation: True
+        return lambda lanes, ones: ones
     if isinstance(f, Var):
-        return itemgetter(f.name)
+        name = f.name
+        return lambda lanes, ones: lanes[name]
     pair = as_conjunction(f)
     if pair is not None:  # the ~(~a | ~b) that & builds, in one call instead of four
         left, right = compile_formula(pair[0], model), compile_formula(pair[1], model)
-        return lambda valuation: left(valuation) and right(valuation)
+        return lambda lanes, ones: (x := left(lanes, ones)) and x & right(lanes, ones)
     if isinstance(f, Not):
         child = compile_formula(f.child, model)
-        return lambda valuation: not child(valuation)
+        return lambda lanes, ones: ones ^ child(lanes, ones)
     if isinstance(f, Or):
         left, right = compile_formula(f.left, model), compile_formula(f.right, model)
-        return lambda valuation: left(valuation) or right(valuation)
+        return lambda lanes, ones: x if (x := left(lanes, ones)) == ones else x | right(lanes, ones)
     if isinstance(f, Diamond):
         child = compile_formula(f.child, model)
         relevant = _diamond_variables(f, model)
-        return lambda valuation: first_witness(child, valuation, relevant) is not None
+        def diamond(lanes, ones):
+            _check_budget(relevant)
+            trial, result = dict(lanes), 0
+            for combo in itertools.product((0, ones), repeat=len(relevant)):
+                trial.update(zip(relevant, combo))
+                result |= child(trial, ones)
+                if result == ones:
+                    break
+            return result
+        return diamond
     raise PreconditionError(f"not a formula: {f!r}")
 
 
@@ -447,7 +464,7 @@ def _check_budget(relevant: Sequence[str]) -> None:
 def first_witness(
     evaluate: Evaluator, valuation: Mapping[str, bool], relevant: Sequence[str]
 ) -> Optional[dict[str, bool]]:
-    """The first assignment to ``relevant`` making ``evaluate`` true, or None.
+    """The first assignment to ``relevant`` making ``evaluate(trial, True)`` true, or None.
 
     Assignments are tried in itertools.product order, False before True, the
     rest of the valuation held fixed. Capped at DIAMOND_VARIABLE_CAP variables.
@@ -457,7 +474,7 @@ def first_witness(
     for combo in itertools.product((False, True), repeat=len(relevant)):
         assignment = dict(zip(relevant, combo))
         trial.update(assignment)
-        if evaluate(trial):
+        if evaluate(trial, True):
             return assignment
     return None
 
@@ -488,70 +505,6 @@ def flip_across(bits: int, j: int, mask: int) -> int:
     i ^ (1 << j) of bits. mask is valuation_masks(n)[j]."""
     shift = 1 << j
     return ((bits >> shift) & ~mask) | ((bits << shift) & mask)
-
-
-def truth_tables(formulas: Iterable[Formula], model) -> tuple[int, ...]:
-    """Each formula's value at all 2^n valuations of model.variables, as one int.
-
-    Bit i is the value where variables[j] is bit j of i. <>{C} g cofactors
-    g's table over each variable of C that g mentions. A table takes 2^n
-    bits, so callers bound n (up to DIAMOND_VARIABLE_CAP the tables agree
-    with eval_formula). Names are not checked: pass the model's own formulas,
-    which Model checks when it is built.
-    """
-    variables = model.variables
-    masks = valuation_masks(len(variables))
-    full = (1 << (1 << len(variables))) - 1
-    slot = {variable: j for j, variable in enumerate(variables)}
-
-    def table(f: Formula) -> int:
-        if isinstance(f, Top):
-            return full
-        if isinstance(f, Var):
-            return masks[slot[f.name]]
-        pair = as_conjunction(f)
-        if pair is not None:
-            return table(pair[0]) & table(pair[1])
-        if isinstance(f, Not):
-            return full ^ table(f.child)
-        if isinstance(f, Or):
-            return table(f.left) | table(f.right)
-        if isinstance(f, Diamond):
-            result = table(f.child)
-            for variable in _diamond_variables(f, model):
-                # valuation i may take the value of its neighbour across variable j
-                j = slot[variable]
-                result |= flip_across(result, j, masks[j])
-            return result
-        raise PreconditionError(f"not a formula: {f!r}")
-
-    return tuple(table(f) for f in formulas)
-
-
-def eval_lanes(f: Formula, model, values: Mapping[str, int], ones: int) -> int:
-    """f in every lane at once, with bit 0 of each lane of ``values[v]`` v's
-    value there and ``ones`` setting it in every lane. <>{C} g ORs g over the
-    assignments to C's variables that g mentions, up to DIAMOND_VARIABLE_CAP."""
-    if isinstance(f, Var):
-        return values[f.name]
-    pair = as_conjunction(f)
-    if pair is not None:
-        return eval_lanes(pair[0], model, values, ones) & eval_lanes(pair[1], model, values, ones)
-    if isinstance(f, Not):
-        return ones ^ eval_lanes(f.child, model, values, ones)
-    if isinstance(f, Or):
-        return eval_lanes(f.left, model, values, ones) | eval_lanes(f.right, model, values, ones)
-    if isinstance(f, Diamond):
-        relevant = _diamond_variables(f, model)
-        _check_budget(relevant)
-        trial, result = dict(values), 0
-        for combo in itertools.product((0, ones), repeat=len(relevant)):
-            trial.update(zip(relevant, combo))
-            result |= eval_lanes(f.child, model, trial, ones)
-        return result
-    if isinstance(f, Top):
-        return ones
-    raise PreconditionError(f"not a formula: {f!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +577,7 @@ def find_horn_labeling(f: Formula) -> Optional[HornLabeling]:
     names = tuple(sorted(vars_of(f)))
     clauses = _all_clauses(len(names))
     full = (1 << (1 << len(names))) - 1
-    table = eval_lanes(f, None, dict(zip(names, valuation_masks(len(names)))), full)
+    table = compile_formula(f, None)(dict(zip(names, valuation_masks(len(names)))), full)
     flipped = horn_renaming(_prime_implicates(clauses, table))
     return None if flipped is None else HornLabeling(names, frozenset(names[j] for j in flipped))
 

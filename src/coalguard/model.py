@@ -27,7 +27,6 @@ from .formula import (
     first_witness,
     has_diamond,
     unassigned,
-    vars_of,
 )
 
 
@@ -86,11 +85,12 @@ class Model:
         object.__setattr__(self, "_owner", owner)
         object.__setattr__(self, "_variable_set", variable_set)
         object.__setattr__(self, "_agent_set", agent_set)
+        used = []
         for f in formulas:
             if not isinstance(f, Formula):
                 raise PreconditionError(f"critical formulas must be formulas, got {f!r}")
-            check_names(f, self)
-        object.__setattr__(self, "compiled", compile_model(self))
+            used.append(check_names(f, self))
+        object.__setattr__(self, "compiled", compile_model(self, tuple(used)))
 
     @property
     def variable_set(self) -> frozenset[str]:
@@ -127,8 +127,9 @@ class Model:
 class CompiledModel(NamedTuple):
     """The critical formulas compiled once, shared by engine, blocking and analysis.
 
-    Position i of evaluators, variables and agents belongs to critical
-    formula i; its agents are those whose owned set meets its variables.
+    Position i of evaluators (compile_formula's closures), variables and
+    agents belongs to critical formula i; its agents are those whose owned
+    set meets its variables.
     by_variable maps a variable to the ascending indices of the formulas
     mentioning it.
     """
@@ -139,11 +140,10 @@ class CompiledModel(NamedTuple):
     by_variable: Mapping[str, tuple[int, ...]]
 
 
-def compile_model(model: Model) -> CompiledModel:
-    """Build the compiled form; Model construction builds it once, as model.compiled."""
-    formulas = model.critical_formulas
-    variables = tuple(vars_of(f) for f in formulas)
-    evaluators = tuple(compile_formula(f, model) for f in formulas)
+def compile_model(model: Model, variables: tuple[frozenset[str], ...]) -> CompiledModel:
+    """The compiled form, given check_names' variable set of each formula;
+    Model construction builds it once, as model.compiled."""
+    evaluators = tuple(compile_formula(f, model) for f in model.critical_formulas)
     agents = tuple(frozenset(map(model.owner_of, used)) for used in variables)
     by_variable: dict[str, tuple[int, ...]] = {}
     for index, used in enumerate(variables):
@@ -154,7 +154,8 @@ def compile_model(model: Model) -> CompiledModel:
 
 @dataclass(frozen=True)
 class SystemState:
-    """A clock value plus a total valuation of the model's variables."""
+    """A clock value plus a total valuation of the model's variables, each
+    value a bool or the int 0 or 1, as the compiled formulas require."""
 
     tick: int
     valuation: Mapping[str, bool]
@@ -166,6 +167,9 @@ class SystemState:
             object.__setattr__(self, "valuation", dict(self.valuation))
         except (TypeError, ValueError) as exc:
             raise PreconditionError(f"valuation must be a mapping: {exc}") from None
+        for value in self.valuation.values():
+            if value is not True and value is not False and (type(value) is not int or value >> 1):
+                raise PreconditionError(f"a value must be a bool or the int 0 or 1, not {value!r}")
 
     def value(self, variable: str) -> bool:
         try:
@@ -236,7 +240,7 @@ def is_secure(model: Model, state: SystemState) -> bool:
     check_state(state)
     valuation = state.valuation
     try:
-        return not any(evaluate(valuation) for evaluate in model.compiled.evaluators)
+        return not any(evaluate(valuation, True) for evaluate in model.compiled.evaluators)
     except KeyError as exc:
         raise unassigned(exc.args[0]) from None
 
@@ -255,8 +259,8 @@ def diamond_holds(
         raise ModalFormulaError("ability checks take a propositional formula")
     members = coalition_names(coalition)
     owned = model.coalition_variables(members)
-    check_names(f, model)
-    relevant = tuple(v for v in owned if v in vars_of(f))
+    used = check_names(f, model)
+    relevant = tuple(v for v in owned if v in used)
     try:
         assignment = first_witness(compile_formula(f, model), state.valuation, relevant)
     except KeyError as exc:

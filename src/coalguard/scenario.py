@@ -183,7 +183,8 @@ def scenario_from_mapping(data: Mapping, allow_insecure_start: bool = False) -> 
     valuation = {v: _require(initial[v], bool, f"initial[{v}]") for v in variables}
     state = SystemState(0, valuation)
 
-    satisfied = [i for i, evaluate in enumerate(model.compiled.evaluators) if evaluate(valuation)]
+    evaluators = model.compiled.evaluators
+    satisfied = [i for i, evaluate in enumerate(evaluators) if evaluate(valuation, True)]
     if satisfied and not allow_insecure_start:
         raise InsecureStartError(
             f"initial state satisfies critical formula(s) {satisfied}"

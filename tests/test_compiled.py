@@ -62,8 +62,28 @@ def test_compiled_evaluator_matches_eval_formula(seed):
     for _ in range(8):
         valuation = {v: rng.random() < 0.5 for v in model.variables}
         expected = eval_formula(f, model, valuation)
-        assert bool(evaluate(valuation)) == expected
-        assert bool(critical.compiled.evaluators[0](valuation)) == expected
+        assert bool(evaluate(valuation, True)) == expected
+        assert bool(critical.compiled.evaluators[0](valuation, True)) == expected
+
+
+@given(seeds)
+def test_lane_mode_matches_eval_formula_in_every_lane(seed):
+    rng = random.Random(seed)
+    model = random_model(rng, max_vars=7, max_agents=4)
+    f = modal_formula(rng, model)
+    valuations = [
+        {v: rng.random() < 0.5 for v in model.variables} for _ in range(rng.randint(1, 20))
+    ]
+    width = rng.choice((1, 8, 64))  # lane width in bits; bit 0 carries the value
+    ones = sum(1 << (width * i) for i in range(len(valuations)))
+    values = {
+        v: sum(valuation[v] << (width * i) for i, valuation in enumerate(valuations))
+        for v in model.variables
+    }
+    result = compile_formula(f, model)(values, ones)
+    assert result & ~ones == 0
+    for i, valuation in enumerate(valuations):
+        assert (result >> (width * i)) & 1 == eval_formula(f, model, valuation)
 
 
 def reference_simulate(model, state, batch):
@@ -135,12 +155,12 @@ def test_diamond_budget_raises_only_when_evaluated():
     )
     evaluate = model.compiled.evaluators[0]
     quiet = {v: False for v in model.variables}
-    assert evaluate({**quiet, "x": True})
+    assert evaluate({**quiet, "x": True}, True)
     alarmed = SystemState(0, {**quiet, "x": True})
     assert not is_secure(model, alarmed)
     assert simulate(model, alarmed, (ActionRequest("big", "y0", True, 0),)).became_true == ()
     with pytest.raises(BudgetExceededError):
-        evaluate(quiet)
+        evaluate(quiet, True)
     with pytest.raises(BudgetExceededError):
         is_secure(model, SystemState(0, quiet))
 

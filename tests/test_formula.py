@@ -98,7 +98,7 @@ def test_formula_at_depth_cap_is_usable(at_cap, past_cap):
     assert validate_model(model) == ()
     for x, y in itertools.product((False, True), repeat=2):
         valuation = {"x": x, "y": y}
-        assert model.compiled.evaluators[0](valuation) == eval_formula(f, model, valuation)
+        assert model.compiled.evaluators[0](valuation, True) == eval_formula(f, model, valuation)
     assert parse_formula(format_formula(f)) == f
     with pytest.raises(BudgetExceededError, match="deeper than 256"):
         parse_formula(past_cap)
@@ -138,7 +138,7 @@ def test_vars_of_matches_reference(f):
 @given(formulas(), st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()))
 def test_evaluate_matches_reference(f, bits):
     valuation = dict(zip(("p", "q", "r", "s"), bits))
-    assert compile_formula(f, PQRS)(valuation) == truth_eval(f, valuation)
+    assert compile_formula(f, PQRS)(valuation, True) == truth_eval(f, valuation)
 
 
 def test_has_diamond():
@@ -178,7 +178,7 @@ def test_built_trees_stay_within_the_recursive_walkers():
     evaluate = compile_formula(expanded, model)
     for bits in (0, 1, 0b1010000000, 1023):
         valuation = {v: bool(bits >> i & 1) for i, v in enumerate(names)}
-        assert evaluate(valuation) == eval_formula(expanded, model, valuation) == (bits != 0)
+        assert evaluate(valuation, True) == eval_formula(expanded, model, valuation) == (bits != 0)
     wide = disjoin([Var(f"v{i}") for i in range(2000)])
     assert vars_of(wide) == {f"v{i}" for i in range(2000)}
 

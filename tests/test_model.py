@@ -108,6 +108,17 @@ def test_system_state_rejects_a_tick_that_is_not_an_int(tick):
         SystemState(tick, {})
 
 
+@pytest.mark.parametrize("value", [2, -1, "x", None, 1.0], ids=repr)
+def test_system_state_rejects_a_value_that_is_not_a_bit(value):
+    with pytest.raises(PreconditionError, match="bool or the int 0 or 1"):
+        SystemState(0, {"x": False, "y": value})
+
+
+def test_system_state_keeps_bools_and_the_ints_0_and_1():
+    valuation = {"a": True, "b": False, "c": 0, "d": 1}
+    assert SystemState(0, valuation).valuation == valuation
+
+
 def test_partial_valuation_rejects_malformed_parts():
     for coalition, assignment in ((5, {}), (("a1",), 5)):
         with pytest.raises(CoalGuardError, match="malformed partial valuation"):
