@@ -76,17 +76,11 @@ def rank_agents(
     _check_tie_break(tie_break)
     if not matrix.agents:
         raise PreconditionError("empty blocking matrix")
-    first_position: dict[str, int] = {}
-    for position, request in enumerate(batch):
+    first_position: dict[str, int] = {}  # left empty under "lex": every agent ties on it
+    for position, request in enumerate(batch if tie_break == "fifo" else ()):
         first_position.setdefault(request.agent, position)
-
-    def key(item):
-        agent, counter = item
-        if tie_break == "fifo":
-            return (-counter, first_position.get(agent, len(batch)), agent)
-        return (-counter, agent)
-
-    ordered = sorted(zip(matrix.agents, matrix.counters), key=key)
+    ordered = sorted(zip(matrix.agents, matrix.counters), key=lambda item: (
+        -item[1], first_position.get(item[0], len(batch)), item[0]))
     return tuple(agent for agent, _ in ordered)
 
 
@@ -142,8 +136,10 @@ def greedy_block(
     for request in batch:
         written_by.setdefault(request.agent, {})[request.variable] = None
     surviving = set(written_by)
-    # the surviving requesters in tie order; ranking sorts them stably by count
-    order = list(written_by) if tie_break == "fifo" else sorted(written_by)
+    # the columns are the surviving requesters with a non-zero counter; ranking
+    # sorts them by tie position, then stably by descending counter
+    tie_position = dict(zip(written_by if tie_break == "fifo" else sorted(written_by),
+                            range(len(written_by))))
     rows, implicated = report.became_true, report.implicated_agents
     became = set(rows)
     count: dict[str, int] = {}  # agent -> formulas in became it controls: its column's sum
@@ -155,13 +151,11 @@ def greedy_block(
         row_agents = tuple(map(formula_agents.__getitem__, rows))
         counters = tuple(map(count.__getitem__, implicated))
         matrix = BlockingMatrix(rows, implicated, row_agents, counters)
-        ranking = tuple(
-            sorted([a for a in order if count.get(a)], key=count.__getitem__, reverse=True)
-        )
+        ranking = tuple(sorted(sorted(implicated, key=tie_position.__getitem__),
+                               key=count.__getitem__, reverse=True))
         top = ranking[0]
         iterations.append(GreedyIteration(rows, implicated, matrix, ranking, top))
         surviving.discard(top)
-        order.remove(top)
         dirty: set[int] = set()
         for variable in written_by[top]:
             if after[variable] != before[variable]:
@@ -187,7 +181,7 @@ def greedy_block(
         if not became:
             break
         rows = tuple(sorted(became))
-        implicated = tuple(a for a in pool if a in surviving and count.get(a))
+        implicated = tuple(filter(count.get, filter(surviving.__contains__, pool)))
     allowed = tuple(request for request in batch if request.agent in surviving)
     blocked = tuple(item.blocked_agent for item in iterations)
     return BlockReport("greedy", blocked, allowed, tuple(iterations))

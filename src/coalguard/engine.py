@@ -352,15 +352,8 @@ def tick(
 
     new_state = apply_actions(state, report.allowed_batch)
     registry.update(config.blocking_strategy.schedule(report.blocked, state.tick, strategy_rng))
-    record = TickRecord(
-        tick=new_state.tick,
-        batch=batch,
-        iterations=report.iterations,
-        blocked=report.blocked,
-        executed=report.allowed_batch,
-        valuation=new_state.valuation,
-        secure=is_secure(model, new_state),
-    )
+    record = TickRecord(new_state.tick, batch, report.iterations, report.blocked,
+                        report.allowed_batch, new_state.valuation, is_secure(model, new_state))
     return TickOutcome(new_state, remaining, registry, record)
 
 

@@ -178,9 +178,11 @@ class SystemState:
             raise unassigned(variable) from None
 
     def with_updates(self, changes: Mapping[str, bool], tick: Optional[int] = None) -> "SystemState":
-        valuation = dict(self.valuation)
-        valuation.update(changes)
-        return SystemState(self.tick if tick is None else tick, valuation)
+        """The state with ``changes`` applied. Only the tick and the changes
+        are checked, as a state of their own: this state's values were."""
+        update = SystemState(self.tick if tick is None else tick, changes)
+        object.__setattr__(update, "valuation", {**self.valuation, **update.valuation})
+        return update
 
 
 @dataclass(frozen=True)

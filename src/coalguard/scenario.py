@@ -111,15 +111,10 @@ def config_from_mapping(data: Optional[Mapping]) -> EngineConfig:
     extra = set(data) - _CONFIG_KEYS
     if extra:
         raise ScenarioError(f"config: unknown keys {sorted(extra, key=str)}")
-    kwargs = {}
-    if "max_actions_per_tick" in data:
-        kwargs["max_actions_per_tick"] = data["max_actions_per_tick"]
-    if "policy" in data:
-        kwargs["policy"] = data["policy"]
+    kwargs = {key: data[key] for key in ("max_actions_per_tick", "policy", "tie_break")
+              if key in data}
     if "blocking_strategy" in data:
         kwargs["blocking_strategy"] = parse_strategy(data["blocking_strategy"])
-    if "tie_break" in data:
-        kwargs["tie_break"] = data["tie_break"]
     if "seed" in data:
         kwargs["random_seed"] = _require(data["seed"], int, "config: seed")
     try:
@@ -232,11 +227,7 @@ def override_config(
     config: EngineConfig, policy: Optional[str] = None, seed: Optional[int] = None
 ) -> EngineConfig:
     """Command-line overrides applied on top of the file's config."""
-    changes = {}
-    if policy is not None:
-        changes["policy"] = policy
-    if seed is not None:
-        changes["random_seed"] = seed
+    changes = {k: v for k, v in (("policy", policy), ("random_seed", seed)) if v is not None}
     return replace(config, **changes) if changes else config
 
 
@@ -275,29 +266,48 @@ def _request_json(r: ActionRequest) -> str:
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _mark_tokens(width: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """A blank row of ``width`` >= 1 marks as tokens, each with its true form;
+    64 widths are kept, about 1 MB of pointers at 1,000 columns each."""
+    blank = ["[false"] + [",false"] * (width - 1)
+    blank[-1] += "],"
+    return tuple(blank), tuple(token.replace("false", "true") for token in blank)
+
+
 def _marks_json(matrix: blocking.BlockingMatrix) -> str:
-    """The marks rows, each set from its row's agents without a bool tuple."""
-    column = {agent: position for position, agent in enumerate(matrix.agents)}
-    blank = ["false"] * len(column)
-    rows = []
-    for row in matrix.row_agents:
-        cells = blank.copy()
-        for agent in column.keys() & row:
-            cells[column[agent]] = "true"
-        rows.append("[" + ",".join(cells) + "]")
-    return ",".join(rows)
+    """The marks rows from one flat token list joined once: the blank row
+    repeated per row, a cell swapped to true for each of the row's agents,
+    and the last row's trailing comma trimmed."""
+    rows, width = matrix.row_agents, len(matrix.agents)
+    if not rows or not width:
+        return ",".join(["[]"] * len(rows))
+    column = dict(zip(matrix.agents, range(width)))
+    if len(column) < width:  # an agent named in two columns: each of them is marked
+        return ",".join(["[" + ",".join(map(_leaf, row)) + "]" for row in matrix.marks])
+    blank, marked = _mark_tokens(width)
+    cells = list(blank) * len(rows)
+    for start, row in zip(range(0, len(cells), width), rows):
+        for agent in row:
+            if (position := column.get(agent)) is not None:
+                cells[start + position] = marked[position]
+    cells[-1] = cells[-1][:-1]
+    return "".join(cells)
 
 
 def _iteration_json(item) -> str:
     if isinstance(item, blocking.GreedyIteration):
         m = item.matrix
+        agents, formulas = _list(m.agents), _list(m.formula_indices, str)
+        # greedy's own rounds share these tuples with their matrix
+        became = formulas if item.became_true is m.formula_indices else _list(item.became_true, str)
+        implicated = agents if item.implicated is m.agents else _list(item.implicated)
         return (
             '{"became_true":%s,"blocked":%s,"implicated":%s,"kind":"greedy","matrix":'
             '{"agents":%s,"counters":%s,"formulas":%s,"marks":[%s]},"ranking":%s}'
         ) % (
-            _list(item.became_true, str), _name(item.blocked_agent), _list(item.implicated),
-            _list(m.agents), _list(m.counters, str), _list(m.formula_indices, str),
-            _marks_json(m), _list(item.ranking),
+            became, _name(item.blocked_agent), implicated, agents, _list(m.counters, str),
+            formulas, _marks_json(m), _list(item.ranking),
         )
     if isinstance(item, blocking.OracleRound):
         return (

@@ -530,6 +530,42 @@ def test_greedy_rounds_on_the_cycle_match_full_resimulation():
     assert report.iterations == reference_greedy(model, state, batch, "fifo")[0]
 
 
+def flip_in_case():
+    """Five agents owning one variable each, listed in model order c, d, b, e,
+    a and asking in batch order b, d, e, a, c. Four of the five formulas are
+    true after the batch, each agent in two of them, so the first round is a
+    four-way tie. Blocking b resets vb, which flips vc & ~vb in: c joins the
+    columns first, in model order, although it never was a column before."""
+    agents = ("c", "d", "b", "e", "a")
+    variables = tuple(f"v{a}" for a in agents)
+    formulas = tuple(parse_formula(text) for text in (
+        "vb & vd", "ve & va", "vd & va", "vc & ~vb", "vb & ve"))
+    model = Model(agents, variables, {a: (f"v{a}",) for a in agents}, formulas)
+    state = SystemState(0, dict.fromkeys(variables, False))
+    batch = tuple(ActionRequest(a, f"v{a}", True, i) for i, a in enumerate("bdeac"))
+    return model, state, batch
+
+
+@pytest.mark.parametrize("tie_break, rounds", [
+    # fifo: first batch position breaks every tie, against name and model order
+    ("fifo", [((0, 1, 2, 4), ("d", "b", "e", "a"), ("b", "d", "e", "a")),
+              ((1, 2, 3), ("c", "d", "e", "a"), ("a", "d", "e", "c")),
+              ((3,), ("c",), ("c",))]),
+    ("lex", [((0, 1, 2, 4), ("d", "b", "e", "a"), ("a", "b", "d", "e")),
+             ((0, 4), ("d", "b", "e"), ("b", "d", "e")),
+             ((3,), ("c",), ("c",))]),
+])
+def test_greedy_ranks_a_formula_flipping_in_mid_loop_as_the_reference(tie_break, rounds):
+    model, state, batch = flip_in_case()
+    report = greedy_block(model, state, batch, tie_break)
+    iterations, allowed = reference_greedy(model, state, batch, tie_break)
+    assert report.iterations == iterations
+    assert report.allowed_batch == allowed == batch[1:3]  # d and e write
+    got = [(item.became_true, item.implicated, item.ranking) for item in report.iterations]
+    assert got == rounds
+    assert report.blocked == tuple(ranking[0] for _, _, ranking in rounds)
+
+
 @pytest.mark.parametrize("size, rounds", [(200, 113), (400, 233), (800, 459)])
 def test_greedy_rounds_on_growing_cycles(size, rounds):
     model, state, batch = build_cycle_instance(size, 0)

@@ -119,6 +119,32 @@ def test_system_state_keeps_bools_and_the_ints_0_and_1():
     assert SystemState(0, valuation).valuation == valuation
 
 
+@pytest.mark.parametrize(
+    "changes, tick, message",
+    [({"x": 2}, None, "bool or the int 0 or 1"), ({"y": None}, 3, "bool or the int 0 or 1"),
+     ({"x": True}, True, "tick must be an int"), ([1, 2], None, "valuation must be a mapping")],
+    ids=["value 2", "value None", "bool tick", "not a mapping"],
+)
+def test_with_updates_checks_the_tick_and_the_changes(changes, tick, message):
+    state = SystemState(4, {"x": False, "y": 1})
+    with pytest.raises(PreconditionError, match=message):
+        state.with_updates(changes, tick)
+    assert state == SystemState(4, {"x": False, "y": 1})  # left as it was
+
+
+@pytest.mark.parametrize("tick", [None, 0, 9])
+def test_with_updates_equals_the_state_the_constructor_builds(tick):
+    state = SystemState(4, {"x": False, "y": 1, "z": True})
+    changes = {"z": 0, "x": True, "w": False}  # one new variable, appended last
+    updated = state.with_updates(changes, tick)
+    built = SystemState(4 if tick is None else tick, {**state.valuation, **changes})
+    assert updated == built
+    assert list(updated.valuation.items()) == list(built.valuation.items())
+    assert state.valuation == {"x": False, "y": 1, "z": True}
+    changes["x"] = False  # the new state holds a copy of the changes
+    assert updated.valuation["x"] is True
+
+
 def test_partial_valuation_rejects_malformed_parts():
     for coalition, assignment in ((5, {}), (("a1",), 5)):
         with pytest.raises(CoalGuardError, match="malformed partial valuation"):

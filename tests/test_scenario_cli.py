@@ -14,10 +14,12 @@ from coalguard import (
     ActionQueue,
     ActionRequest,
     BlockForRandomInterval,
+    BlockingMatrix,
     BlockUntilTick,
     CoalGuardError,
     DropTick,
     EngineConfig,
+    GreedyIteration,
     InsecureStartError,
     Model,
     PreconditionError,
@@ -398,6 +400,43 @@ def test_trace_line_writes_hand_built_records_as_json_does(scenario_dir):
     assert trace_line(record) == reference_line(record)
     assert '"executed":[{"agent":"a9","arrival":7,"value":1,"var":"x"}]' in trace_line(record)
     assert trace_line(record).endswith('"valuation":{"2":0,"10":true}}')
+
+
+def hand_built_rounds():
+    """Greedy rounds built by hand, keyed by what their matrices exercise."""
+    rows = (frozenset({"a1", "a3"}), frozenset({"a2"}), frozenset({"a1", "a2", "a3"}))
+    wide = BlockingMatrix((0, 2, 5), ("a1", "a2", "a3"), rows, (2, 2, 2))
+    return {
+        # tuples equal to the matrix's but distinct objects, so not shared
+        "equal copies": GreedyIteration(
+            tuple(list(wide.formula_indices)), tuple(list(wide.agents)), wide,
+            ("a2", "a1", "a3"), "a2"),
+        # lists that differ from the matrix's: each is written as it is
+        "different lists": GreedyIteration((7,), ("a9", "é\n"), wide, ("a3",), "a3"),
+        "one column": GreedyIteration(
+            (1, 4), ("a2",), BlockingMatrix((1, 4), ("a2",), rows[1:], (1,)), ("a2",), "a2"),
+        "no columns": GreedyIteration((3,), (), BlockingMatrix((3,), (), rows[:2], ()), (), "a1"),
+        "no rows": GreedyIteration((), ("a1",), BlockingMatrix((), ("a1",), (), (0,)), (), "a1"),
+        "one cell": GreedyIteration(
+            (0,), ("a1",), BlockingMatrix((0,), ("a1",), rows[:1], (1,)), ("a1",), "a1"),
+        # an agent named in two columns marks both
+        "repeated column": GreedyIteration(
+            (0, 2), ("a1", "a3", "a1"),
+            BlockingMatrix((0, 2), ("a1", "a3", "a1"), rows[::2], (2, 2, 2)), ("a1",), "a1"),
+    }
+
+
+@pytest.mark.parametrize("kind", list(hand_built_rounds()))
+def test_trace_line_writes_hand_built_greedy_rounds_as_json_does(kind):
+    item = hand_built_rounds()[kind]
+    if kind == "equal copies":
+        assert item.became_true == item.matrix.formula_indices
+        assert item.became_true is not item.matrix.formula_indices
+        assert item.implicated is not item.matrix.agents
+    request = ActionRequest("a1", "x", True, 0)
+    for iterations in ((item,), (item, item)):  # alone, and followed by another round
+        record = TickRecord(1, (request,), iterations, ("a1",), (), {"x": False}, True)
+        assert trace_line(record) == reference_line(record)
 
 
 def test_trace_line_writes_rounds_larger_than_the_subset_memo_as_json_does():
