@@ -95,12 +95,13 @@ class GreedyIteration:
 
 @dataclass(frozen=True)
 class BlockReport:
-    """Outcome of a blocking decision over one batch."""
+    """Outcome of a blocking decision over one batch; ``state`` follows ``allowed_batch``."""
 
     method: str
     blocked: tuple[str, ...]
     allowed_batch: tuple[ActionRequest, ...]
     iterations: tuple
+    state: SystemState
 
 
 def greedy_block(
@@ -127,7 +128,7 @@ def greedy_block(
     iterations: list[GreedyIteration] = []
     report = simulate(model, state, batch)
     if not report.became_true:
-        return BlockReport("greedy", (), batch, ())
+        return BlockReport("greedy", (), batch, (), report.simulated_state)
     compiled = model.compiled
     evaluators, formula_agents = compiled.evaluators, compiled.agents
     before = state.valuation
@@ -184,7 +185,8 @@ def greedy_block(
         implicated = tuple(filter(count.get, filter(surviving.__contains__, pool)))
     allowed = tuple(request for request in batch if request.agent in surviving)
     blocked = tuple(item.blocked_agent for item in iterations)
-    return BlockReport("greedy", blocked, allowed, tuple(iterations))
+    return BlockReport("greedy", blocked, allowed, tuple(iterations),
+                       SystemState(state.tick + 1, after))
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +261,15 @@ def _false_counter(
     return false_counts
 
 
+def _requesters(model: Model, batch: Sequence[ActionRequest]) -> tuple[str, ...]:
+    asking = {r.agent for r in batch}
+    requesters = tuple(a for a in model.agents if a in asking)
+    if len(requesters) > SUBSET_SEARCH_CAP:
+        raise BudgetExceededError(f"{len(requesters)} requesting agents exceed the "
+                                  f"subset-search cap of {SUBSET_SEARCH_CAP}")
+    return requesters
+
+
 def nondet_block(
     model: Model,
     state: SystemState,
@@ -279,15 +290,9 @@ def nondet_block(
     rng = rng if rng is not None else random.Random(seed)
     initial = simulate(model, state, batch)
     if not initial.became_true:
-        return BlockReport("nondeterministic", (), batch, ())
+        return BlockReport("nondeterministic", (), batch, (), initial.simulated_state)
 
-    asking = {r.agent for r in batch}
-    requesters = tuple(a for a in model.agents if a in asking)
-    if len(requesters) > SUBSET_SEARCH_CAP:
-        raise BudgetExceededError(
-            f"{len(requesters)} requesting agents exceed the subset-search cap "
-            f"of {SUBSET_SEARCH_CAP}"
-        )
+    requesters = _requesters(model, batch)
     total = len(model.critical_formulas)
     width = max(len(requesters), total.bit_length())
     code = next(code for code in "BHILQ" if array(code).itemsize * 8 >= width)
@@ -311,10 +316,11 @@ def nondet_block(
                 break
     except KeyError as exc:  # an evaluator read a variable the state leaves unassigned
         raise unassigned(exc.args[0]) from None
-    keep = set(chosen)
-    blocked = tuple(a for a in requesters if a not in keep)
-    allowed = tuple(r for r in batch if r.agent in keep)
-    return BlockReport("nondeterministic", blocked, allowed, tuple(rounds))
+    blocked = tuple(a for a in requesters if a not in chosen)
+    allowed = tuple(r for r in batch if r.agent in chosen)
+    undone = {r.variable: state.valuation[r.variable] for r in batch if r.agent not in chosen}
+    after = initial.simulated_state.with_updates(undone)  # the blocked writes reset
+    return BlockReport("nondeterministic", blocked, allowed, tuple(rounds), after)
 
 
 def brute_force_min_block(
@@ -326,24 +332,17 @@ def brute_force_min_block(
     tuple. Exponential in the requester count; capped at 16 requesters.
     """
     batch = check_batch(model, batch)
-    asking = {r.agent for r in batch}
-    requesters = tuple(a for a in model.agents if a in asking)
-    if len(requesters) > SUBSET_SEARCH_CAP:
-        raise BudgetExceededError(
-            f"{len(requesters)} requesting agents exceed the subset-search cap "
-            f"of {SUBSET_SEARCH_CAP}"
-        )
+    requesters = _requesters(model, batch)
     for keep_size in range(len(requesters), -1, -1):
-        winners = []
+        winners = []  # (blocked, restricted batch, state after it)
         for keep in itertools.combinations(requesters, keep_size):
-            members = set(keep)
-            restricted = tuple(r for r in batch if r.agent in members)
-            if is_secure(model, apply_actions(state, restricted)):
-                winners.append(tuple(sorted(set(requesters) - members)))
+            restricted = tuple(r for r in batch if r.agent in keep)
+            after = apply_actions(state, restricted)
+            if is_secure(model, after):
+                winners.append((tuple(sorted(set(requesters).difference(keep))), restricted, after))
         if winners:
-            blocked = min(winners)
-            allowed = tuple(r for r in batch if r.agent not in set(blocked))
-            return BlockReport("brute_force", blocked, allowed, ())
+            blocked, allowed, after = min(winners)  # blocked tuples differ: they decide
+            return BlockReport("brute_force", blocked, allowed, (), after)
     raise PreconditionError(
         "no blocked set keeps every critical formula false; the start is insecure"
     )

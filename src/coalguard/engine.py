@@ -113,7 +113,7 @@ class ActionQueue:
 
     def enqueue(self, request: ActionRequest) -> "ActionQueue":
         buffer, start, end = self.buffer, self.start, self.end
-        check_request(self.model, request, buffer[end - 1] if end > start else None)
+        check_request(self.model, request, buffer[end - 1] if end else None)
         if end == len(buffer) and type(buffer) is _Buffer:
             buffer.append(request)
             if len(buffer) == end + 1:  # else another push on this view appended first
@@ -121,7 +121,7 @@ class ActionQueue:
         return ActionQueue(self.model, _Buffer([*buffer[start:end], request]))
 
     def push(self, agent: str, variable: str, new_value: bool) -> "ActionQueue":
-        next_index = self.buffer[self.end - 1].arrival_index + 1 if len(self) else 0
+        next_index = self.buffer[self.end - 1].arrival_index + 1 if self.end else 0
         return self.enqueue(ActionRequest(agent, variable, new_value, next_index))
 
     def take_batch_excluding(
@@ -281,10 +281,11 @@ def simulate(model: Model, state: SystemState, batch: Sequence[ActionRequest]) -
         )
     except KeyError as exc:
         raise unassigned(exc.args[0]) from None
-    requesters = {request.agent for request in batch}
-    flipped = set().union(*(compiled.agents[index] for index in became))
-    implicated = tuple(a for a in model.agents if a in requesters and a in flipped)
-    return SimulationReport(became, implicated, after)
+    if not became:  # nothing flips, so no requester is implicated
+        return SimulationReport((), (), after)
+    implicated = set().union(*(compiled.agents[index] for index in became))
+    implicated.intersection_update(request.agent for request in batch)
+    return SimulationReport(became, tuple(a for a in model.agents if a in implicated), after)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +322,6 @@ def tick(
 ) -> TickOutcome:
     """Advance the system by one tick under the configured policy."""
     from . import blocking  # deferred: blocking builds on simulate()
-
     if not isinstance(config, EngineConfig):
         raise PreconditionError(f"config must be an EngineConfig, not {config!r}")
     if not isinstance(queue, ActionQueue):
@@ -344,13 +344,13 @@ def tick(
     batch, _, remaining = queue.take_batch_excluding(config.batch_size(model), registry)
 
     if config.policy == "none":
-        report = blocking.BlockReport("none", (), batch, ())
+        report = blocking.BlockReport("none", (), batch, (), apply_actions(state, batch))
     elif config.policy == "greedy":
         report = blocking.greedy_block(model, state, batch, tie_break=config.tie_break)
     else:
         report = blocking.nondet_block(model, state, batch, rng=rng)
 
-    new_state = apply_actions(state, report.allowed_batch)
+    new_state = report.state
     registry.update(config.blocking_strategy.schedule(report.blocked, state.tick, strategy_rng))
     record = TickRecord(new_state.tick, batch, report.iterations, report.blocked,
                         report.allowed_batch, new_state.valuation, is_secure(model, new_state))

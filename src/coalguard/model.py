@@ -240,11 +240,13 @@ def check_state(state: SystemState) -> None:
 def is_secure(model: Model, state: SystemState) -> bool:
     """True when every critical formula evaluates false at the state."""
     check_state(state)
-    valuation = state.valuation
     try:
-        return not any(evaluate(valuation, True) for evaluate in model.compiled.evaluators)
+        for evaluate in model.compiled.evaluators:
+            if evaluate(state.valuation, True):
+                return False
     except KeyError as exc:
         raise unassigned(exc.args[0]) from None
+    return True
 
 
 def diamond_holds(

@@ -19,11 +19,13 @@ from coalguard import (
     SystemState,
     UnknownVariableError,
     Var,
+    apply_actions,
     brute_force_min_block,
     build_cycle_instance,
     build_matrix,
     eval_formula,
     greedy_block,
+    is_secure,
     nondet_block,
     parse_formula,
     rank_agents,
@@ -32,6 +34,7 @@ from coalguard import (
     trace_line,
 )
 from coalguard import blocking as blocking_mod, scenario as scenario_mod
+from coalguard.engine import POLICIES
 from helpers import (
     assert_counts_match_reference,
     oracle_min_block,
@@ -370,6 +373,32 @@ def test_blocked_agents_are_requesters(seed, foreign):
         assert set(report.blocked) <= requesters
         allowed_agents = {r.agent for r in report.allowed_batch}
         assert allowed_agents.isdisjoint(report.blocked)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_every_report_and_tick_carry_the_state_after_the_allowed_batch(seed):
+    """The reference is apply_actions on the kept requests, from any start,
+    a secure one or not, and with one agent writing twice."""
+    rng = random.Random(seed)
+    model = random_model(rng, max_vars=8, max_agents=5, max_formulas=4)
+    state = SystemState(rng.randint(0, 5), {v: rng.random() < 0.5 for v in model.variables})
+    batch = random_requests(rng, model, max_requests=6)
+    twice = rng.choice(batch).agent
+    batch += (ActionRequest(twice, rng.choice(model.owned(twice)), rng.random() < 0.5, len(batch)),)
+    reports = [greedy_block(model, state, batch), nondet_block(model, state, batch, seed=seed)]
+    try:
+        reports.append(brute_force_min_block(model, state, batch))
+    except PreconditionError:  # no keep-set helps: a formula already holds at the start
+        assert not is_secure(model, state)
+    for report in reports:
+        assert report.state == apply_actions(state, report.allowed_batch), report.method
+    for policy in POLICIES:
+        config = EngineConfig(max_actions_per_tick=len(batch), policy=policy, random_seed=seed)
+        outcome = tick(model, state, ActionQueue(model, batch), config)
+        after = apply_actions(state, outcome.record.executed)
+        assert outcome.state == after, policy
+        assert outcome.record.valuation == after.valuation
+        assert outcome.record.secure == is_secure(model, after)
 
 
 # ---------------------------------------------------------------------------

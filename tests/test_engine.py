@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 import yaml
@@ -19,13 +20,14 @@ from coalguard import (
     SystemState,
     UnknownVariableError,
     apply_actions,
+    load_scenario,
     run_ticks,
     scenario_from_mapping,
     simulate,
     tick,
     trace_text,
 )
-from coalguard import engine
+from coalguard import blocking, engine
 from helpers import random_model, random_requests, replay_matches, truth_eval
 
 
@@ -67,6 +69,18 @@ def test_push_appends_in_place_and_older_views_never_change(example1_model):
     given = [ActionRequest("a1", "v1", True, 0)]  # a buffer passed in is never written to
     assert len(ActionQueue(example1_model, given).push("a2", "v3", False)) == 2
     assert given == [ActionRequest("a1", "v1", True, 0)]
+
+
+def test_push_onto_a_drained_queue_numbers_after_the_last_request(scenario_dir):
+    s = load_scenario(scenario_dir / "example1.yaml")
+    result = run_ticks(s.model, s.initial_state, s.queue, s.config, 1)
+    assert len(result.queue) == 0
+    last = result.records[-1].batch[-1].arrival_index
+    again = result.queue.push("a1", "v1", False)
+    assert [r.arrival_index for r in again] == [last + 1]
+    assert [r.arrival_index for r in again.push("a2", "v3", True)] == [last + 1, last + 2]
+    with pytest.raises(QueueOrderError):  # enqueue checks against the same last request
+        result.queue.enqueue(ActionRequest("a1", "v1", False, last))
 
 
 def test_enqueue_rejects_stale_arrival(example1_model):
@@ -411,3 +425,22 @@ def test_random_runs_stay_secure_under_greedy(seed):
     result = run_ticks(model, state, q, EngineConfig(policy="greedy"), 4)
     assert result.all_secure
     assert replay_matches(state.valuation, result.records)
+
+
+@pytest.mark.parametrize("policy", ["none", "greedy", "nondeterministic"])
+def test_run_ticks_applies_each_batch_at_most_once(monkeypatch, scenario_dir, policy):
+    calls = []
+
+    def counting(state, batch):
+        calls.append(batch)
+        return apply_actions(state, batch)
+
+    for module in (engine, blocking):  # every module that holds the name, as a tracer patches
+        monkeypatch.setattr(module, "apply_actions", counting)
+    for name in ("example1.yaml", "greedy_gap.yaml", "xor_pair.yaml"):
+        s = load_scenario(scenario_dir / name)
+        for cap in ("auto", 2):  # every scenario blocks in its first tick under either cap
+            calls.clear()
+            config = replace(s.config, policy=policy, max_actions_per_tick=cap)
+            result = run_ticks(s.model, s.initial_state, s.queue, config, 4)
+            assert len(calls) <= len(result.records) == 4, (name, cap)
