@@ -40,30 +40,17 @@ from .formula import (
     vars_of,
 )
 from .model import (
+    ActionRequest,
     Model,
     PartialValuation,
+    SimulationReport,
     SystemState,
     Violation,
+    apply_actions,
     diamond_holds,
     is_secure,
-    validate_model,
-)
-from .engine import (
-    ActionQueue,
-    ActionRequest,
-    BlockForRandomInterval,
-    BlockUntilTick,
-    BlockingStrategy,
-    DropTick,
-    EngineConfig,
-    RunResult,
-    SimulationReport,
-    TickOutcome,
-    TickRecord,
-    apply_actions,
-    run_ticks,
     simulate,
-    tick,
+    validate_model,
 )
 from .blocking import (
     BlockReport,
@@ -75,6 +62,19 @@ from .blocking import (
     greedy_block,
     nondet_block,
     rank_agents,
+)
+from .engine import (
+    ActionQueue,
+    BlockForRandomInterval,
+    BlockUntilTick,
+    BlockingStrategy,
+    DropTick,
+    EngineConfig,
+    RunResult,
+    TickOutcome,
+    TickRecord,
+    run_ticks,
+    tick,
 )
 from .analysis import (
     ConnectivitySurvey,

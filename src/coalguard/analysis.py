@@ -188,9 +188,7 @@ def single_flip_agents(model: Model, state: SystemState, formula: Formula) -> fr
     the formula.
     """
     check_state(state)
-    if has_diamond(formula):
-        raise ModalFormulaError("single-flip analysis takes a propositional formula")
-    used = check_names(formula, model)
+    used = check_names(formula, model, "single-flip analysis takes a propositional formula")
     valuation = {v: state.value(v) for v in model.variables if v in used}  # first unassigned raises
     evaluate = compile_formula(formula, model)
     if evaluate(valuation, True):

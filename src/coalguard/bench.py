@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .blocking import greedy_block
-from .engine import ActionRequest
 from .errors import PreconditionError
 from .formula import Var
-from .model import Model, SystemState
+from .model import ActionRequest, Model, SystemState
 
 DEFAULT_SIZES = (25, 50, 100, 200)
 
@@ -29,7 +28,7 @@ def build_cycle_instance(
     size: int, seed: Optional[int] = None
 ) -> tuple[Model, SystemState, tuple[ActionRequest, ...]]:
     """One agent and one variable per index; formula i joins x_i and x_{i+1}."""
-    if size < 3:
+    if type(size) is not int or size < 3:  # a bool is no size
         raise PreconditionError("cycle instances need at least 3 positions")
     agents = tuple(f"a{i + 1}" for i in range(size))
     variables = tuple(f"x{i + 1}" for i in range(size))
@@ -65,14 +64,14 @@ class BenchReport:
 
 def fit_loglog_slope(sizes: Sequence[int], seconds: Sequence[float]) -> float:
     """Least-squares slope of log(seconds) against log(size)."""
+    if len(set(sizes)) < 2:
+        raise PreconditionError("need at least two distinct sizes")
     xs = [math.log(n) for n in sizes]
     ys = [math.log(max(t, 1e-9)) for t in seconds]
     mean_x = sum(xs) / len(xs)
     mean_y = sum(ys) / len(ys)
     numerator = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     denominator = sum((x - mean_x) ** 2 for x in xs)
-    if denominator == 0:
-        raise PreconditionError("need at least two distinct sizes")
     return numerator / denominator
 
 
@@ -82,8 +81,6 @@ def run_bench(sizes: Sequence[int] = DEFAULT_SIZES, seed: int = 0) -> BenchRepor
     Small sizes are repeated (up to three times, stopping past one second of
     accumulated work) and the minimum is kept, to damp scheduler noise.
     """
-    if len(set(sizes)) < 2:
-        raise PreconditionError("need at least two distinct sizes")
     rows = []
     for size in sizes:
         model, state, batch = build_cycle_instance(size, seed)

@@ -23,10 +23,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .errors import BudgetExceededError, PreconditionError
-from .model import Model, SystemState, is_secure, unassigned
-from .engine import TIE_BREAKS, ActionRequest, SimulationReport, apply_actions, check_batch, simulate
+from .model import ActionRequest, Model, SimulationReport, SystemState, apply_actions, check_batch
+from .model import is_secure, simulate, unassigned
 
 SUBSET_SEARCH_CAP = 16
+TIE_BREAKS = ("fifo", "lex")
 
 
 @dataclass(frozen=True)

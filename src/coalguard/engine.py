@@ -13,55 +13,12 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import CoalGuardError, OwnershipViolationError, PreconditionError, QueueOrderError
-from .model import Model, SystemState, check_state, is_secure, unassigned
+from .blocking import TIE_BREAKS, BlockReport, greedy_block, nondet_block
+from .errors import CoalGuardError, PreconditionError
+from .model import ActionRequest, Model, SystemState, apply_actions, check_request, check_state
+from .model import check_batch, is_secure, simulate  # callers still read the batch layer here
 
 POLICIES = ("none", "greedy", "nondeterministic")
-TIE_BREAKS = ("fifo", "lex")
-
-
-@dataclass(frozen=True, slots=True)
-class ActionRequest:
-    """One single-variable write. Slotted: a queue holds tens of thousands."""
-
-    agent: str
-    variable: str
-    new_value: bool
-    arrival_index: int
-
-
-def check_request(model: Model, request: ActionRequest, last: Optional[ActionRequest]) -> None:
-    """What enqueueing checks: the requester owns the variable, the value is a
-    bool, and the arrival index is an int after the last pending one's, if any."""
-    owner = model.owner_of(request.variable)
-    if owner != request.agent:
-        raise OwnershipViolationError(
-            f"{request.agent!r} does not control {request.variable!r} "
-            f"(owned by {owner!r})"
-        )
-    if not isinstance(request.new_value, bool):
-        raise PreconditionError(f"new value must be a bool, not {request.new_value!r}")
-    if type(request.arrival_index) is not int:  # a bool is no arrival index
-        raise QueueOrderError(f"arrival index must be an int, not {request.arrival_index!r}")
-    if last is not None and request.arrival_index <= last.arrival_index:
-        raise QueueOrderError(
-            f"arrival index {request.arrival_index} not after {last.arrival_index}"
-        )
-
-
-def check_batch(model: Model, batch: Iterable[ActionRequest]) -> tuple[ActionRequest, ...]:
-    """The batch as a tuple of ActionRequests whose agents own their variables;
-    a request that is not owned raises what check_request, and enqueueing, would."""
-    try:
-        batch = tuple(batch)
-    except TypeError:
-        raise PreconditionError(f"a batch holds ActionRequests, not {batch!r}") from None
-    for request in batch:
-        if not isinstance(request, ActionRequest):
-            raise PreconditionError(f"a batch holds ActionRequests, not {request!r}")
-        if model.owner_of(request.variable) != request.agent:
-            check_request(model, request, None)
-    return batch
 
 
 class _Buffer(list):
@@ -235,60 +192,6 @@ class EngineConfig:
 
 
 # ---------------------------------------------------------------------------
-# simulation
-
-
-def apply_actions(state: SystemState, batch: Sequence[ActionRequest]) -> SystemState:
-    """Apply a batch in arrival order (later writes win) and advance the clock."""
-    check_state(state)
-    try:
-        changes = {request.variable: request.new_value for request in batch}
-    except (AttributeError, TypeError):
-        raise PreconditionError(f"a batch holds ActionRequests, not {batch!r}") from None
-    return state.with_updates(changes, tick=state.tick + 1)
-
-
-@dataclass(frozen=True)
-class SimulationReport:
-    """What a batch would do, without committing it.
-
-    became_true holds indices into the model's critical formulas that flip
-    from false to true; implicated_agents are the requesters controlling at
-    least one variable of such a formula, in model agent order.
-    """
-
-    became_true: tuple[int, ...]
-    implicated_agents: tuple[str, ...]
-    simulated_state: SystemState
-
-
-def simulate(model: Model, state: SystemState, batch: Sequence[ActionRequest]) -> SimulationReport:
-    """Only formulas mentioning a variable the batch changes can flip, so
-    only those are evaluated."""
-    after = apply_actions(state, batch)
-    compiled = model.compiled
-    before, now = state.valuation, after.valuation
-    touched = set()
-    evaluators = compiled.evaluators
-    try:
-        for request in batch:
-            if before[request.variable] != now[request.variable]:
-                touched.update(compiled.by_variable.get(request.variable, ()))
-        became = tuple(
-            index
-            for index in sorted(touched)
-            if not evaluators[index](before, True) and evaluators[index](now, True)
-        )
-    except KeyError as exc:
-        raise unassigned(exc.args[0]) from None
-    if not became:  # nothing flips, so no requester is implicated
-        return SimulationReport((), (), after)
-    implicated = set().union(*(compiled.agents[index] for index in became))
-    implicated.intersection_update(request.agent for request in batch)
-    return SimulationReport(became, tuple(a for a in model.agents if a in implicated), after)
-
-
-# ---------------------------------------------------------------------------
 # ticks
 
 
@@ -321,7 +224,7 @@ def tick(
     strategy_rng: Optional[random.Random] = None,
 ) -> TickOutcome:
     """Advance the system by one tick under the configured policy."""
-    from . import blocking  # deferred: blocking builds on simulate()
+    check_state(state)
     if not isinstance(config, EngineConfig):
         raise PreconditionError(f"config must be an EngineConfig, not {config!r}")
     if not isinstance(queue, ActionQueue):
@@ -344,11 +247,11 @@ def tick(
     batch, _, remaining = queue.take_batch_excluding(config.batch_size(model), registry)
 
     if config.policy == "none":
-        report = blocking.BlockReport("none", (), batch, (), apply_actions(state, batch))
+        report = BlockReport("none", (), batch, (), apply_actions(state, batch))
     elif config.policy == "greedy":
-        report = blocking.greedy_block(model, state, batch, tie_break=config.tie_break)
+        report = greedy_block(model, state, batch, tie_break=config.tie_break)
     else:
-        report = blocking.nondet_block(model, state, batch, rng=rng)
+        report = nondet_block(model, state, batch, rng=rng)
 
     new_state = report.state
     registry.update(config.blocking_strategy.schedule(report.blocked, state.tick, strategy_rng))
@@ -376,6 +279,7 @@ def run_ticks(
     ticks: int,
 ) -> RunResult:
     """Run a fixed number of ticks, threading queue, registry, and RNG state."""
+    check_state(state)
     if not isinstance(config, EngineConfig):
         raise PreconditionError(f"config must be an EngineConfig, not {config!r}")
     if type(ticks) is not int or ticks < 0:  # a bool is no tick count

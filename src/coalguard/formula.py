@@ -319,35 +319,33 @@ def _fmt(f: Formula, need: int) -> str:
 # structure queries
 
 
+def structure(f: Formula) -> tuple[frozenset[str], frozenset[frozenset[str]]]:
+    """The variables and the coalitions occurring in f, in one walk with an
+    explicit stack, so a tree's depth does not matter. Coalition names are
+    agents, not variables."""
+    variables, coalitions, stack = set(), set(), [f]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            variables.add(node.name)
+        elif isinstance(node, Or):
+            stack += (node.left, node.right)
+        elif isinstance(node, (Not, Diamond)):
+            if isinstance(node, Diamond):
+                coalitions.add(node.coalition)
+            stack.append(node.child)
+        elif not isinstance(node, Top):
+            raise PreconditionError(f"not a formula: {node!r}")
+    return frozenset(variables), frozenset(coalitions)
+
+
 def vars_of(f: Formula) -> frozenset[str]:
-    """Variables occurring in f. Coalition names are agents, not variables."""
-    if isinstance(f, (Top,)):
-        return frozenset()
-    if isinstance(f, Var):
-        return frozenset((f.name,))
-    if isinstance(f, Not):
-        return vars_of(f.child)
-    if isinstance(f, Or):
-        return vars_of(f.left) | vars_of(f.right)
-    if isinstance(f, Diamond):
-        return vars_of(f.child)
-    raise PreconditionError(f"not a formula: {f!r}")
-
-
-def coalitions_of(f: Formula) -> frozenset[frozenset[str]]:
-    if isinstance(f, (Top, Var)):
-        return frozenset()
-    if isinstance(f, Not):
-        return coalitions_of(f.child)
-    if isinstance(f, Or):
-        return coalitions_of(f.left) | coalitions_of(f.right)
-    if isinstance(f, Diamond):
-        return coalitions_of(f.child) | frozenset((f.coalition,))
-    raise PreconditionError(f"not a formula: {f!r}")
+    """Variables occurring in f."""
+    return structure(f)[0]
 
 
 def has_diamond(f: Formula) -> bool:
-    return bool(coalitions_of(f))
+    return bool(structure(f)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -377,14 +375,17 @@ def unassigned(variable: str) -> UnknownVariableError:
     return UnknownVariableError(f"state does not assign {variable!r}")
 
 
-def check_names(f: Formula, model) -> frozenset[str]:
-    """Raise for the first undeclared variable or agent that f names; else
-    return the variables f mentions."""
-    used = vars_of(f)
+def check_names(f: Formula, model, modal: Optional[str] = None) -> frozenset[str]:
+    """Raise ModalFormulaError(modal) for a modal f if modal is given, then
+    for the first undeclared variable or agent that f names; else return
+    the variables f mentions."""
+    used, coalitions = structure(f)
+    if modal is not None and coalitions:
+        raise ModalFormulaError(modal)
     unknown = used - model.variable_set
     if unknown:
         raise UnknownVariableError(f"unknown variables: {sorted(unknown)}")
-    for coalition in coalitions_of(f):
+    for coalition in coalitions:
         missing = coalition - model.agent_set
         if missing:
             raise UnknownAgentError(f"unknown agents: {sorted(missing, key=repr)}")
@@ -572,9 +573,10 @@ def find_horn_labeling(f: Formula) -> Optional[HornLabeling]:
     ModalFormulaError for a modal formula and BudgetExceededError past
     TRUTH_TABLE_VARIABLE_CAP variables.
     """
-    if has_diamond(f):
+    used, coalitions = structure(f)
+    if coalitions:
         raise ModalFormulaError("cannot decide Horn renamability of a modal formula")
-    names = tuple(sorted(vars_of(f)))
+    names = tuple(sorted(used))
     clauses = _all_clauses(len(names))
     full = (1 << (1 << len(names))) - 1
     table = compile_formula(f, None)(dict(zip(names, valuation_masks(len(names)))), full)

@@ -3,18 +3,19 @@
 A model fixes a finite set of agents, a finite set of boolean variables,
 and a partition assigning every variable to exactly one controlling agent.
 Critical formulas describe situations that must never become true: a state
-is secure exactly when all of them evaluate false.
+is secure exactly when all of them evaluate false. A request writes one
+variable; a batch of them is checked, applied or simulated against a state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
-    ModalFormulaError,
     OwnershipViolationError,
     PreconditionError,
+    QueueOrderError,
     UnknownAgentError,
     UnknownVariableError,
 )
@@ -25,7 +26,6 @@ from .formula import (
     coalition_names,
     compile_formula,
     first_witness,
-    has_diamond,
     unassigned,
 )
 
@@ -37,8 +37,8 @@ class Model:
     partition: Mapping[str, tuple[str, ...]]
     critical_formulas: tuple[Formula, ...] = ()
     _owner: dict = field(init=False, repr=False, compare=False)
-    _variable_set: frozenset = field(init=False, repr=False, compare=False)
-    _agent_set: frozenset = field(init=False, repr=False, compare=False)
+    variable_set: frozenset[str] = field(init=False, repr=False, compare=False)
+    agent_set: frozenset[str] = field(init=False, repr=False, compare=False)
     compiled: CompiledModel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -83,22 +83,14 @@ class Model:
         object.__setattr__(self, "partition", normalized)
         object.__setattr__(self, "critical_formulas", formulas)
         object.__setattr__(self, "_owner", owner)
-        object.__setattr__(self, "_variable_set", variable_set)
-        object.__setattr__(self, "_agent_set", agent_set)
+        object.__setattr__(self, "variable_set", variable_set)
+        object.__setattr__(self, "agent_set", agent_set)
         used = []
         for f in formulas:
             if not isinstance(f, Formula):
                 raise PreconditionError(f"critical formulas must be formulas, got {f!r}")
             used.append(check_names(f, self))
         object.__setattr__(self, "compiled", compile_model(self, tuple(used)))
-
-    @property
-    def variable_set(self) -> frozenset[str]:
-        return self._variable_set
-
-    @property
-    def agent_set(self) -> frozenset[str]:
-        return self._agent_set
 
     def owner_of(self, variable: str) -> str:
         try:
@@ -107,14 +99,14 @@ class Model:
             raise UnknownVariableError(f"no agent controls {variable!r}") from None
 
     def owned(self, agent: str) -> tuple[str, ...]:
-        if agent not in self._agent_set:
+        if agent not in self.agent_set:
             raise UnknownAgentError(f"unknown agent: {agent!r}")
         return self.partition.get(agent, ())
 
     def coalition_variables(self, coalition: Iterable[str]) -> tuple[str, ...]:
         """Variables the coalition controls, in model variable order."""
         members = set(coalition)
-        missing = members - self._agent_set
+        missing = members - self.agent_set
         if missing:
             raise UnknownAgentError(f"unknown agents: {sorted(missing, key=repr)}")
         return tuple(v for v in self.variables if self._owner[v] in members)
@@ -259,11 +251,9 @@ def diamond_holds(
     Enumeration is exhaustive over those variables and capped at 20.
     """
     check_state(state)
-    if has_diamond(f):
-        raise ModalFormulaError("ability checks take a propositional formula")
+    used = check_names(f, model, "ability checks take a propositional formula")
     members = coalition_names(coalition)
     owned = model.coalition_variables(members)
-    used = check_names(f, model)
     relevant = tuple(v for v in owned if v in used)
     try:
         assignment = first_witness(compile_formula(f, model), state.valuation, relevant)
@@ -272,3 +262,101 @@ def diamond_holds(
     if assignment is None:
         return False, None
     return True, PartialValuation(members, assignment)
+
+
+# ---------------------------------------------------------------------------
+# requests, batches and their simulation
+
+
+@dataclass(frozen=True, slots=True)
+class ActionRequest:
+    """One single-variable write. Slotted: a queue holds tens of thousands."""
+
+    agent: str
+    variable: str
+    new_value: bool
+    arrival_index: int
+
+
+def check_request(model: Model, request: ActionRequest, last: Optional[ActionRequest]) -> None:
+    """What enqueueing checks: the requester owns the variable, the value is a
+    bool, and the arrival index is an int after the last pending one's, if any."""
+    owner = model.owner_of(request.variable)
+    if owner != request.agent:
+        raise OwnershipViolationError(
+            f"{request.agent!r} does not control {request.variable!r} "
+            f"(owned by {owner!r})"
+        )
+    if not isinstance(request.new_value, bool):
+        raise PreconditionError(f"new value must be a bool, not {request.new_value!r}")
+    if type(request.arrival_index) is not int:  # a bool is no arrival index
+        raise QueueOrderError(f"arrival index must be an int, not {request.arrival_index!r}")
+    if last is not None and request.arrival_index <= last.arrival_index:
+        raise QueueOrderError(
+            f"arrival index {request.arrival_index} not after {last.arrival_index}"
+        )
+
+
+def check_batch(model: Model, batch: Iterable[ActionRequest]) -> tuple[ActionRequest, ...]:
+    """The batch as a tuple of ActionRequests whose agents own their variables;
+    a request that is not owned raises what check_request, and enqueueing, would."""
+    try:
+        batch = tuple(batch)
+    except TypeError:
+        raise PreconditionError(f"a batch holds ActionRequests, not {batch!r}") from None
+    for request in batch:
+        if not isinstance(request, ActionRequest):
+            raise PreconditionError(f"a batch holds ActionRequests, not {request!r}")
+        if model.owner_of(request.variable) != request.agent:
+            check_request(model, request, None)
+    return batch
+
+
+def apply_actions(state: SystemState, batch: Sequence[ActionRequest]) -> SystemState:
+    """Apply a batch in arrival order (later writes win) and advance the clock."""
+    check_state(state)
+    try:
+        changes = {request.variable: request.new_value for request in batch}
+    except (AttributeError, TypeError):
+        raise PreconditionError(f"a batch holds ActionRequests, not {batch!r}") from None
+    return state.with_updates(changes, tick=state.tick + 1)
+
+
+@dataclass(frozen=True)
+class SimulationReport:
+    """What a batch would do, without committing it.
+
+    became_true holds indices into the model's critical formulas that flip
+    from false to true; implicated_agents are the requesters controlling at
+    least one variable of such a formula, in model agent order.
+    """
+
+    became_true: tuple[int, ...]
+    implicated_agents: tuple[str, ...]
+    simulated_state: SystemState
+
+
+def simulate(model: Model, state: SystemState, batch: Sequence[ActionRequest]) -> SimulationReport:
+    """Only formulas mentioning a variable the batch changes can flip, so
+    only those are evaluated."""
+    after = apply_actions(state, batch)
+    compiled = model.compiled
+    before, now = state.valuation, after.valuation
+    touched = set()
+    evaluators = compiled.evaluators
+    try:
+        for request in batch:
+            if before[request.variable] != now[request.variable]:
+                touched.update(compiled.by_variable.get(request.variable, ()))
+        became = tuple(
+            index
+            for index in sorted(touched)
+            if not evaluators[index](before, True) and evaluators[index](now, True)
+        )
+    except KeyError as exc:
+        raise unassigned(exc.args[0]) from None
+    if not became:  # nothing flips, so no requester is implicated
+        return SimulationReport((), (), after)
+    implicated = set().union(*(compiled.agents[index] for index in became))
+    implicated.intersection_update(request.agent for request in batch)
+    return SimulationReport(became, tuple(a for a in model.agents if a in implicated), after)

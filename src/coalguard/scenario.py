@@ -28,7 +28,6 @@ import yaml
 from . import blocking
 from .engine import (
     ActionQueue,
-    ActionRequest,
     BlockForRandomInterval,
     BlockUntilTick,
     BlockingStrategy,
@@ -45,7 +44,7 @@ from .errors import (
     ScenarioError,
 )
 from .formula import parse_formula
-from .model import Model, SystemState, validate_model
+from .model import ActionRequest, Model, SystemState, validate_model
 
 _TOP_KEYS = {"agents", "formulas", "initial", "queue", "config"}
 _CONFIG_KEYS = {"max_actions_per_tick", "policy", "blocking_strategy", "tie_break", "seed"}
@@ -328,6 +327,8 @@ def trace_line(record: TickRecord) -> str:
     ``sort_keys=True, separators=(",", ":")`` for the record as nested
     dicts, written directly with each key a literal in sorted order; an
     executed request reuses its text from the batch."""
+    if not isinstance(record, TickRecord):
+        raise PreconditionError(f"a trace line is written from a TickRecord, not {record!r}")
     requests = [_request_json(r) for r in record.batch]
     by_id = dict(zip(map(id, record.batch), requests))
     values = record.valuation
@@ -355,12 +356,20 @@ def trace_text(records: Sequence[TickRecord]) -> str:
 
 
 def write_trace(records: Sequence[TickRecord], path: Union[str, Path]) -> None:
-    """Write the trace line by line, never holding the whole text.
+    """Write the trace line by line, never holding the whole text. Every
+    record is checked first, so a bad one leaves an existing file as it was.
 
     Only a ``str`` or ``os.PathLike`` names a file: ``open`` would take an
     int, or a bool, as a descriptor to write to and then close."""
     if not isinstance(path, (str, os.PathLike)):
         raise PreconditionError(f"a trace path is a str or os.PathLike, not {path!r}")
+    try:
+        records = tuple(records)
+    except TypeError:
+        raise PreconditionError(f"trace records must be iterable, not {records!r}") from None
+    for record in records:
+        if not isinstance(record, TickRecord):
+            raise PreconditionError(f"a trace line is written from a TickRecord, not {record!r}")
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
             handle.write(trace_line(record) + "\n")

@@ -22,9 +22,8 @@ from coalguard import (
     is_secure,
     parse_formula,
     simulate,
-    vars_of,
 )
-from coalguard.formula import coalitions_of
+from coalguard.formula import structure
 from helpers import (
     random_formula,
     random_model,
@@ -188,7 +187,8 @@ def test_undeclared_names_raise_what_eval_formula_raises(seed):
     if rng.random() < 0.5:
         formulas[index] = modal_formula(rng, base)
     f = formulas[index]
-    names = sorted(vars_of(f) | set().union(*coalitions_of(f)))
+    variables, coalitions = structure(f)
+    names = sorted(variables | set().union(*coalitions))
     assume(names)
     formulas[index] = rename(f, rng.choice(names), "ghost")
     state = SystemState(0, {v: rng.random() < 0.5 for v in base.variables})

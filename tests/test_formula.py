@@ -28,7 +28,7 @@ from coalguard import (
     validate_model,
     vars_of,
 )
-from coalguard.formula import FORMULA_DEPTH_CAP, valuation_masks
+from coalguard.formula import FORMULA_DEPTH_CAP, structure, valuation_masks
 from helpers import (
     enumerate_labelings,
     formula_prime_implicates,
@@ -144,6 +144,17 @@ def test_evaluate_matches_reference(f, bits):
 def test_has_diamond():
     assert not has_diamond(parse_formula("a & ~b"))
     assert has_diamond(parse_formula("a | <>{c1} b"))
+
+
+def test_structure_walks_any_depth_and_names_a_bad_node():
+    f = parse_formula("<>{c1, c2} (a | ~<>{c3} b) & a")
+    assert structure(f) == ({"a", "b"}, {frozenset({"c1", "c2"}), frozenset({"c3"})})
+    deep = Var("x")
+    for i in range(5000):  # past Python's recursion limit: the walk keeps its own stack
+        deep = Or(Not(deep), Var(f"y{i % 3}")) if i % 2 else Diamond(("c",), deep)
+    assert structure(deep) == ({"x", "y0", "y1", "y2"}, {frozenset({"c"})})
+    with pytest.raises(PreconditionError, match="not a formula: 5"):
+        structure(Or(Var("x"), Not(5)))
 
 
 @pytest.mark.parametrize("bad", [5, [5]], ids=["int", "list"])

@@ -28,6 +28,7 @@ from coalguard import (
     TickRecord,
     apply_actions,
     build_cycle_instance,
+    fit_loglog_slope,
     is_secure,
     load_scenario,
     nondet_block,
@@ -466,6 +467,27 @@ def test_trace_text_round_trips(tmp_path, scenario_dir):
     assert out.read_text(encoding="utf-8") == text
 
 
+def test_trace_line_refuses_what_is_not_a_tick_record():
+    with pytest.raises(PreconditionError, match="from a TickRecord, not 5"):
+        trace_line(5)
+
+
+@pytest.mark.parametrize(
+    "spoil", [lambda records: [*records, 5], lambda records: 5], ids=["bad-record", "not-iterable"]
+)
+def test_write_trace_checks_records_before_it_opens_the_file(tmp_path, scenario_dir, spoil):
+    """A refused call leaves an existing trace as it was."""
+    from coalguard import write_trace
+
+    out = tmp_path / "trace.jsonl"
+    _, result = run_example1(scenario_dir)
+    write_trace(result.records, out)
+    before = out.read_text(encoding="utf-8")
+    with pytest.raises(PreconditionError, match="TickRecord, not 5|iterable, not 5"):
+        write_trace(spoil(result.records), out)
+    assert out.read_text(encoding="utf-8") == before != ""
+
+
 def test_write_trace_refuses_a_path_that_is_not_a_str_or_path_like():
     """open() takes an int, or a bool, as a file descriptor, so write_trace
     once wrote to descriptor 1 and closed it; a child process shows that
@@ -557,6 +579,18 @@ def test_bench_rejects_sizes_it_cannot_fit(capsys, sizes, message):
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_fit_loglog_slope_needs_two_distinct_sizes_before_it_divides():
+    with pytest.raises(PreconditionError, match="need at least two distinct sizes"):
+        fit_loglog_slope({}, {})
+    assert fit_loglog_slope((10, 100), (1.0, 10.0)) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("size", [None, True, 5.0, "5"])
+def test_build_cycle_instance_refuses_a_size_that_is_not_an_int(size):
+    with pytest.raises(PreconditionError, match="cycle instances need at least 3 positions"):
+        build_cycle_instance(size)
 
 
 def test_cli_run_missing_file(capsys, tmp_path):
