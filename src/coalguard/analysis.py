@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
-from .errors import BudgetExceededError, ModalFormulaError, PreconditionError, UnknownVariableError
+from .errors import BudgetExceededError, ModalFormulaError, PreconditionError
+from .errors import UnknownVariableError, require
 from .formula import (
     Formula,
     _all_clauses,
@@ -30,7 +31,7 @@ from .formula import (
     horn_renaming,
     valuation_masks,
 )
-from .model import Model, PartialValuation, SystemState, check_state
+from .model import Model, PartialValuation, SystemState
 
 GRAPH_VARIABLE_CAP = 16
 AUDIT_AGENT_CAP = 12
@@ -99,6 +100,7 @@ def build_state_graph(model: Model) -> StateGraph:
     The secure set is the complement of the OR of the formulas' truth
     tables, each a compiled closure run once on the valuation masks.
     """
+    require(model, Model, "model")
     n = len(model.variables)
     if n > GRAPH_VARIABLE_CAP:
         raise BudgetExceededError(
@@ -133,6 +135,7 @@ def _connected(members: int, num_vars: int) -> bool:
 
 def is_connected(graph: StateGraph, restrict_to_secure: bool = False) -> bool:
     """Connectivity of the full graph or of its secure-vertex subgraph."""
+    require(graph, StateGraph, "graph")
     if restrict_to_secure:
         return _connected(graph.secure_bits, len(graph.variables))
     return True  # the full graph is a hypercube, and every hypercube is connected
@@ -149,8 +152,9 @@ def secure_path(
     lands in the layer before. The returned states advance the tick by one
     per flip, starting from the start state's tick.
     """
-    check_state(start)
-    check_state(goal)
+    require(graph, StateGraph, "graph")
+    require(start, SystemState, "start state")
+    require(goal, SystemState, "goal state")
     source = graph.vertex_index(start)
     target = graph.vertex_index(goal)
     members = graph.secure_bits
@@ -187,7 +191,7 @@ def single_flip_agents(model: Model, state: SystemState, formula: Formula) -> fr
     qualifies when it controls such a variable whose lone flip satisfies
     the formula.
     """
-    check_state(state)
+    require(state, SystemState, "state")
     used = check_names(formula, model, "single-flip analysis takes a propositional formula")
     valuation = {v: state.value(v) for v in model.variables if v in used}  # first unassigned raises
     evaluate = compile_formula(formula, model)
@@ -222,7 +226,8 @@ def audit_vulnerabilities(model: Model, state: SystemState) -> tuple[Vulnerabili
     every agent alone is able, so no larger coalition is tried.
     AUDIT_AGENT_CAP bounds the agents combined for one formula.
     """
-    check_state(state)
+    require(model, Model, "model")
+    require(state, SystemState, "state")
     for f in model.critical_formulas:
         if has_diamond(f):
             raise ModalFormulaError("the audit requires propositional critical formulas")
@@ -278,9 +283,7 @@ def formula_from_truth_table(num_vars: int, table: int) -> Formula:
     writing it down. All 3^num_vars clauses are tested on the table, an int in
     0 .. 2^(2^num_vars) - 1, so num_vars is capped at TRUTH_TABLE_VARIABLE_CAP.
     """
-    if type(num_vars) is not int:  # a bool is no variable count
-        raise PreconditionError(f"num_vars must be an int, not {num_vars!r}")
-    if num_vars < 1:
+    if require(num_vars, int, "num_vars") < 1:
         raise PreconditionError("need at least one variable")
     clauses = _all_clauses(num_vars)  # raises past TRUTH_TABLE_VARIABLE_CAP
     _check_table(table, num_vars)
@@ -330,9 +333,7 @@ def survey_secure_connectivity(
     """
     if reading not in ("falsifying", "satisfying"):
         raise PreconditionError(f"unknown reading: {reading!r}")
-    if type(num_vars) is not int:  # a bool is no variable count
-        raise PreconditionError(f"num_vars must be an int, not {num_vars!r}")
-    if num_vars < 1 or num_vars > SURVEY_VARIABLE_CAP:
+    if require(num_vars, int, "num_vars") < 1 or num_vars > SURVEY_VARIABLE_CAP:
         raise BudgetExceededError(
             f"survey supports 1..{SURVEY_VARIABLE_CAP} variables, got {num_vars}"
         )
@@ -355,12 +356,13 @@ def survey_secure_connectivity(
 def iter_edge_lines(graph: StateGraph) -> Iterator[str]:
     """Text edge list: vertex bits, vertex bits, controlling agent.
 
-    Bit strings put variables[0] leftmost, '1' meaning true.
+    Bit strings put variables[0] leftmost, '1' meaning true; the graph is
+    checked on the call, before the first line.
     """
+    require(graph, StateGraph, "graph")
     n = len(graph.variables)
 
     def bits(index: int) -> str:
         return "".join("1" if (index >> j) & 1 else "0" for j in range(n))
 
-    for i, k, label in graph.edges():
-        yield f"{bits(i)} {bits(k)} {label}"
+    return (f"{bits(i)} {bits(k)} {label}" for i, k, label in graph.edges())

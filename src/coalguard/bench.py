@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .blocking import greedy_block
-from .errors import PreconditionError
+from .errors import PreconditionError, require
 from .formula import Var
 from .model import ActionRequest, Model, SystemState
 
@@ -30,6 +31,7 @@ def build_cycle_instance(
     """One agent and one variable per index; formula i joins x_i and x_{i+1}."""
     if type(size) is not int or size < 3:  # a bool is no size
         raise PreconditionError("cycle instances need at least 3 positions")
+    require(seed, (int, type(None)), "seed")
     agents = tuple(f"a{i + 1}" for i in range(size))
     variables = tuple(f"x{i + 1}" for i in range(size))
     partition = {agent: (variable,) for agent, variable in zip(agents, variables)}
@@ -63,9 +65,13 @@ class BenchReport:
 
 
 def fit_loglog_slope(sizes: Sequence[int], seconds: Sequence[float]) -> float:
-    """Least-squares slope of log(seconds) against log(size)."""
+    """Least-squares slope of log(seconds) against log(size), one per size."""
+    sizes = [require(size, int, "a size") for size in require(sizes, Iterable, "sizes")]
+    seconds = [require(t, (int, float), "a time") for t in require(seconds, Iterable, "seconds")]
     if len(set(sizes)) < 2:
         raise PreconditionError("need at least two distinct sizes")
+    if min(sizes) < 1 or len(seconds) != len(sizes):
+        raise PreconditionError(f"need one time per size, every size positive: {sizes}, {seconds}")
     xs = [math.log(n) for n in sizes]
     ys = [math.log(max(t, 1e-9)) for t in seconds]
     mean_x = sum(xs) / len(xs)
@@ -82,7 +88,7 @@ def run_bench(sizes: Sequence[int] = DEFAULT_SIZES, seed: int = 0) -> BenchRepor
     accumulated work) and the minimum is kept, to damp scheduler noise.
     """
     rows = []
-    for size in sizes:
+    for size in require(sizes, Iterable, "sizes"):
         model, state, batch = build_cycle_instance(size, seed)
         timings = []
         for _ in range(3):

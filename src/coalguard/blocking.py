@@ -22,7 +22,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .errors import BudgetExceededError, PreconditionError
+from .errors import BudgetExceededError, PreconditionError, require
 from .model import ActionRequest, Model, SimulationReport, SystemState, apply_actions, check_batch
 from .model import is_secure, simulate, unassigned
 
@@ -53,13 +53,15 @@ class BlockingMatrix:
 def build_matrix(model: Model, report: SimulationReport) -> BlockingMatrix:
     """The matrix of one simulation report, with its column sums counted cell
     by cell: the reference each greedy round's incremental counters equal."""
+    require(model, Model, "model")
+    require(report, SimulationReport, "report")
     rows, cols = report.became_true, report.implicated_agents
     row_agents = tuple(map(model.compiled.agents.__getitem__, rows))
     counters = tuple(sum(agent in row for row in row_agents) for agent in cols)
     return BlockingMatrix(rows, cols, row_agents, counters)
 
 
-def _check_tie_break(tie_break: str) -> None:
+def check_tie_break(tie_break: str) -> None:
     if tie_break not in TIE_BREAKS:
         raise PreconditionError(f"tie_break must be one of {TIE_BREAKS}, not {tie_break!r}")
 
@@ -74,14 +76,18 @@ def rank_agents(
     Ties fall to the agent appearing earliest in the batch, then to the
     lexicographically smaller name; tie_break="lex" skips the batch position.
     """
-    _check_tie_break(tie_break)
+    check_tie_break(tie_break)
+    require(matrix, BlockingMatrix, "matrix")
     if not matrix.agents:
         raise PreconditionError("empty blocking matrix")
     first_position: dict[str, int] = {}  # left empty under "lex": every agent ties on it
-    for position, request in enumerate(batch if tie_break == "fifo" else ()):
-        first_position.setdefault(request.agent, position)
+    try:
+        for position, request in enumerate(batch if tie_break == "fifo" else ()):
+            first_position.setdefault(request.agent, position)
+    except (AttributeError, TypeError):
+        raise PreconditionError(f"a batch holds ActionRequests, not {batch!r}") from None
     ordered = sorted(zip(matrix.agents, matrix.counters), key=lambda item: (
-        -item[1], first_position.get(item[0], len(batch)), item[0]))
+        -item[1], first_position.get(item[0], sys.maxsize), item[0]))
     return tuple(agent for agent, _ in ordered)
 
 
@@ -124,7 +130,7 @@ def greedy_block(
     and ``rank_agents`` on the surviving batch. Terminates after at most one
     round per requester.
     """
-    _check_tie_break(tie_break)
+    check_tie_break(tie_break)
     batch = check_batch(model, batch)
     iterations: list[GreedyIteration] = []
     report = simulate(model, state, batch)
@@ -286,8 +292,8 @@ def nondet_block(
     construction, so one seeded draw picks the survivor set.
     """
     batch = check_batch(model, batch)
-    if type(seed) not in (int, type(None)) or not isinstance(rng, (random.Random, type(None))):
-        raise PreconditionError(f"seed must be an int and rng a random.Random: {seed!r}, {rng!r}")
+    require(seed, (int, type(None)), "seed")
+    require(rng, (random.Random, type(None)), "rng")
     rng = rng if rng is not None else random.Random(seed)
     initial = simulate(model, state, batch)
     if not initial.became_true:

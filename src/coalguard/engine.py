@@ -10,19 +10,20 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Optional
 
-from .blocking import TIE_BREAKS, BlockReport, greedy_block, nondet_block
-from .errors import CoalGuardError, PreconditionError
-from .model import ActionRequest, Model, SystemState, apply_actions, check_request, check_state
+from .blocking import BlockReport, check_tie_break, greedy_block, nondet_block
+from .errors import CoalGuardError, PreconditionError, require
+from .model import ActionRequest, CheckedBatch, Model, SystemState, apply_actions, check_request
 from .model import check_batch, is_secure, simulate  # callers still read the batch layer here
 
 POLICIES = ("none", "greedy", "nondeterministic")
 
 
 class _Buffer(list):
-    """A request list a queue made and checked itself, so pushes may append to it."""
+    """A request list a queue made and checked against ``model``, so pushes may append to it."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,7 +35,8 @@ class ActionQueue:
     pending requests are ``buffer[start:end]``, so taking a batch advances
     ``start`` instead of copying the rest of the queue, and a push onto a view
     ending where its buffer ends appends in place (amortised O(1)); other
-    pushes copy. No view sees a later push, and none is checked again.
+    pushes copy and check it. No view sees a later push; no view of a buffer
+    checked for its model, nor a CheckedBatch taken from one, is checked again.
     ``requests``, ``len``, iteration and equality all see only what is pending.
     """
 
@@ -44,7 +46,8 @@ class ActionQueue:
     end: Optional[int] = None
 
     def __post_init__(self):
-        if type(self.buffer) is not _Buffer:  # outside requests: check them once
+        if type(self.buffer) is not _Buffer or self.buffer.model is not self.model:
+            require(self.model, Model, "model")
             try:
                 buffer = _Buffer(itertools.islice(self.buffer, self.start, self.end))
             except (TypeError, ValueError):
@@ -58,6 +61,7 @@ class ActionQueue:
             except CoalGuardError as exc:  # name the request's position
                 exc.args = (f"queue[{index}]: {exc}",)
                 raise
+            buffer.model = self.model
             object.__setattr__(self, "buffer", buffer)
             object.__setattr__(self, "start", 0)
             object.__setattr__(self, "end", len(buffer))
@@ -75,7 +79,7 @@ class ActionQueue:
             buffer.append(request)
             if len(buffer) == end + 1:  # else another push on this view appended first
                 return ActionQueue(self.model, buffer, start, end + 1)
-        return ActionQueue(self.model, _Buffer([*buffer[start:end], request]))
+        return ActionQueue(self.model, [*buffer[start:end], request])
 
     def push(self, agent: str, variable: str, new_value: bool) -> "ActionQueue":
         next_index = self.buffer[self.end - 1].arrival_index + 1 if self.end else 0
@@ -98,7 +102,9 @@ class ActionQueue:
             request = buffer[index]
             (dropped if request.agent in blocked else batch).append(request)
             index += 1
-        return tuple(batch), tuple(dropped), ActionQueue(self.model, buffer, index, end)
+        taken = CheckedBatch(batch)
+        taken.model = self.model
+        return taken, tuple(dropped), ActionQueue(self.model, buffer, index, end)
 
     def __len__(self) -> int:
         return self.end - self.start
@@ -135,8 +141,7 @@ class BlockUntilTick(BlockingStrategy):
     release_tick: int
 
     def __post_init__(self):
-        if type(self.release_tick) is not int:  # a bool is no tick
-            raise PreconditionError(f"release tick must be an int, not {self.release_tick!r}")
+        require(self.release_tick, int, "release tick")
 
     def schedule(self, agents, current_tick, rng):
         return {agent: self.release_tick for agent in agents}
@@ -151,10 +156,9 @@ class BlockForRandomInterval(BlockingStrategy):
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if type(self.low) is not int or type(self.high) is not int:  # a bool is no bound
-            raise PreconditionError(f"interval bounds must be ints: {self.low!r}, {self.high!r}")
-        if self.seed is not None and type(self.seed) is not int:  # nor a seed
-            raise PreconditionError(f"interval seed must be an int, not {self.seed!r}")
+        require(self.low, int, "interval low")
+        require(self.high, int, "interval high")
+        require(self.seed, (int, type(None)), "interval seed")
         if self.low < 0 or self.high < self.low:
             raise PreconditionError("interval must satisfy 0 <= low <= high")
 
@@ -178,12 +182,9 @@ class EngineConfig:
             raise PreconditionError("max_actions_per_tick must be a positive integer or 'auto'")
         if self.policy not in POLICIES:
             raise PreconditionError(f"policy must be one of {POLICIES}")
-        if self.tie_break not in TIE_BREAKS:
-            raise PreconditionError(f"tie_break must be one of {TIE_BREAKS}")
-        if not isinstance(self.blocking_strategy, BlockingStrategy):
-            raise PreconditionError(f"not a BlockingStrategy: {self.blocking_strategy!r}")
-        if type(self.random_seed) is not int:  # a bool is no seed
-            raise PreconditionError(f"random_seed must be an int, not {self.random_seed!r}")
+        check_tie_break(self.tie_break)
+        require(self.blocking_strategy, BlockingStrategy, "blocking_strategy")
+        require(self.random_seed, int, "random_seed")
 
     def batch_size(self, model: Model) -> int:
         if self.max_actions_per_tick == "auto":
@@ -214,6 +215,16 @@ class TickOutcome:
     record: TickRecord
 
 
+def _check_run(model, state, queue, config) -> None:
+    """The kinds tick and run_ticks check, and that the queue is the model's."""
+    require(model, Model, "model")
+    require(state, SystemState, "state")
+    require(config, EngineConfig, "config")
+    require(queue, ActionQueue, "queue")
+    if queue.model is not model and queue.model != model:
+        raise PreconditionError("the queue was built for another model")
+
+
 def tick(
     model: Model,
     state: SystemState,
@@ -224,26 +235,22 @@ def tick(
     strategy_rng: Optional[random.Random] = None,
 ) -> TickOutcome:
     """Advance the system by one tick under the configured policy."""
-    check_state(state)
-    if not isinstance(config, EngineConfig):
-        raise PreconditionError(f"config must be an EngineConfig, not {config!r}")
-    if not isinstance(queue, ActionQueue):
-        raise PreconditionError(f"queue must be an ActionQueue, not {queue!r}")
-    if blocked_registry is not None and not isinstance(blocked_registry, Mapping):
-        raise PreconditionError(f"blocked_registry must be a mapping, not {blocked_registry!r}")
+    _check_run(model, state, queue, config)
+    registry = require(blocked_registry, (Mapping, type(None)), "blocked_registry") or {}
     for generator in (rng, strategy_rng):
         if generator is not None and not isinstance(generator, random.Random):
             raise PreconditionError(f"rng and strategy_rng must be random.Randoms: {generator!r}")
+    for release in registry.values():
+        require(release, int, "a blocked_registry tick")
     rng = rng if rng is not None else random.Random(config.random_seed)
     strategy_rng = strategy_rng if strategy_rng is not None else rng
-    forming = state.tick + 1  # registry entries name the first tick an agent may act in
-    registry = {}
-    for agent, release in (blocked_registry or {}).items():
-        if type(release) is not int:  # a bool is no tick
-            raise PreconditionError(f"blocked_registry maps agents to int ticks, not {release!r}")
-        if release > forming:
-            registry[agent] = release
+    return _tick(model, state, queue, config, registry, rng, strategy_rng)
 
+
+def _tick(model, state, queue, config, blocked_registry, rng, strategy_rng) -> TickOutcome:
+    """tick on checked arguments, with the rngs drawn and the registry a mapping."""
+    forming = state.tick + 1  # registry entries name the first tick an agent may act in
+    registry = {agent: release for agent, release in blocked_registry.items() if release > forming}
     batch, _, remaining = queue.take_batch_excluding(config.batch_size(model), registry)
 
     if config.policy == "none":
@@ -279,19 +286,16 @@ def run_ticks(
     ticks: int,
 ) -> RunResult:
     """Run a fixed number of ticks, threading queue, registry, and RNG state."""
-    check_state(state)
-    if not isinstance(config, EngineConfig):
-        raise PreconditionError(f"config must be an EngineConfig, not {config!r}")
+    _check_run(model, state, queue, config)
     if type(ticks) is not int or ticks < 0:  # a bool is no tick count
         raise PreconditionError(f"ticks must be a non-negative int, not {ticks!r}")
     rng = random.Random(config.random_seed)
-    strategy = config.blocking_strategy
-    own_seed = getattr(strategy, "seed", None)
+    own_seed = getattr(config.blocking_strategy, "seed", None)
     strategy_rng = random.Random(own_seed) if own_seed is not None else rng
     registry: dict = {}
     records = []
     for _ in range(ticks):
-        outcome = tick(model, state, queue, config, registry, rng, strategy_rng)
+        outcome = _tick(model, state, queue, config, registry, rng, strategy_rng)
         state, queue, registry = outcome.state, outcome.queue, outcome.registry
         records.append(outcome.record)
     return RunResult(state, queue, records)

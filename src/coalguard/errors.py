@@ -50,3 +50,15 @@ class ScenarioError(CoalGuardError):
 
 class InsecureStartError(ScenarioError):
     """The scenario's initial state already satisfies a critical formula."""
+
+
+def require(value, kind, what: str):
+    """The value, if an instance of ``kind``, a type or a tuple of types (a bool
+    only where ``bool`` is one); else PreconditionError("{what} must be a ...")."""
+    kinds = kind if type(kind) is tuple else (kind,)
+    if isinstance(value, kinds) and (type(value) is not bool or bool in kinds):
+        return value
+    names = [k.__name__.lower() if k.__module__ == "collections.abc" else k.__name__ for k in kinds]
+    names = ["None" if n == "NoneType" else ("an " if n[0] in "aeiouAEIOU" else "a ") + n
+             for n in names]
+    raise PreconditionError(f"{what} must be {' or '.join(names)}, not {value!r}")

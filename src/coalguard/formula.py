@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .errors import (
     BudgetExceededError,
@@ -31,6 +32,7 @@ from .errors import (
     PreconditionError,
     UnknownAgentError,
     UnknownVariableError,
+    require,
 )
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -119,14 +121,14 @@ def _halves(parts: Sequence[Formula], join: Callable[[Formula, Formula], Formula
     """Join nonempty ``parts`` as a tree split in halves, so n parts nest
     only ceil(log2 n) joins deep and the recursive walkers stay shallow."""
     if len(parts) == 1:
-        return parts[0]
+        return require(parts[0], Formula, "a part")
     half = (len(parts) + 1) // 2
     return join(_halves(parts[:half], join), _halves(parts[half:], join))
 
 
 def conjoin(parts: Iterable[Formula]) -> Formula:
     """Conjunction of ``parts``; Top for an empty sequence."""
-    parts = tuple(parts)
+    parts = tuple(require(parts, Iterable, "parts"))
     if not parts:
         return TOP
     return _halves(parts, lambda a, b: a & b)
@@ -134,7 +136,7 @@ def conjoin(parts: Iterable[Formula]) -> Formula:
 
 def disjoin(parts: Iterable[Formula]) -> Formula:
     """Disjunction of ``parts``; ~true for an empty sequence."""
-    parts = tuple(parts)
+    parts = tuple(require(parts, Iterable, "parts"))
     if not parts:
         return Not(TOP)
     return _halves(parts, Or)
@@ -260,8 +262,7 @@ def parse_formula(text: str) -> Formula:
     ~, <> or parentheses more deeply, than FORMULA_DEPTH_CAP; text that is
     not a str raises PreconditionError.
     """
-    if not isinstance(text, str):
-        raise PreconditionError(f"formula text must be a str, not {text!r}")
+    require(text, str, "formula text")
     return _Parser(_tokenize(text)).parse()
 
 
@@ -362,8 +363,7 @@ def eval_formula(f: Formula, model, state) -> bool:
     """
     check_names(f, model)
     valuation = getattr(state, "valuation", state)
-    if not isinstance(valuation, Mapping):
-        raise PreconditionError(f"state must be a SystemState or a mapping, not {state!r}")
+    require(valuation, Mapping, "a state's valuation")
     try:
         return _eval(f, model, valuation)
     except KeyError as exc:
@@ -376,9 +376,11 @@ def unassigned(variable: str) -> UnknownVariableError:
 
 
 def check_names(f: Formula, model, modal: Optional[str] = None) -> frozenset[str]:
-    """Raise ModalFormulaError(modal) for a modal f if modal is given, then
-    for the first undeclared variable or agent that f names; else return
-    the variables f mentions."""
+    """Raise PreconditionError for a model that is not a Model, then
+    ModalFormulaError(modal) for a modal f if modal is given, then for the
+    first undeclared variable or agent that f names; else return f's variables."""
+    if not isinstance(getattr(model, "variable_set", None), frozenset):  # Model is a layer up
+        raise PreconditionError(f"model must be a Model, not {model!r}")
     used, coalitions = structure(f)
     if modal is not None and coalitions:
         raise ModalFormulaError(modal)
@@ -405,14 +407,13 @@ def _eval(f: Formula, model, valuation: Mapping[str, bool]) -> bool:
         relevant = _diamond_variables(f, model)
         witness = first_witness(lambda trial, _: _eval(f.child, model, trial), valuation, relevant)
         return witness is not None
-    raise PreconditionError(f"not a formula: {f!r}")
 
 
 def compile_formula(f: Formula, model) -> Evaluator:
     """A closure ``(lanes, ones) -> int`` evaluating f in every lane at once
     (Knuth, TAOCP 4A, 7.1.3), where ``ones`` sets bit 0 of each lane and
     ``lanes[v]`` holds v's values; ``(valuation, True)`` is truthy exactly
-    when eval_formula holds. Names are not checked. ``&`` and ``|`` stop at
+    when eval_formula holds. Only a <> checks names. ``&`` and ``|`` stop at
     a left side of 0 and of ``ones``; <>{C} g ORs g over the assignments to
     C's variables that g mentions until all lanes hold, checking its budget
     only when evaluated. A propositional f needs no model."""
@@ -449,7 +450,7 @@ def compile_formula(f: Formula, model) -> Evaluator:
 
 def _diamond_variables(f: Diamond, model) -> tuple[str, ...]:
     """The variables of f's coalition that f's child mentions, in model order."""
-    inner = vars_of(f.child)
+    inner = check_names(f.child, model)
     return tuple(v for v in model.coalition_variables(f.coalition) if v in inner)
 
 

@@ -18,6 +18,7 @@ from .errors import (
     QueueOrderError,
     UnknownAgentError,
     UnknownVariableError,
+    require,
 )
 from .formula import (
     Evaluator,
@@ -153,8 +154,7 @@ class SystemState:
     valuation: Mapping[str, bool]
 
     def __post_init__(self):
-        if type(self.tick) is not int:  # a bool is no tick
-            raise PreconditionError(f"tick must be an int, not {self.tick!r}")
+        require(self.tick, int, "tick")
         try:
             object.__setattr__(self, "valuation", dict(self.valuation))
         except (TypeError, ValueError) as exc:
@@ -207,6 +207,7 @@ def validate_model(model: Model) -> tuple[Violation, ...]:
     names. Here each critical formula must mention variables of at least two
     distinct agents.
     """
+    require(model, Model, "model")
     violations: list[Violation] = []
 
     if not model.agents:
@@ -223,15 +224,10 @@ def validate_model(model: Model) -> tuple[Violation, ...]:
     return tuple(violations)
 
 
-def check_state(state: SystemState) -> None:
-    """Raise PreconditionError for a state that is not a SystemState."""
-    if not isinstance(state, SystemState):
-        raise PreconditionError(f"state must be a SystemState, not {state!r}")
-
-
 def is_secure(model: Model, state: SystemState) -> bool:
     """True when every critical formula evaluates false at the state."""
-    check_state(state)
+    require(model, Model, "model")
+    require(state, SystemState, "state")
     try:
         for evaluate in model.compiled.evaluators:
             if evaluate(state.valuation, True):
@@ -250,7 +246,7 @@ def diamond_holds(
     variables that occur in f; applying it to the state makes f true.
     Enumeration is exhaustive over those variables and capped at 20.
     """
-    check_state(state)
+    require(state, SystemState, "state")
     used = check_names(f, model, "ability checks take a propositional formula")
     members = coalition_names(coalition)
     owned = model.coalition_variables(members)
@@ -297,9 +293,17 @@ def check_request(model: Model, request: ActionRequest, last: Optional[ActionReq
         )
 
 
+class CheckedBatch(tuple):
+    """A batch an ActionQueue took from its requests, checked against ``model``."""
+
+
 def check_batch(model: Model, batch: Iterable[ActionRequest]) -> tuple[ActionRequest, ...]:
     """The batch as a tuple of ActionRequests whose agents own their variables;
-    a request that is not owned raises what check_request, and enqueueing, would."""
+    a request that is not owned raises what check_request, and enqueueing, would.
+    A CheckedBatch taken for this very model is returned as it is."""
+    if type(batch) is CheckedBatch and batch.model is model:
+        return batch
+    require(model, Model, "model")
     try:
         batch = tuple(batch)
     except TypeError:
@@ -314,7 +318,7 @@ def check_batch(model: Model, batch: Iterable[ActionRequest]) -> tuple[ActionReq
 
 def apply_actions(state: SystemState, batch: Sequence[ActionRequest]) -> SystemState:
     """Apply a batch in arrival order (later writes win) and advance the clock."""
-    check_state(state)
+    require(state, SystemState, "state")
     try:
         changes = {request.variable: request.new_value for request in batch}
     except (AttributeError, TypeError):
@@ -339,6 +343,7 @@ class SimulationReport:
 def simulate(model: Model, state: SystemState, batch: Sequence[ActionRequest]) -> SimulationReport:
     """Only formulas mentioning a variable the batch changes can flip, so
     only those are evaluated."""
+    require(model, Model, "model")
     after = apply_actions(state, batch)
     compiled = model.compiled
     before, now = state.valuation, after.valuation

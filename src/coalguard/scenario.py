@@ -19,9 +19,10 @@ from __future__ import annotations
 import functools
 import json
 import os
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Union
 
 import yaml
 
@@ -36,18 +37,18 @@ from .engine import (
     TickRecord,
 )
 from .errors import (
-    BudgetExceededError,
     CoalGuardError,
-    FormulaSyntaxError,
     InsecureStartError,
     PreconditionError,
     ScenarioError,
+    require,
 )
 from .formula import parse_formula
 from .model import ActionRequest, Model, SystemState, validate_model
 
 _TOP_KEYS = {"agents", "formulas", "initial", "queue", "config"}
 _CONFIG_KEYS = {"max_actions_per_tick", "policy", "blocking_strategy", "tie_break", "seed"}
+_CONFIG_FIELDS = {"seed": "random_seed"}  # the EngineConfig field of a key named otherwise
 _QUEUE_KEYS = {"agent", "var", "value"}
 
 
@@ -65,16 +66,6 @@ def _require_mapping(value, what: str) -> Mapping:
     return value
 
 
-_KIND_NAMES = {bool: "a boolean", int: "an integer"}
-
-
-def _require(value, kind: type, what: str):
-    """The value, if it has the kind; a boolean is not an integer here."""
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ScenarioError(f"{what} must be {_KIND_NAMES[kind]}, got {value!r}")
-    return value
-
-
 def parse_strategy(value) -> BlockingStrategy:
     """Accepts "drop_tick", "silent_freeze" (a synonym of drop_tick),
     {block_until_tick: T}, or {block_for_random_interval: {low, high, seed?}}."""
@@ -82,24 +73,13 @@ def parse_strategy(value) -> BlockingStrategy:
         return DropTick()
     if isinstance(value, Mapping) and len(value) == 1:
         (name, body), = value.items()
-        if name == "block_until_tick":
-            return BlockUntilTick(_require(body, int, "block_until_tick"))
-        if name == "block_for_random_interval":
-            body = _require_mapping(body, "block_for_random_interval")
-            extra = set(body) - {"low", "high", "seed"}
-            if extra:
-                raise ScenarioError(
-                    f"block_for_random_interval: unknown keys {sorted(extra, key=str)}"
-                )
-            low = _require(body.get("low"), int, "block_for_random_interval.low")
-            high = _require(body.get("high"), int, "block_for_random_interval.high")
-            seed = body.get("seed")
-            if seed is not None:
-                _require(seed, int, "block_for_random_interval.seed")
-            try:
-                return BlockForRandomInterval(low, high, seed)
-            except ValueError as exc:
-                raise ScenarioError(f"block_for_random_interval: {exc}") from exc
+        try:
+            if name == "block_until_tick":
+                return BlockUntilTick(body)
+            if name == "block_for_random_interval":  # its signature refuses other keys
+                return BlockForRandomInterval(**_require_mapping(body, name))
+        except (PreconditionError, TypeError) as exc:
+            raise ScenarioError(f"{name}: {exc}") from exc
     raise ScenarioError(f"unknown blocking_strategy: {value!r}")
 
 
@@ -110,13 +90,10 @@ def config_from_mapping(data: Optional[Mapping]) -> EngineConfig:
     extra = set(data) - _CONFIG_KEYS
     if extra:
         raise ScenarioError(f"config: unknown keys {sorted(extra, key=str)}")
-    kwargs = {key: data[key] for key in ("max_actions_per_tick", "policy", "tie_break")
-              if key in data}
-    if "blocking_strategy" in data:
-        kwargs["blocking_strategy"] = parse_strategy(data["blocking_strategy"])
-    if "seed" in data:
-        kwargs["random_seed"] = _require(data["seed"], int, "config: seed")
-    try:
+    kwargs = {_CONFIG_FIELDS.get(key, key): value for key, value in data.items()}
+    if "blocking_strategy" in kwargs:
+        kwargs["blocking_strategy"] = parse_strategy(kwargs["blocking_strategy"])
+    try:  # EngineConfig checks each value, the seed among them
         return EngineConfig(**kwargs)
     except ValueError as exc:
         raise ScenarioError(f"config: {exc}") from exc
@@ -132,34 +109,27 @@ def scenario_from_mapping(data: Mapping, allow_insecure_start: bool = False) -> 
         raise ScenarioError(f"missing top-level keys {sorted(missing)}")
 
     agents_map = _require_mapping(data["agents"], "agents")
-    if not agents_map:
-        raise ScenarioError("agents mapping is empty")
-    agents = []
-    variables = []
     partition = {}
     for agent, owned in agents_map.items():
         if owned is None:
             owned = []
         if not isinstance(owned, list) or not all(isinstance(v, str) for v in owned):
             raise ScenarioError(f"agents[{agent}] must be a list of variable names")
-        agents.append(agent)
         partition[agent] = tuple(owned)
-        for v in owned:
-            if v not in variables:
-                variables.append(v)
+    variables = tuple(dict.fromkeys(v for owned in partition.values() for v in owned))
 
     raw_formulas = data["formulas"]
-    if not isinstance(raw_formulas, list) or not all(isinstance(f, str) for f in raw_formulas):
+    if not isinstance(raw_formulas, list):
         raise ScenarioError("formulas must be a list of strings")
     formulas = []
     for index, text in enumerate(raw_formulas):
-        try:
+        try:  # parse_formula refuses text that is not a str
             formulas.append(parse_formula(text))
-        except (FormulaSyntaxError, BudgetExceededError) as exc:
+        except CoalGuardError as exc:
             raise ScenarioError(f"formulas[{index}]: {exc}") from exc
 
     try:
-        model = Model(tuple(agents), tuple(variables), partition, tuple(formulas))
+        model = Model(tuple(partition), variables, partition, formulas)
     except CoalGuardError as exc:
         raise ScenarioError(f"invalid model: {exc}") from exc
     violations = validate_model(model)
@@ -174,11 +144,13 @@ def scenario_from_mapping(data: Mapping, allow_insecure_start: bool = False) -> 
     absent = set(variables) - set(initial)
     if absent:
         raise ScenarioError(f"initial valuation missing variables {sorted(absent)}")
-    valuation = {v: _require(initial[v], bool, f"initial[{v}]") for v in variables}
-    state = SystemState(0, valuation)
+    wrong = [v for v in variables if type(initial[v]) is not bool]  # SystemState allows 0 and 1
+    if wrong:
+        raise ScenarioError(f"initial[{wrong[0]}] must be a bool, not {initial[wrong[0]]!r}")
+    state = SystemState(0, {v: initial[v] for v in variables})
 
     evaluators = model.compiled.evaluators
-    satisfied = [i for i, evaluate in enumerate(evaluators) if evaluate(valuation, True)]
+    satisfied = [i for i, evaluate in enumerate(evaluators) if evaluate(state.valuation, True)]
     if satisfied and not allow_insecure_start:
         raise InsecureStartError(
             f"initial state satisfies critical formula(s) {satisfied}"
@@ -190,20 +162,11 @@ def scenario_from_mapping(data: Mapping, allow_insecure_start: bool = False) -> 
     if not isinstance(raw_queue, list):
         raise ScenarioError("queue must be a list of requests")
     requests: list[ActionRequest] = []
-    for index, item in enumerate(raw_queue):
-        item = _require_mapping(item, f"queue[{index}]")
-        extra = set(item) - _QUEUE_KEYS
-        if extra:
-            raise ScenarioError(f"queue[{index}]: unknown keys {sorted(extra, key=str)}")
-        missing = _QUEUE_KEYS - set(item)
-        if missing:
-            raise ScenarioError(f"queue[{index}]: missing keys {sorted(missing)}")
-        value = _require(item["value"], bool, f"queue[{index}].value")
-        agent, variable = item["agent"], item["var"]
-        if not isinstance(agent, str) or not isinstance(variable, str):
-            raise ScenarioError(f"queue[{index}]: agent and var must be strings")
-        requests.append(ActionRequest(agent, variable, value, index))
-    try:
+    for index, item in enumerate(raw_queue):  # checked inline: a queue holds thousands
+        if not isinstance(item, Mapping) or item.keys() != _QUEUE_KEYS:
+            raise ScenarioError(f"queue[{index}] must map exactly agent, var and value: {item!r}")
+        requests.append(ActionRequest(item["agent"], item["var"], item["value"], index))
+    try:  # the queue checks each request's kinds and ownership, naming its index
         queue = ActionQueue(model, requests)
     except CoalGuardError as exc:
         raise ScenarioError(str(exc)) from exc
@@ -212,6 +175,7 @@ def scenario_from_mapping(data: Mapping, allow_insecure_start: bool = False) -> 
 
 
 def load_scenario(path: Union[str, Path], allow_insecure_start: bool = False) -> Scenario:
+    require(path, (str, os.PathLike), "a scenario path")
     text = Path(path).read_text(encoding="utf-8")
     try:
         data = yaml.safe_load(text)
@@ -319,7 +283,7 @@ def _iteration_json(item) -> str:
             _subset_json(item.representative),
             _leaf(item.success),
         )
-    raise TypeError(f"unknown iteration snapshot {type(item).__name__}")
+    raise PreconditionError(f"unknown iteration snapshot {type(item).__name__}")
 
 
 def trace_line(record: TickRecord) -> str:
@@ -352,6 +316,7 @@ def trace_line(record: TickRecord) -> str:
 
 
 def trace_text(records: Sequence[TickRecord]) -> str:
+    require(records, Iterable, "trace records")
     return "".join(trace_line(record) + "\n" for record in records)
 
 
@@ -363,10 +328,7 @@ def write_trace(records: Sequence[TickRecord], path: Union[str, Path]) -> None:
     int, or a bool, as a descriptor to write to and then close."""
     if not isinstance(path, (str, os.PathLike)):
         raise PreconditionError(f"a trace path is a str or os.PathLike, not {path!r}")
-    try:
-        records = tuple(records)
-    except TypeError:
-        raise PreconditionError(f"trace records must be iterable, not {records!r}") from None
+    records = tuple(require(records, Iterable, "trace records"))
     for record in records:
         if not isinstance(record, TickRecord):
             raise PreconditionError(f"a trace line is written from a TickRecord, not {record!r}")
