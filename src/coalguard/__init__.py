@@ -35,9 +35,7 @@ from .formula import (
     eval_formula,
     find_horn_labeling,
     format_formula,
-    has_diamond,
     parse_formula,
-    vars_of,
 )
 from .model import (
     ActionRequest,

@@ -18,16 +18,15 @@ from .errors import UnknownVariableError, require
 from .formula import (
     Formula,
     _all_clauses,
+    _compile,
     _prime_implicates,
     Not,
     Var,
     check_names,
-    compile_formula,
     conjoin,
     disjoin,
     first_witness,
     flip_across,
-    has_diamond,
     horn_renaming,
     valuation_masks,
 )
@@ -192,9 +191,9 @@ def single_flip_agents(model: Model, state: SystemState, formula: Formula) -> fr
     the formula.
     """
     require(state, SystemState, "state")
-    used = check_names(formula, model, "single-flip analysis takes a propositional formula")
+    used, _ = check_names(formula, model, "single-flip analysis takes a propositional formula")
     valuation = {v: state.value(v) for v in model.variables if v in used}  # first unassigned raises
-    evaluate = compile_formula(formula, model)
+    evaluate = _compile(formula, model)
     if evaluate(valuation, True):
         raise PreconditionError("formula is already true at this state")
     agents = set()
@@ -228,14 +227,15 @@ def audit_vulnerabilities(model: Model, state: SystemState) -> tuple[Vulnerabili
     """
     require(model, Model, "model")
     require(state, SystemState, "state")
-    for f in model.critical_formulas:
-        if has_diamond(f):
-            raise ModalFormulaError("the audit requires propositional critical formulas")
+    compiled = model.compiled
+    if any(compiled.coalitions):
+        raise ModalFormulaError("the audit requires propositional critical formulas")
     for variable in model.variables:
         state.value(variable)  # raises for a variable the state leaves unassigned
-    compiled = model.compiled
     findings = []
     for index, f in enumerate(model.critical_formulas):
+        used = compiled.variables[index]
+        owners = [(v, model.owner_of(v)) for v in model.variables if v in used]  # model order
         if compiled.evaluators[index](state.valuation, True):
             candidates = model.agents
         else:
@@ -251,8 +251,7 @@ def audit_vulnerabilities(model: Model, state: SystemState) -> tuple[Vulnerabili
                 members = frozenset(combo)
                 if any(found <= members for found in minimal):
                     continue
-                owned = model.coalition_variables(members)
-                relevant = tuple(v for v in owned if v in compiled.variables[index])
+                relevant = tuple(v for v, owner in owners if owner in members)
                 assignment = first_witness(compiled.evaluators[index], state.valuation, relevant)
                 if assignment is not None:
                     minimal.append(members)

@@ -56,6 +56,8 @@ def build_matrix(model: Model, report: SimulationReport) -> BlockingMatrix:
     require(model, Model, "model")
     require(report, SimulationReport, "report")
     rows, cols = report.became_true, report.implicated_agents
+    if not set(rows).issubset(range(len(model.critical_formulas))):
+        raise PreconditionError(f"the report's formulas {rows!r} are not all the model's")
     row_agents = tuple(map(model.compiled.agents.__getitem__, rows))
     counters = tuple(sum(agent in row for row in row_agents) for agent in cols)
     return BlockingMatrix(rows, cols, row_agents, counters)

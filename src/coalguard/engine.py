@@ -77,8 +77,7 @@ class ActionQueue:
         check_request(self.model, request, buffer[end - 1] if end else None)
         if end == len(buffer) and type(buffer) is _Buffer:
             buffer.append(request)
-            if len(buffer) == end + 1:  # else another push on this view appended first
-                return ActionQueue(self.model, buffer, start, end + 1)
+            return ActionQueue(self.model, buffer, start, end + 1)
         return ActionQueue(self.model, [*buffer[start:end], request])
 
     def push(self, agent: str, variable: str, new_value: bool) -> "ActionQueue":

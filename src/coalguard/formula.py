@@ -39,11 +39,13 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _RESERVED = {"true"}
 
 DIAMOND_VARIABLE_CAP = 20
-# Deepest formula parse_formula accepts; evaluators and printers recurse on
-# trees, so this keeps them far from Python's recursion limit.
+# Most levels any formula's tree may have; evaluators and printers recurse
+# on trees, so this keeps them far from Python's recursion limit.
 FORMULA_DEPTH_CAP = 256
+_TOO_DEEP = f"formula nests deeper than {FORMULA_DEPTH_CAP} levels"
 
 Evaluator = Callable[[Mapping[str, int], int], int]
+Structure = tuple[frozenset[str], frozenset[frozenset[str]]]  # variables, coalitions
 
 
 class Formula:
@@ -152,32 +154,20 @@ class _Token(NamedTuple):
     pos: int
 
 
+# a symbol (group 1), a name (group 2) or any other non-space character (group
+# 3); finditer skips the whitespace between them
+_TOKEN_RE = re.compile(r"(<>|[~&|(){},])|(" + _IDENT_RE.pattern + r")|(\S)")
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("<>", i):
-            tokens.append(_Token("<>", "<>", i))
-            i += 2
-            continue
-        if ch in "~&|(){},":
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            word = m.group()
-            kind = "true" if word == "true" else "ident"
-            tokens.append(_Token(kind, word, i))
-            i = m.end()
-            continue
-        raise FormulaSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", n))
+    for m in _TOKEN_RE.finditer(text):
+        word = m.group()
+        if m.lastindex == 3:
+            raise FormulaSyntaxError(f"unexpected character {word!r}", m.start())
+        kind = word if m.lastindex == 1 else "true" if word == "true" else "ident"
+        tokens.append(_Token(kind, word, m.start()))
+    tokens.append(_Token("end", "", len(text)))
     return tokens
 
 
@@ -201,35 +191,29 @@ class _Parser:
         return self.advance()
 
     def parse(self) -> Formula:
-        node, height = self.expression(_DISJ, 0)
+        node = self.expression(_DISJ, 0)
         token = self.peek()
         if token.kind != "end":
             raise FormulaSyntaxError(f"unexpected {token.text!r}", token.pos)
-        if height > FORMULA_DEPTH_CAP:
-            raise _too_deep()
         return node
 
-    def expression(self, floor: int, nesting: int) -> tuple[Formula, int]:
+    def expression(self, floor: int, nesting: int) -> Formula:
         """Operands joined by binary operators binding at least as tightly as
-        floor, with the height of their tree. A chain loops instead of
-        recursing, so only ~, <> and ( nest calls."""
-        node, height = self.operand(nesting)
+        floor. A chain loops instead of recursing, so only ~, <> and ( nest
+        calls."""
+        node = self.operand(nesting)
         while _BINDING.get(self.peek().kind, -1) >= floor:
             op = self.advance().kind
-            right, right_height = self.expression(_BINDING[op] + 1, nesting)  # left associative
-            if op == "|":
-                node, height = Or(node, right), max(height, right_height) + 1
-            else:  # ~(~a | ~b) puts three levels above a and b
-                node, height = node & right, max(height, right_height) + 3
-        return node, height
+            right = self.expression(_BINDING[op] + 1, nesting)  # left associative
+            node = Or(node, right) if op == "|" else node & right
+        return node
 
-    def operand(self, nesting: int) -> tuple[Formula, int]:
+    def operand(self, nesting: int) -> Formula:
         token = self.advance()
         if token.kind in ("~", "<>", "(") and nesting == FORMULA_DEPTH_CAP:
-            raise _too_deep()  # checked before recursing, unlike the height
+            raise BudgetExceededError(_TOO_DEEP)  # the parser's own calls nest this deep
         if token.kind == "~":
-            child, height = self.operand(nesting + 1)
-            return Not(child), height + 1
+            return Not(self.operand(nesting + 1))
         if token.kind == "<>":
             self.expect("{", "'{' after '<>'")
             names = [self.expect("ident", "agent name").text]
@@ -237,21 +221,16 @@ class _Parser:
                 self.advance()
                 names.append(self.expect("ident", "agent name").text)
             self.expect("}", "'}' closing the coalition")
-            child, height = self.operand(nesting + 1)
-            return Diamond(names, child), height + 1
+            return Diamond(names, self.operand(nesting + 1))
         if token.kind == "(":
             inner = self.expression(_DISJ, nesting + 1)
             self.expect(")", "')'")
             return inner
         if token.kind == "true":
-            return TOP, 1
+            return TOP
         if token.kind == "ident":
-            return Var(token.text), 1
+            return Var(token.text)
         raise FormulaSyntaxError("expected a formula", token.pos)
-
-
-def _too_deep() -> BudgetExceededError:
-    return BudgetExceededError(f"formula nests deeper than {FORMULA_DEPTH_CAP} levels")
 
 
 def parse_formula(text: str) -> Formula:
@@ -263,7 +242,9 @@ def parse_formula(text: str) -> Formula:
     not a str raises PreconditionError.
     """
     require(text, str, "formula text")
-    return _Parser(_tokenize(text)).parse()
+    f = _Parser(_tokenize(text)).parse()
+    checked_structure(f)  # the tree's height, as for a formula built in code
+    return f
 
 
 def format_formula(f: Formula) -> str:
@@ -271,8 +252,9 @@ def format_formula(f: Formula) -> str:
 
     The conjunction pattern ~(~a | ~b) that & builds is printed back as
     a & b; parentheses appear only where precedence or associativity needs
-    them.
+    them. A formula past FORMULA_DEPTH_CAP levels raises BudgetExceededError.
     """
+    checked_structure(f)
     return _fmt(f, _DISJ)
 
 
@@ -307,12 +289,10 @@ def _fmt(f: Formula, need: int) -> str:
     elif isinstance(f, Not):
         text = "~" + _fmt(f.child, _UNARY)
         own = _UNARY
-    elif isinstance(f, Diamond):
+    else:  # a Diamond: format_formula's walk refused any other node
         names = ",".join(sorted(f.coalition))
         text = "<>{" + names + "}" + _fmt(f.child, _UNARY)
         own = _UNARY
-    else:
-        raise PreconditionError(f"not a formula: {f!r}")
     return f"({text})" if own < need else text
 
 
@@ -320,33 +300,43 @@ def _fmt(f: Formula, need: int) -> str:
 # structure queries
 
 
-def structure(f: Formula) -> tuple[frozenset[str], frozenset[frozenset[str]]]:
-    """The variables and the coalitions occurring in f, in one walk with an
-    explicit stack, so a tree's depth does not matter. Coalition names are
-    agents, not variables."""
-    variables, coalitions, stack = set(), set(), [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            variables.add(node.name)
-        elif isinstance(node, Or):
-            stack += (node.left, node.right)
-        elif isinstance(node, (Not, Diamond)):
-            if isinstance(node, Diamond):
+def _walk(f: Formula) -> tuple[frozenset[str], frozenset[frozenset[str]], int]:
+    """f's variables, coalitions and height, a level at a time, so depth does
+    not matter. A leaf is one level and each ~, | or <> node adds one, so
+    a & b, stored as ~(~a | ~b), adds three."""
+    variables, coalitions, level, height = set(), set(), [f], 0
+    while level:
+        height += 1
+        below = []
+        for node in level:
+            if isinstance(node, Not):
+                below.append(node.child)
+            elif isinstance(node, Or):
+                below += (node.left, node.right)
+            elif isinstance(node, Var):
+                variables.add(node.name)
+            elif isinstance(node, Diamond):
                 coalitions.add(node.coalition)
-            stack.append(node.child)
-        elif not isinstance(node, Top):
-            raise PreconditionError(f"not a formula: {node!r}")
-    return frozenset(variables), frozenset(coalitions)
+                below.append(node.child)
+            elif not isinstance(node, Top):
+                raise PreconditionError(f"not a formula: {node!r}")
+        level = below
+    return frozenset(variables), frozenset(coalitions), height
 
 
-def vars_of(f: Formula) -> frozenset[str]:
-    """Variables occurring in f."""
-    return structure(f)[0]
+def structure(f: Formula) -> Structure:
+    """The variables and the coalitions occurring in f, at any depth.
+    Coalition names are agents, not variables."""
+    return _walk(f)[:2]
 
 
-def has_diamond(f: Formula) -> bool:
-    return bool(structure(f)[1])
+def checked_structure(f: Formula) -> Structure:
+    """structure(f), or BudgetExceededError past FORMULA_DEPTH_CAP levels: every
+    formula entering the library passes here once, before anything recurses."""
+    variables, coalitions, height = _walk(f)
+    if height > FORMULA_DEPTH_CAP:
+        raise BudgetExceededError(_TOO_DEEP)
+    return variables, coalitions
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +365,14 @@ def unassigned(variable: str) -> UnknownVariableError:
     return UnknownVariableError(f"state does not assign {variable!r}")
 
 
-def check_names(f: Formula, model, modal: Optional[str] = None) -> frozenset[str]:
-    """Raise PreconditionError for a model that is not a Model, then
-    ModalFormulaError(modal) for a modal f if modal is given, then for the
-    first undeclared variable or agent that f names; else return f's variables."""
+def check_names(f: Formula, model, modal: Optional[str] = None) -> Structure:
+    """Raise PreconditionError for a model that is not a Model, then what
+    checked_structure raises, then ModalFormulaError(modal) for a modal f if
+    modal is given, then for the first undeclared variable or agent that f
+    names; else return f's structure."""
     if not isinstance(getattr(model, "variable_set", None), frozenset):  # Model is a layer up
         raise PreconditionError(f"model must be a Model, not {model!r}")
-    used, coalitions = structure(f)
+    used, coalitions = checked_structure(f)
     if modal is not None and coalitions:
         raise ModalFormulaError(modal)
     unknown = used - model.variable_set
@@ -391,7 +382,7 @@ def check_names(f: Formula, model, modal: Optional[str] = None) -> frozenset[str
         missing = coalition - model.agent_set
         if missing:
             raise UnknownAgentError(f"unknown agents: {sorted(missing, key=repr)}")
-    return used
+    return used, coalitions
 
 
 def _eval(f: Formula, model, valuation: Mapping[str, bool]) -> bool:
@@ -403,10 +394,9 @@ def _eval(f: Formula, model, valuation: Mapping[str, bool]) -> bool:
         return not _eval(f.child, model, valuation)
     if isinstance(f, Or):
         return _eval(f.left, model, valuation) or _eval(f.right, model, valuation)
-    if isinstance(f, Diamond):
-        relevant = _diamond_variables(f, model)
-        witness = first_witness(lambda trial, _: _eval(f.child, model, trial), valuation, relevant)
-        return witness is not None
+    relevant = _diamond_variables(f, model)  # a Diamond: check_names refused any other node
+    witness = first_witness(lambda trial, _: _eval(f.child, model, trial), valuation, relevant)
+    return witness is not None
 
 
 def compile_formula(f: Formula, model) -> Evaluator:
@@ -416,7 +406,13 @@ def compile_formula(f: Formula, model) -> Evaluator:
     when eval_formula holds. Only a <> checks names. ``&`` and ``|`` stop at
     a left side of 0 and of ``ones``; <>{C} g ORs g over the assignments to
     C's variables that g mentions until all lanes hold, checking its budget
-    only when evaluated. A propositional f needs no model."""
+    only when evaluated. A propositional f needs no model; one past
+    FORMULA_DEPTH_CAP levels raises BudgetExceededError."""
+    checked_structure(f)
+    return _compile(f, model)
+
+
+def _compile(f: Formula, model) -> Evaluator:
     if isinstance(f, Top):
         return lambda lanes, ones: ones
     if isinstance(f, Var):
@@ -424,33 +420,31 @@ def compile_formula(f: Formula, model) -> Evaluator:
         return lambda lanes, ones: lanes[name]
     pair = as_conjunction(f)
     if pair is not None:  # the ~(~a | ~b) that & builds, in one call instead of four
-        left, right = compile_formula(pair[0], model), compile_formula(pair[1], model)
+        left, right = _compile(pair[0], model), _compile(pair[1], model)
         return lambda lanes, ones: (x := left(lanes, ones)) and x & right(lanes, ones)
     if isinstance(f, Not):
-        child = compile_formula(f.child, model)
+        child = _compile(f.child, model)
         return lambda lanes, ones: ones ^ child(lanes, ones)
     if isinstance(f, Or):
-        left, right = compile_formula(f.left, model), compile_formula(f.right, model)
+        left, right = _compile(f.left, model), _compile(f.right, model)
         return lambda lanes, ones: x if (x := left(lanes, ones)) == ones else x | right(lanes, ones)
-    if isinstance(f, Diamond):
-        child = compile_formula(f.child, model)
-        relevant = _diamond_variables(f, model)
-        def diamond(lanes, ones):
-            _check_budget(relevant)
-            trial, result = dict(lanes), 0
-            for combo in itertools.product((0, ones), repeat=len(relevant)):
-                trial.update(zip(relevant, combo))
-                result |= child(trial, ones)
-                if result == ones:
-                    break
-            return result
-        return diamond
-    raise PreconditionError(f"not a formula: {f!r}")
+    child = _compile(f.child, model)  # a Diamond: the entry walk refused any other node
+    relevant = _diamond_variables(f, model)
+    def diamond(lanes, ones):
+        _check_budget(relevant)
+        trial, result = dict(lanes), 0
+        for combo in itertools.product((0, ones), repeat=len(relevant)):
+            trial.update(zip(relevant, combo))
+            result |= child(trial, ones)
+            if result == ones:
+                break
+        return result
+    return diamond
 
 
 def _diamond_variables(f: Diamond, model) -> tuple[str, ...]:
     """The variables of f's coalition that f's child mentions, in model order."""
-    inner = check_names(f.child, model)
+    inner, _ = check_names(f.child, model)
     return tuple(v for v in model.coalition_variables(f.coalition) if v in inner)
 
 
@@ -572,15 +566,15 @@ def find_horn_labeling(f: Formula) -> Optional[HornLabeling]:
     formulas get the same verdict: a function has a renamable Horn clause
     form exactly when its prime implicates do (Lewis, JACM 1978). Raises
     ModalFormulaError for a modal formula and BudgetExceededError past
-    TRUTH_TABLE_VARIABLE_CAP variables.
+    FORMULA_DEPTH_CAP levels or TRUTH_TABLE_VARIABLE_CAP variables.
     """
-    used, coalitions = structure(f)
+    used, coalitions = checked_structure(f)
     if coalitions:
         raise ModalFormulaError("cannot decide Horn renamability of a modal formula")
     names = tuple(sorted(used))
     clauses = _all_clauses(len(names))
     full = (1 << (1 << len(names))) - 1
-    table = compile_formula(f, None)(dict(zip(names, valuation_masks(len(names)))), full)
+    table = _compile(f, None)(dict(zip(names, valuation_masks(len(names)))), full)
     flipped = horn_renaming(_prime_implicates(clauses, table))
     return None if flipped is None else HornLabeling(names, frozenset(names[j] for j in flipped))
 

@@ -23,9 +23,9 @@ from .errors import (
 from .formula import (
     Evaluator,
     Formula,
+    _compile,
     check_names,
     coalition_names,
-    compile_formula,
     first_witness,
     unassigned,
 )
@@ -86,12 +86,12 @@ class Model:
         object.__setattr__(self, "_owner", owner)
         object.__setattr__(self, "variable_set", variable_set)
         object.__setattr__(self, "agent_set", agent_set)
-        used = []
+        facts = []
         for f in formulas:
             if not isinstance(f, Formula):
                 raise PreconditionError(f"critical formulas must be formulas, got {f!r}")
-            used.append(check_names(f, self))
-        object.__setattr__(self, "compiled", compile_model(self, tuple(used)))
+            facts.append(check_names(f, self))
+        object.__setattr__(self, "compiled", compile_model(self, facts))
 
     def owner_of(self, variable: str) -> str:
         try:
@@ -120,29 +120,32 @@ class Model:
 class CompiledModel(NamedTuple):
     """The critical formulas compiled once, shared by engine, blocking and analysis.
 
-    Position i of evaluators (compile_formula's closures), variables and
-    agents belongs to critical formula i; its agents are those whose owned
-    set meets its variables.
+    Position i of evaluators (compile_formula's closures), variables,
+    coalitions and agents belongs to critical formula i; its agents are
+    those whose owned set meets its variables.
     by_variable maps a variable to the ascending indices of the formulas
     mentioning it.
     """
 
     evaluators: tuple[Evaluator, ...]
     variables: tuple[frozenset[str], ...]
+    coalitions: tuple[frozenset[frozenset[str]], ...]
     agents: tuple[frozenset[str], ...]
     by_variable: Mapping[str, tuple[int, ...]]
 
 
-def compile_model(model: Model, variables: tuple[frozenset[str], ...]) -> CompiledModel:
-    """The compiled form, given check_names' variable set of each formula;
-    Model construction builds it once, as model.compiled."""
-    evaluators = tuple(compile_formula(f, model) for f in model.critical_formulas)
+def compile_model(model: Model, facts: Sequence[tuple]) -> CompiledModel:
+    """The compiled form, given check_names' variables and coalitions of
+    each formula; Model construction builds it once, as model.compiled."""
+    evaluators = tuple(_compile(f, model) for f in model.critical_formulas)
+    variables = tuple(used for used, _ in facts)
+    coalitions = tuple(found for _, found in facts)
     agents = tuple(frozenset(map(model.owner_of, used)) for used in variables)
     by_variable: dict[str, tuple[int, ...]] = {}
     for index, used in enumerate(variables):
         for variable in used:
             by_variable[variable] = by_variable.get(variable, ()) + (index,)
-    return CompiledModel(evaluators, variables, agents, by_variable)
+    return CompiledModel(evaluators, variables, coalitions, agents, by_variable)
 
 
 @dataclass(frozen=True)
@@ -247,12 +250,12 @@ def diamond_holds(
     Enumeration is exhaustive over those variables and capped at 20.
     """
     require(state, SystemState, "state")
-    used = check_names(f, model, "ability checks take a propositional formula")
+    used, _ = check_names(f, model, "ability checks take a propositional formula")
     members = coalition_names(coalition)
     owned = model.coalition_variables(members)
     relevant = tuple(v for v in owned if v in used)
     try:
-        assignment = first_witness(compile_formula(f, model), state.valuation, relevant)
+        assignment = first_witness(_compile(f, model), state.valuation, relevant)
     except KeyError as exc:
         raise unassigned(exc.args[0]) from None
     if assignment is None:

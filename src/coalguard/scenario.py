@@ -290,29 +290,33 @@ def trace_line(record: TickRecord) -> str:
     """One tick as canonical JSON: the bytes ``json.dumps`` prints with
     ``sort_keys=True, separators=(",", ":")`` for the record as nested
     dicts, written directly with each key a literal in sorted order; an
-    executed request reuses its text from the batch."""
+    executed request reuses its text from the batch. A record whose fields
+    are not of their kinds raises PreconditionError."""
     if not isinstance(record, TickRecord):
         raise PreconditionError(f"a trace line is written from a TickRecord, not {record!r}")
-    requests = [_request_json(r) for r in record.batch]
-    by_id = dict(zip(map(id, record.batch), requests))
-    values = record.valuation
     try:
-        valuation = ",".join([
-            _name(k)
-            + (":true" if (v := values[k]) is True else ":false" if v is False else ":" + _leaf(v))
-            for k in sorted(values)
-        ])
-    except TypeError:  # a key that is not a str: only json.dumps writes it as it does
-        valuation = _canonical(dict(values))[1:-1]
-    return (
-        '{"batch":[%s],"blocked":%s,"executed":[%s],"iterations":[%s],'
-        '"secure":%s,"tick":%s,"valuation":{%s}}'
-    ) % (
-        ",".join(requests), _list(record.blocked),
-        ",".join([by_id.get(id(r)) or _request_json(r) for r in record.executed]),
-        ",".join(map(_iteration_json, record.iterations)), _leaf(record.secure),
-        _leaf(record.tick), valuation,
-    )
+        requests = [_request_json(r) for r in record.batch]
+        by_id = dict(zip(map(id, record.batch), requests))
+        values = record.valuation
+        try:
+            valuation = ",".join([
+                _name(k)
+                + (":true" if (v := values[k]) is True else ":false" if v is False else ":" + _leaf(v))
+                for k in sorted(values)
+            ])
+        except TypeError:  # a key that is not a str: only json.dumps writes it as it does
+            valuation = _canonical(dict(values))[1:-1]
+        return (
+            '{"batch":[%s],"blocked":%s,"executed":[%s],"iterations":[%s],'
+            '"secure":%s,"tick":%s,"valuation":{%s}}'
+        ) % (
+            ",".join(requests), _list(record.blocked),
+            ",".join([by_id.get(id(r)) or _request_json(r) for r in record.executed]),
+            ",".join(map(_iteration_json, record.iterations)), _leaf(record.secure),
+            _leaf(record.tick), valuation,
+        )
+    except (AttributeError, TypeError) as exc:
+        raise PreconditionError(f"malformed tick record: {exc}") from None
 
 
 def trace_text(records: Sequence[TickRecord]) -> str:

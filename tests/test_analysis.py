@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import pathlib
 import random
 
 import pytest
@@ -27,8 +29,10 @@ from coalguard import (
     parse_formula,
     secure_path,
     single_flip_agents,
+    scenario_from_mapping,
     survey_secure_connectivity,
 )
+from coalguard import formula as formula_mod
 from coalguard.analysis import SurveyRow, _connected
 from coalguard.formula import valuation_masks
 from helpers import (
@@ -461,6 +465,32 @@ def test_audit_agent_budget():
     # where the formula already holds, every agent alone is able and none is combined
     high = SystemState(0, {v: True for v in variables})
     assert [f.coalition for f in audit_vulnerabilities(wide, high)] == [(a,) for a in agents]
+
+
+def test_the_audit_reads_what_the_model_found(monkeypatch):
+    """Model construction already walked each critical formula, so the audit
+    walks none and asks no coalition for its variables: over the seed-1
+    analyze benchmark scenarios the findings are the ones pinned when the
+    audit still made 120 walks and 637 coalition_variables calls a pass."""
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parent.parent / "benchmark"))
+    import workloads
+
+    loaded = [scenario_from_mapping(m, allow_insecure_start=True) for m in workloads.analyze(1)]
+    calls = []
+    walk = formula_mod.structure
+    monkeypatch.setattr(formula_mod, "structure", lambda f: calls.append("structure") or walk(f))
+    variables_of = Model.coalition_variables
+    monkeypatch.setattr(Model, "coalition_variables",
+                        lambda self, c: calls.append("coalition_variables") or variables_of(self, c))
+    found = [
+        repr((f.formula_index, f.coalition, sorted(f.witness.assignment.items())))
+        for scenario in loaded
+        for f in audit_vulnerabilities(scenario.model, scenario.initial_state)
+    ]
+    assert calls == []
+    assert len(loaded) == 40 and len(found) == 383
+    digest = hashlib.sha256("\n".join(found).encode("utf-8")).hexdigest()
+    assert digest == "063973af455a45019ba90f42dac3505b68635b45571b18bd5042ecfb10f04098"
 
 
 # ---------------------------------------------------------------------------

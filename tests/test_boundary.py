@@ -21,8 +21,10 @@ from coalguard import (
     Model,
     PreconditionError,
     SystemState,
+    TickRecord,
     audit_vulnerabilities,
     brute_force_min_block,
+    build_cycle_instance,
     build_matrix,
     build_state_graph,
     conjoin,
@@ -44,6 +46,7 @@ from coalguard import (
     simulate,
     single_flip_agents,
     tick,
+    trace_line,
     trace_text,
     validate_model,
     write_trace,
@@ -64,6 +67,12 @@ OTHER = Model(("b1", "b2"), ("x1", "x2"), {"b1": ("x1",), "b2": ("x2",)},
               (parse_formula("x1 & x2"),))
 OTHER_STATE = SystemState(0, {"x1": False, "x2": False})
 OTHER_QUEUE = ActionQueue(OTHER).push("b1", "x1", True).push("b2", "x2", True)
+# tick records whose batch, blocked agents or valuation are not of their kinds
+MALFORMED_RECORDS = [
+    TickRecord(1, (5,), (), (), (), {}, True),
+    TickRecord(1, (), (), 5, (), {}, True),
+    TickRecord(1, (), (), (), (), 5, True),
+]
 
 
 @pytest.mark.parametrize(
@@ -103,6 +112,8 @@ OTHER_QUEUE = ActionQueue(OTHER).push("b1", "x1", True).push("b2", "x2", True)
         # a queue built for another model
         lambda: tick(MODEL, STATE, OTHER_QUEUE, CONFIG),
         lambda: run_ticks(MODEL, STATE, OTHER_QUEUE, CONFIG, 1),
+        # a report of another model, whose formula indices run past the 3-cycle's
+        lambda: build_matrix(build_cycle_instance(3)[0], REPORT),
         # the bench inputs it cannot fit, and a seed that is not an int
         lambda: fit_loglog_slope((10, 100), ()),
         lambda: fit_loglog_slope((0, 10), (1.0, 2.0)),
@@ -116,12 +127,21 @@ OTHER_QUEUE = ActionQueue(OTHER).push("b1", "x1", True).push("b2", "x2", True)
         "build_state_graph", "validate_model", "is_connected", "secure_path", "iter_edge_lines",
         "rank_agents-matrix", "rank_agents-int-batch", "rank_agents-int-request", "conjoin",
         "disjoin", "load_scenario", "trace_text", "tick-other-queue", "run_ticks-other-queue",
-        "fit-no-times", "fit-zero-size", "fit-str-time", "run_bench-list-seed",
+        "build_matrix-other-report", "fit-no-times", "fit-zero-size", "fit-str-time",
+        "run_bench-list-seed",
     ],
 )
 def test_a_wrong_kind_is_refused_on_entry(call):
     with pytest.raises(PreconditionError):
         call()
+
+
+@pytest.mark.parametrize("record", MALFORMED_RECORDS, ids=["batch", "blocked", "valuation"])
+def test_a_malformed_tick_record_is_refused_by_the_trace_writer(record):
+    with pytest.raises(PreconditionError, match="malformed tick record"):
+        trace_line(record)
+    with pytest.raises(PreconditionError, match="malformed tick record"):
+        trace_text([RECORDS[0], record])
 
 
 @pytest.mark.parametrize("policy", ["none", "greedy", "nondeterministic"])
@@ -199,7 +219,7 @@ GOOD = [
     {"agents": {"a": ["x"], "b": ["y"]}, "formulas": ["x & y"],
      "initial": {"x": False, "y": False}, "queue": [{"agent": "a", "var": "x", "value": True}]},
 ]
-BAD = [None, -1, True, 1.5, "", [5], {}, object(), OTHER_QUEUE, OTHER_STATE]
+BAD = [None, -1, True, 1.5, "", [5], {}, object(), OTHER_QUEUE, OTHER_STATE, *MALFORMED_RECORDS]
 
 
 @settings(max_examples=800)

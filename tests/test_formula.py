@@ -14,19 +14,20 @@ from coalguard import (
     Not,
     Or,
     PreconditionError,
+    SystemState,
     TOP,
     Var,
     compile_formula,
     conjoin,
+    diamond_holds,
     disjoin,
     eval_formula,
     find_horn_labeling,
     format_formula,
     formula_from_truth_table,
-    has_diamond,
     parse_formula,
+    single_flip_agents,
     validate_model,
-    vars_of,
 )
 from coalguard.formula import FORMULA_DEPTH_CAP, structure, valuation_masks
 from helpers import (
@@ -104,6 +105,64 @@ def test_formula_at_depth_cap_is_usable(at_cap, past_cap):
         parse_formula(past_cap)
 
 
+def not_chain(levels):
+    """~~...~x with ``levels`` levels, built in code rather than parsed."""
+    f = Var("x")
+    for _ in range(levels - 1):
+        f = Not(f)
+    return f
+
+
+XY = Model(("a1", "a2"), ("x", "y"), {"a1": ("x",), "a2": ("y",)})
+XY_STATE = SystemState(0, {"x": True, "y": False})  # a chain of an even number of levels is false
+
+# every entry the library offers a formula through; the cap holds however it was built
+TALL_FORMULA_CALLS = {
+    "parse_formula": lambda f, levels: parse_formula("~" * (levels - 1) + "x"),
+    "Model": lambda f, levels: Model(XY.agents, XY.variables, XY.partition, (f,)),
+    "eval_formula": lambda f, levels: eval_formula(f, XY, XY_STATE),
+    "compile_formula": lambda f, levels: compile_formula(f, XY)(XY_STATE.valuation, True),
+    "format_formula": lambda f, levels: format_formula(f),
+    "str": lambda f, levels: str(f),
+    "find_horn_labeling": lambda f, levels: find_horn_labeling(f),
+    "diamond_holds": lambda f, levels: diamond_holds(XY, XY_STATE, ("a1",), f),
+    "single_flip_agents":  # takes a formula false at the state
+        lambda f, levels: single_flip_agents(XY, XY_STATE, Not(f) if levels % 2 else f),
+}
+
+
+@pytest.mark.parametrize("levels", [300, 5000])
+@pytest.mark.parametrize("call", TALL_FORMULA_CALLS.values(), ids=TALL_FORMULA_CALLS.keys())
+def test_a_formula_past_the_cap_is_refused_however_it_was_built(call, levels):
+    with pytest.raises(BudgetExceededError, match="deeper than 256"):
+        call(not_chain(levels), levels)
+
+
+@pytest.mark.parametrize("call", TALL_FORMULA_CALLS.values(), ids=TALL_FORMULA_CALLS.keys())
+def test_a_built_formula_at_the_cap_is_usable(call):
+    assert call(not_chain(FORMULA_DEPTH_CAP), FORMULA_DEPTH_CAP) is not None
+
+
+# wraps that put one level (three for a conjunction) on top of a formula
+WRAPS = [Not, lambda f: Diamond(("a1",), f), lambda f: Or(f, Var("p")),
+         lambda f: Or(Var("q"), f), lambda f: f & Var("r"), lambda f: Var("s") & f]
+
+
+@given(st.data())
+def test_a_formula_a_model_accepts_prints_back_to_itself(data):
+    f = data.draw(formulas(modal=True))
+    for _ in range(data.draw(st.integers(0, 300))):
+        f = data.draw(st.sampled_from(WRAPS))(f)
+    names = ("p", "q", "r", "s")
+    try:
+        Model(("a1", "a2"), names, {"a1": names[:2], "a2": names[2:]}, (f,))
+    except BudgetExceededError:  # past the cap: it cannot be printed either
+        with pytest.raises(BudgetExceededError, match="deeper than 256"):
+            format_formula(f)
+        return
+    assert parse_formula(format_formula(f)) == f
+
+
 def test_format_examples():
     assert format_formula(parse_formula("v1 & v2 & (~v3 | v5 | ~v4)")) == "v1 & v2 & (~v3 | v5 | ~v4)"
     assert format_formula(parse_formula("(~v5 | ~v3) & ~v6")) == "(~v5 | ~v3) & ~v6"
@@ -127,8 +186,8 @@ def test_format_parse_round_trip(f):
 
 
 @given(formulas())
-def test_vars_of_matches_reference(f):
-    assert set(vars_of(f)) == vars_in(f)
+def test_structure_variables_match_reference(f):
+    assert set(structure(f)[0]) == vars_in(f)
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +200,9 @@ def test_evaluate_matches_reference(f, bits):
     assert compile_formula(f, PQRS)(valuation, True) == truth_eval(f, valuation)
 
 
-def test_has_diamond():
-    assert not has_diamond(parse_formula("a & ~b"))
-    assert has_diamond(parse_formula("a | <>{c1} b"))
+def test_structure_tells_modal_from_propositional():
+    assert not structure(parse_formula("a & ~b"))[1]
+    assert structure(parse_formula("a | <>{c1} b"))[1]
 
 
 def test_structure_walks_any_depth_and_names_a_bad_node():
@@ -168,10 +227,10 @@ def test_non_formulas_raise_precondition_error(call, bad):
         call(bad)
 
 
-def test_vars_of_and_eval_formula_reject_an_unhashable_argument():
+def test_structure_and_eval_formula_reject_an_unhashable_argument():
     model = Model(("a",), ("x",), {"a": ("x",)})
     with pytest.raises(PreconditionError, match="not a formula"):
-        vars_of([5])
+        structure([5])
     with pytest.raises(PreconditionError, match="not a formula"):
         eval_formula([5], model, {"x": False})
 
@@ -184,14 +243,14 @@ def test_built_trees_stay_within_the_recursive_walkers():
         for bits in range(1, 1024)
     )
     assert parse_formula(format_formula(expanded)) == expanded
-    assert vars_of(expanded) == set(names)
+    assert structure(expanded)[0] == set(names)
     model = Model(("a",), names, {"a": names})
     evaluate = compile_formula(expanded, model)
     for bits in (0, 1, 0b1010000000, 1023):
         valuation = {v: bool(bits >> i & 1) for i, v in enumerate(names)}
         assert evaluate(valuation, True) == eval_formula(expanded, model, valuation) == (bits != 0)
     wide = disjoin([Var(f"v{i}") for i in range(2000)])
-    assert vars_of(wide) == {f"v{i}" for i in range(2000)}
+    assert structure(wide)[0] == {f"v{i}" for i in range(2000)}
 
 
 def test_valuation_masks_are_variable_truth_tables():
