@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+import statistics
 import time
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -74,11 +75,7 @@ def fit_loglog_slope(sizes: Sequence[int], seconds: Sequence[float]) -> float:
         raise PreconditionError(f"need one time per size, every size positive: {sizes}, {seconds}")
     xs = [math.log(n) for n in sizes]
     ys = [math.log(max(t, 1e-9)) for t in seconds]
-    mean_x = sum(xs) / len(xs)
-    mean_y = sum(ys) / len(ys)
-    numerator = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    denominator = sum((x - mean_x) ** 2 for x in xs)
-    return numerator / denominator
+    return statistics.linear_regression(xs, ys).slope
 
 
 def run_bench(sizes: Sequence[int] = DEFAULT_SIZES, seed: int = 0) -> BenchReport:

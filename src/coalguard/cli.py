@@ -172,13 +172,10 @@ def _print_audit_section(scenario) -> None:
     for finding in findings:
         text = format_formula(finding.formula)
         coalition = ", ".join(finding.coalition)
-        if finding.witness.assignment:
-            settings = ", ".join(
-                f"{v}={'true' if value else 'false'}"
-                for v, value in sorted(finding.witness.assignment.items())
-            )
-        else:
-            settings = "no change needed"
+        settings = ", ".join(
+            f"{v}={'true' if value else 'false'}"
+            for v, value in sorted(finding.witness.assignment.items())
+        ) or "no change needed"
         print(f"  formula[{finding.formula_index}] {text}: {{{coalition}}} via {settings}")
 
 

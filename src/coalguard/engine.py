@@ -46,7 +46,8 @@ class ActionQueue:
     end: Optional[int] = None
 
     def __post_init__(self):
-        if type(self.buffer) is not _Buffer or self.buffer.model is not self.model:
+        if (type(self.buffer) is not _Buffer or self.buffer.model is not self.model
+                or self.end is None):  # else a view of a buffer checked for this model
             require(self.model, Model, "model")
             try:
                 buffer = _Buffer(itertools.islice(self.buffer, self.start, self.end))
@@ -65,8 +66,6 @@ class ActionQueue:
             object.__setattr__(self, "buffer", buffer)
             object.__setattr__(self, "start", 0)
             object.__setattr__(self, "end", len(buffer))
-        elif self.end is None:
-            object.__setattr__(self, "end", len(self.buffer))
 
     @property
     def requests(self) -> tuple[ActionRequest, ...]:

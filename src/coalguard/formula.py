@@ -36,7 +36,6 @@ from .errors import (
 )
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_RESERVED = {"true"}
 
 DIAMOND_VARIABLE_CAP = 20
 # Most levels any formula's tree may have; evaluators and printers recurse
@@ -81,7 +80,7 @@ class Var(Formula):
 
     def __post_init__(self):
         name = self.name
-        if not isinstance(name, str) or not _IDENT_RE.fullmatch(name) or name in _RESERVED:
+        if not isinstance(name, str) or not _IDENT_RE.fullmatch(name) or name == "true":
             raise PreconditionError(f"invalid variable name: {name!r}")
 
 
@@ -119,29 +118,25 @@ def coalition_names(coalition: Iterable[str]) -> frozenset[str]:
         raise PreconditionError(f"coalition must be iterable, not {coalition!r}") from None
 
 
-def _halves(parts: Sequence[Formula], join: Callable[[Formula, Formula], Formula]) -> Formula:
-    """Join nonempty ``parts`` as a tree split in halves, so n parts nest
-    only ceil(log2 n) joins deep and the recursive walkers stay shallow."""
-    if len(parts) == 1:
-        return require(parts[0], Formula, "a part")
+def _halves(parts: Sequence[Formula], join: Callable[..., Formula], empty: Formula) -> Formula:
+    """``parts`` joined as a tree split in halves, ``empty`` if there are none:
+    n parts nest only ceil(log2 n) joins deep, so the recursive walkers stay shallow."""
+    if len(parts) < 2:
+        return require(parts[0], Formula, "a part") if parts else empty
     half = (len(parts) + 1) // 2
-    return join(_halves(parts[:half], join), _halves(parts[half:], join))
+    return join(_halves(parts[:half], join, empty), _halves(parts[half:], join, empty))
 
 
 def conjoin(parts: Iterable[Formula]) -> Formula:
     """Conjunction of ``parts``; Top for an empty sequence."""
     parts = tuple(require(parts, Iterable, "parts"))
-    if not parts:
-        return TOP
-    return _halves(parts, lambda a, b: a & b)
+    return _halves(parts, lambda a, b: a & b, TOP)
 
 
 def disjoin(parts: Iterable[Formula]) -> Formula:
     """Disjunction of ``parts``; ~true for an empty sequence."""
     parts = tuple(require(parts, Iterable, "parts"))
-    if not parts:
-        return Not(TOP)
-    return _halves(parts, Or)
+    return _halves(parts, Or, Not(TOP))
 
 
 # ---------------------------------------------------------------------------
@@ -616,11 +611,8 @@ def _solve_2sat(variables, clauses):
     for variable in variables:
         if variable in assignment:
             continue
-        closure = None
-        for value in (True, False):
-            closure = _close((variable, value), assignment, implications)
-            if closure is not None:
-                break
+        closure = (_close((variable, True), assignment, implications)
+                   or _close((variable, False), assignment, implications))
         if closure is None:
             return None
         assignment.update(closure)

@@ -200,13 +200,12 @@ def override_config(
 
 _canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _name = json.encoder.encode_basestring_ascii  # the C escaper json.dumps uses
-_MARK = {True: "true", False: "false"}
 
 
 def _leaf(value) -> str:
     """true/false only for the bools themselves, so an int 1 still prints 1."""
     if value is True or value is False:
-        return _MARK[value]
+        return "true" if value else "false"
     return "%d" % value if type(value) is int else _canonical(value)
 
 
@@ -216,17 +215,26 @@ def _list(items, write=_name) -> str:
 
 @functools.lru_cache(maxsize=4096)
 def _subset_json(keep: tuple[str, ...]) -> str:
-    """An oracle keep-set's names as a JSON list, kept across ticks: a run
-    whose ticks ask with the same requesters lists the same keep-sets each
-    tick. Keyed by the tuple's value; at most 4,096 entries, each holding
-    its keep tuple and its text: about 2 MB for names of 10 characters."""
+    """An oracle keep-set's names as a JSON list, kept for later ticks: 4,096
+    entries, about 2 MB for names of 10 characters. A round listing more
+    keep-sets writes its own texts, which it would evict before any reuse."""
     return _list(keep)
 
 
 def _request_json(r: ActionRequest) -> str:
+    arrival, value = r.arrival_index, r.new_value
     return '{"agent":%s,"arrival":%s,"value":%s,"var":%s}' % (
-        _name(r.agent), _leaf(r.arrival_index), _leaf(r.new_value), _name(r.variable)
+        _name(r.agent), "%d" % arrival if type(arrival) is int else _leaf(arrival),
+        "true" if value is True else "false" if value is False else _leaf(value),
+        _name(r.variable),
     )
+
+
+@functools.lru_cache(maxsize=64)
+def _valuation_texts(keys: tuple) -> tuple[tuple[object, str, str], ...]:
+    """Each key, sorted, with its '"key":true' and '"key":false' texts; keys
+    that do not sort or are not str raise TypeError. 64 key sets are kept."""
+    return tuple((k, _name(k) + ":true", _name(k) + ":false") for k in sorted(keys))
 
 
 @functools.lru_cache(maxsize=64)
@@ -243,10 +251,8 @@ def _marks_json(matrix: blocking.BlockingMatrix) -> str:
     repeated per row, a cell swapped to true for each of the row's agents,
     and the last row's trailing comma trimmed."""
     rows, width = matrix.row_agents, len(matrix.agents)
-    if not rows or not width:
-        return ",".join(["[]"] * len(rows))
     column = dict(zip(matrix.agents, range(width)))
-    if len(column) < width:  # an agent named in two columns: each of them is marked
+    if not rows or not width or len(column) < width:  # no cell, or an agent in two columns
         return ",".join(["[" + ",".join(map(_leaf, row)) + "]" for row in matrix.marks])
     blank, marked = _mark_tokens(width)
     cells = list(blank) * len(rows)
@@ -273,14 +279,14 @@ def _iteration_json(item) -> str:
             formulas, _marks_json(m), _list(item.ranking),
         )
     if isinstance(item, blocking.OracleRound):
+        subset = _subset_json if len(item.evaluated) <= _subset_json.cache_info().maxsize else _list
         return (
             '{"candidates":[%s],"cardinality":%d,"frontier":%s,"kind":"oracle",'
             '"representative":%s,"success":%s}'
         ) % (
-            ",".join(['{"false_count":%d,"subset":%s}' % (n, _subset_json(keep))
+            ",".join(['{"false_count":%d,"subset":%s}' % (n, subset(keep))
                       for keep, n in item.evaluated]),
-            item.cardinality, _list(item.frontier, _subset_json),
-            _subset_json(item.representative),
+            item.cardinality, _list(item.frontier, subset), subset(item.representative),
             _leaf(item.success),
         )
     raise PreconditionError(f"unknown iteration snapshot {type(item).__name__}")
@@ -288,21 +294,25 @@ def _iteration_json(item) -> str:
 
 def trace_line(record: TickRecord) -> str:
     """One tick as canonical JSON: the bytes ``json.dumps`` prints with
-    ``sort_keys=True, separators=(",", ":")`` for the record as nested
-    dicts, written directly with each key a literal in sorted order; an
-    executed request reuses its text from the batch. A record whose fields
-    are not of their kinds raises PreconditionError."""
+    ``sort_keys=True, separators=(",", ":")`` for the record as nested dicts,
+    written directly with each key a literal in sorted order, the valuation's
+    key texts kept per key tuple and executed requests reusing the batch's
+    texts. A record whose fields are not of their kinds raises PreconditionError."""
     if not isinstance(record, TickRecord):
         raise PreconditionError(f"a trace line is written from a TickRecord, not {record!r}")
     try:
         requests = [_request_json(r) for r in record.batch]
-        by_id = dict(zip(map(id, record.batch), requests))
+        batch = ",".join(requests)
+        if record.executed is record.batch:
+            executed = batch
+        else:
+            by_id = dict(zip(map(id, record.batch), requests))
+            executed = ",".join([by_id.get(id(r)) or _request_json(r) for r in record.executed])
         values = record.valuation
         try:
             valuation = ",".join([
-                _name(k)
-                + (":true" if (v := values[k]) is True else ":false" if v is False else ":" + _leaf(v))
-                for k in sorted(values)
+                true if (v := values[k]) is True else false if v is False else true[:-4] + _leaf(v)
+                for k, true, false in _valuation_texts(tuple(values))
             ])
         except TypeError:  # a key that is not a str: only json.dumps writes it as it does
             valuation = _canonical(dict(values))[1:-1]
@@ -310,8 +320,7 @@ def trace_line(record: TickRecord) -> str:
             '{"batch":[%s],"blocked":%s,"executed":[%s],"iterations":[%s],'
             '"secure":%s,"tick":%s,"valuation":{%s}}'
         ) % (
-            ",".join(requests), _list(record.blocked),
-            ",".join([by_id.get(id(r)) or _request_json(r) for r in record.executed]),
+            batch, _list(record.blocked), executed,
             ",".join(map(_iteration_json, record.iterations)), _leaf(record.secure),
             _leaf(record.tick), valuation,
         )
@@ -325,17 +334,23 @@ def trace_text(records: Sequence[TickRecord]) -> str:
 
 
 def write_trace(records: Sequence[TickRecord], path: Union[str, Path]) -> None:
-    """Write the trace line by line, never holding the whole text. Every
-    record is checked first, so a bad one leaves an existing file as it was.
-
-    Only a ``str`` or ``os.PathLike`` names a file: ``open`` would take an
-    int, or a bool, as a descriptor to write to and then close."""
+    """Write the trace line by line to a new file beside ``path``, which
+    replaces it once every line is written: a record that fails leaves an
+    existing file as it was. A pipe or a device, such as ``/dev/null``, is
+    written in place. Only a ``str`` or ``os.PathLike`` names a file: ``open``
+    would take an int, or a bool, as a descriptor to write to and close."""
     if not isinstance(path, (str, os.PathLike)):
         raise PreconditionError(f"a trace path is a str or os.PathLike, not {path!r}")
-    records = tuple(require(records, Iterable, "trace records"))
-    for record in records:
-        if not isinstance(record, TickRecord):
-            raise PreconditionError(f"a trace line is written from a TickRecord, not {record!r}")
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(trace_line(record) + "\n")
+    require(records, Iterable, "trace records")
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    part = path if in_place else f"{os.fsdecode(path)}.{os.urandom(4).hex()}.part"
+    try:
+        with open(part, "w" if in_place else "x", encoding="utf-8") as handle:
+            for record in records:
+                handle.write(trace_line(record) + "\n")
+        if not in_place:
+            os.replace(part, path)
+    except BaseException:
+        if not in_place and os.path.isfile(part):
+            os.remove(part)
+        raise

@@ -3,8 +3,10 @@ import dataclasses
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -40,6 +42,7 @@ from coalguard import (
 )
 import coalguard
 from coalguard.cli import main
+from coalguard import scenario as scenario_mod
 from coalguard.scenario import config_from_mapping, override_config, parse_strategy
 from helpers import random_model, random_secure_state, record_to_dict, replay_matches
 
@@ -403,6 +406,38 @@ def test_trace_line_writes_hand_built_records_as_json_does(scenario_dir):
     assert trace_line(record).endswith('"valuation":{"2":0,"10":true}}')
 
 
+KEY_TEXT = st.text(st.characters(codec="utf-8"), min_size=1, max_size=3)
+
+
+@given(
+    st.lists(KEY_TEXT, min_size=1, max_size=6, unique=True),
+    st.lists(KEY_TEXT, min_size=1, max_size=6, unique=True),
+    st.data(),
+)
+def test_trace_line_writes_key_sets_and_executed_requests_as_json_does(first, second, data):
+    """Records of two models' key sets take turns, each valuation inserted in
+    an order of its own and drawn through SystemState, which keeps the ints 0
+    and 1; one record in three has int keys, which only json.dumps writes.
+    Executed is the batch itself, an equal but distinct tuple, a strict
+    subset, or holds a request not in the batch. The key-set texts are
+    served from the cache when a key tuple comes back."""
+    key_sets = [data.draw(st.permutations(keys)) for keys in (first, second)]
+    value = st.sampled_from((True, False, 0, 1))
+    hits = scenario_mod._valuation_texts.cache_info().hits
+    for tick in range(6):
+        keys = key_sets[tick % 2] if tick % 3 else data.draw(st.permutations([10, 2, 7]))
+        state = SystemState(tick, {k: data.draw(value) for k in keys})
+        batch = tuple(ActionRequest(f"a{i}", f"v{i}", data.draw(value), data.draw(st.integers()))
+                      for i in range(data.draw(st.integers(0, 4))))
+        executed = data.draw(st.sampled_from((
+            batch, tuple(list(batch)), batch[: len(batch) - 1], (ActionRequest("z", "w", 1, 7),),
+        )))
+        record = TickRecord(tick, batch, (), ("a0",), executed, state.valuation, tick % 2 == 0)
+        assert trace_line(record) == reference_line(record)
+    # ticks 2 and 4 ask with the first key tuple, and no tick between them adds one
+    assert scenario_mod._valuation_texts.cache_info().hits > hits
+
+
 def hand_built_rounds():
     """Greedy rounds built by hand, keyed by what their matrices exercise."""
     rows = (frozenset({"a1", "a3"}), frozenset({"a2"}), frozenset({"a1", "a2", "a3"}))
@@ -442,15 +477,21 @@ def test_trace_line_writes_hand_built_greedy_rounds_as_json_does(kind):
 
 def test_trace_line_writes_rounds_larger_than_the_subset_memo_as_json_does():
     """The 15-cycle's last two rounds list 6,435 keep-sets each, more than
-    the 4,096 texts the trace writer keeps, so the memo evicts texts within
-    a round; the line is still the one json.dumps writes."""
+    the 4,096 texts the trace writer keeps, so they write their texts
+    without the memo, which only the smaller rounds ask; the line is still
+    the one json.dumps writes."""
     model, state, batch = build_cycle_instance(15)
     report = nondet_block(model, state, batch, seed=0)
     assert [len(r.evaluated) for r in report.iterations][-2:] == [6435, 6435]
     after = apply_actions(state, report.allowed_batch)
     record = TickRecord(after.tick, batch, report.iterations, report.blocked,
                         report.allowed_batch, after.valuation, is_secure(model, after))
+    asked = sum(len(r.evaluated) + len(r.frontier) + 1
+                for r in report.iterations if len(r.evaluated) <= 4096)
+    before = scenario_mod._subset_json.cache_info()
     line, reference = trace_line(record), reference_line(record)
+    after_line = scenario_mod._subset_json.cache_info()
+    assert after_line.hits + after_line.misses - before.hits - before.misses == asked
     # the first differing position, not a diff of two 1.5 MB lines
     mismatch = next((i for i, (a, b) in enumerate(zip(line, reference)) if a != b), None)
     assert (mismatch, len(line)) == (None, len(reference))
@@ -486,6 +527,41 @@ def test_write_trace_checks_records_before_it_opens_the_file(tmp_path, scenario_
     with pytest.raises(PreconditionError, match="TickRecord, not 5|iterable, not 5"):
         write_trace(spoil(result.records), out)
     assert out.read_text(encoding="utf-8") == before != ""
+
+
+def test_write_trace_leaves_an_existing_trace_whole_when_a_record_fails(tmp_path, scenario_dir):
+    """An oracle run's record is written before the malformed one after it
+    fails; the new file is removed and the greedy trace keeps every byte."""
+    from coalguard import write_trace
+
+    out = tmp_path / "trace.jsonl"
+    write_trace(run_example1(scenario_dir, policy="greedy")[1].records, out)
+    before = out.read_bytes()
+    malformed = TickRecord(1, (5,), (), (), (), {}, True)
+    records = run_example1(scenario_dir, policy="nondeterministic")[1].records
+    with pytest.raises(PreconditionError, match="malformed tick record"):
+        write_trace([*records, malformed], out)
+    assert out.read_bytes() == before != b""
+    assert os.listdir(tmp_path) == ["trace.jsonl"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes are POSIX")
+def test_write_trace_writes_a_pipe_in_place(tmp_path, scenario_dir):
+    """A pipe cannot be replaced by a file, so its reader gets the lines."""
+    from coalguard import write_trace
+
+    pipe = tmp_path / "trace.pipe"
+    os.mkfifo(pipe)
+    _, result = run_example1(scenario_dir)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(pipe.read_text(encoding="utf-8")),
+                              daemon=True)
+    reader.start()
+    write_trace(result.records, pipe)
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert read == [trace_text(result.records)]
+    assert stat.S_ISFIFO(os.stat(pipe).st_mode) and os.listdir(tmp_path) == ["trace.pipe"]
 
 
 def test_write_trace_refuses_a_path_that_is_not_a_str_or_path_like():
