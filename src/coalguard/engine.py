@@ -213,14 +213,27 @@ class TickOutcome:
     record: TickRecord
 
 
-def _check_run(model, state, queue, config) -> None:
-    """The kinds tick and run_ticks check, and that the queue is the model's."""
+def _start(model, state, queue, config, blocked_registry=None, rng=None, strategy_rng=None):
+    """Check tick's and run_ticks' arguments; return the registry as a mapping,
+    the policy's generator (rng, else Random(config.random_seed)) and the strategy's
+    (strategy_rng, else Random(its seed) if it has one, else the policy's)."""
     require(model, Model, "model")
     require(state, SystemState, "state")
     require(config, EngineConfig, "config")
     require(queue, ActionQueue, "queue")
     if queue.model is not model and queue.model != model:
         raise PreconditionError("the queue was built for another model")
+    registry = require(blocked_registry, (Mapping, type(None)), "blocked_registry") or {}
+    for generator in (rng, strategy_rng):
+        if generator is not None and not isinstance(generator, random.Random):
+            raise PreconditionError(f"rng and strategy_rng must be random.Randoms: {generator!r}")
+    for release in registry.values():
+        require(release, int, "a blocked_registry tick")
+    rng = rng if rng is not None else random.Random(config.random_seed)
+    if strategy_rng is None:
+        own_seed = getattr(config.blocking_strategy, "seed", None)
+        strategy_rng = random.Random(own_seed) if own_seed is not None else rng
+    return registry, rng, strategy_rng
 
 
 def tick(
@@ -232,17 +245,10 @@ def tick(
     rng: Optional[random.Random] = None,
     strategy_rng: Optional[random.Random] = None,
 ) -> TickOutcome:
-    """Advance the system by one tick under the configured policy."""
-    _check_run(model, state, queue, config)
-    registry = require(blocked_registry, (Mapping, type(None)), "blocked_registry") or {}
-    for generator in (rng, strategy_rng):
-        if generator is not None and not isinstance(generator, random.Random):
-            raise PreconditionError(f"rng and strategy_rng must be random.Randoms: {generator!r}")
-    for release in registry.values():
-        require(release, int, "a blocked_registry tick")
-    rng = rng if rng is not None else random.Random(config.random_seed)
-    strategy_rng = strategy_rng if strategy_rng is not None else rng
-    return _tick(model, state, queue, config, registry, rng, strategy_rng)
+    """Advance the system by one tick under the configured policy: alone, run_ticks'
+    first tick; passed the last outcome's registry and the same generators, its next."""
+    start = _start(model, state, queue, config, blocked_registry, rng, strategy_rng)
+    return _tick(model, state, queue, config, *start)
 
 
 def _tick(model, state, queue, config, blocked_registry, rng, strategy_rng) -> TickOutcome:
@@ -284,13 +290,9 @@ def run_ticks(
     ticks: int,
 ) -> RunResult:
     """Run a fixed number of ticks, threading queue, registry, and RNG state."""
-    _check_run(model, state, queue, config)
+    registry, rng, strategy_rng = _start(model, state, queue, config)
     if type(ticks) is not int or ticks < 0:  # a bool is no tick count
         raise PreconditionError(f"ticks must be a non-negative int, not {ticks!r}")
-    rng = random.Random(config.random_seed)
-    own_seed = getattr(config.blocking_strategy, "seed", None)
-    strategy_rng = random.Random(own_seed) if own_seed is not None else rng
-    registry: dict = {}
     records = []
     for _ in range(ticks):
         outcome = _tick(model, state, queue, config, registry, rng, strategy_rng)

@@ -247,9 +247,10 @@ def format_formula(f: Formula) -> str:
 
     The conjunction pattern ~(~a | ~b) that & builds is printed back as
     a & b; parentheses appear only where precedence or associativity needs
-    them. A formula past FORMULA_DEPTH_CAP levels raises BudgetExceededError.
-    """
-    checked_structure(f)
+    them. A formula past FORMULA_DEPTH_CAP levels raises BudgetExceededError,
+    and one whose coalition names an agent by other than a str PreconditionError."""
+    if not all(isinstance(name, str) for c in checked_structure(f)[1] for name in c):
+        raise PreconditionError("a coalition names its agents by str")
     return _fmt(f, _DISJ)
 
 
@@ -398,12 +399,13 @@ def compile_formula(f: Formula, model) -> Evaluator:
     """A closure ``(lanes, ones) -> int`` evaluating f in every lane at once
     (Knuth, TAOCP 4A, 7.1.3), where ``ones`` sets bit 0 of each lane and
     ``lanes[v]`` holds v's values; ``(valuation, True)`` is truthy exactly
-    when eval_formula holds. Only a <> checks names. ``&`` and ``|`` stop at
-    a left side of 0 and of ``ones``; <>{C} g ORs g over the assignments to
-    C's variables that g mentions until all lanes hold, checking its budget
-    only when evaluated. A propositional f needs no model; one past
-    FORMULA_DEPTH_CAP levels raises BudgetExceededError."""
-    checked_structure(f)
+    when eval_formula holds. ``&`` and ``|`` stop at a left side of 0 and of
+    ``ones``; <>{C} g ORs g over the assignments to C's variables that g
+    mentions until all lanes hold, checking its budget only when evaluated.
+    A propositional f needs no model and has no names checked; a modal f's
+    are, here. One past FORMULA_DEPTH_CAP levels raises BudgetExceededError."""
+    if checked_structure(f)[1]:
+        check_names(f, model)
     return _compile(f, model)
 
 
@@ -438,9 +440,9 @@ def _compile(f: Formula, model) -> Evaluator:
 
 
 def _diamond_variables(f: Diamond, model) -> tuple[str, ...]:
-    """The variables of f's coalition that f's child mentions, in model order."""
-    inner, _ = check_names(f.child, model)
-    return tuple(v for v in model.coalition_variables(f.coalition) if v in inner)
+    """The variables of f's coalition that its child mentions, in model order."""
+    inner = structure(f.child)[0]
+    return tuple(v for v in model.variables if v in inner and model.owner_of(v) in f.coalition)
 
 
 def _check_budget(relevant: Sequence[str]) -> None:

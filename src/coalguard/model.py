@@ -104,14 +104,6 @@ class Model:
             raise UnknownAgentError(f"unknown agent: {agent!r}")
         return self.partition.get(agent, ())
 
-    def coalition_variables(self, coalition: Iterable[str]) -> tuple[str, ...]:
-        """Variables the coalition controls, in model variable order."""
-        members = set(coalition)
-        missing = members - self.agent_set
-        if missing:
-            raise UnknownAgentError(f"unknown agents: {sorted(missing, key=repr)}")
-        return tuple(v for v in self.variables if self._owner[v] in members)
-
 
 # ---------------------------------------------------------------------------
 # compiled formulas
@@ -252,8 +244,10 @@ def diamond_holds(
     require(state, SystemState, "state")
     used, _ = check_names(f, model, "ability checks take a propositional formula")
     members = coalition_names(coalition)
-    owned = model.coalition_variables(members)
-    relevant = tuple(v for v in owned if v in used)
+    missing = members - model.agent_set
+    if missing:
+        raise UnknownAgentError(f"unknown agents: {sorted(missing, key=repr)}")
+    relevant = tuple(v for v in model.variables if v in used and model.owner_of(v) in members)
     try:
         assignment = first_witness(_compile(f, model), state.valuation, relevant)
     except KeyError as exc:

@@ -216,8 +216,8 @@ def _list(items, write=_name) -> str:
 @functools.lru_cache(maxsize=4096)
 def _subset_json(keep: tuple[str, ...]) -> str:
     """An oracle keep-set's names as a JSON list, kept for later ticks: 4,096
-    entries, about 2 MB for names of 10 characters. A round listing more
-    keep-sets writes its own texts, which it would evict before any reuse."""
+    entries, about 2 MB for names of 10 characters. A record whose rounds list
+    more keep-sets writes its own texts, which it would evict before any reuse."""
     return _list(keep)
 
 
@@ -264,7 +264,7 @@ def _marks_json(matrix: blocking.BlockingMatrix) -> str:
     return "".join(cells)
 
 
-def _iteration_json(item) -> str:
+def _iteration_json(item, subset) -> str:
     if isinstance(item, blocking.GreedyIteration):
         m = item.matrix
         agents, formulas = _list(m.agents), _list(m.formula_indices, str)
@@ -279,7 +279,6 @@ def _iteration_json(item) -> str:
             formulas, _marks_json(m), _list(item.ranking),
         )
     if isinstance(item, blocking.OracleRound):
-        subset = _subset_json if len(item.evaluated) <= _subset_json.cache_info().maxsize else _list
         return (
             '{"candidates":[%s],"cardinality":%d,"frontier":%s,"kind":"oracle",'
             '"representative":%s,"success":%s}'
@@ -308,6 +307,9 @@ def trace_line(record: TickRecord) -> str:
         else:
             by_id = dict(zip(map(id, record.batch), requests))
             executed = ",".join([by_id.get(id(r)) or _request_json(r) for r in record.executed])
+        rounds = record.iterations  # the memo serves them only if all their keep-sets fit
+        listed = sum(len(i.evaluated) for i in rounds if isinstance(i, blocking.OracleRound))
+        subset = _subset_json if listed <= _subset_json.cache_info().maxsize else _list
         values = record.valuation
         try:
             valuation = ",".join([
@@ -321,7 +323,7 @@ def trace_line(record: TickRecord) -> str:
             '"secure":%s,"tick":%s,"valuation":{%s}}'
         ) % (
             batch, _list(record.blocked), executed,
-            ",".join(map(_iteration_json, record.iterations)), _leaf(record.secure),
+            ",".join([_iteration_json(item, subset) for item in rounds]), _leaf(record.secure),
             _leaf(record.tick), valuation,
         )
     except (AttributeError, TypeError) as exc:

@@ -1,10 +1,13 @@
 """Shared test oracles, deliberately independent of the library internals."""
 
 import itertools
+import random
 from collections import deque
 
 from coalguard import (
     ActionRequest,
+    BlockForRandomInterval,
+    BlockUntilTick,
     BlockingMatrix,
     Diamond,
     GreedyIteration,
@@ -16,7 +19,10 @@ from coalguard import (
     TickRecord,
     Top,
     Var,
+    build_matrix,
     eval_formula,
+    rank_agents,
+    simulate,
 )
 
 
@@ -318,6 +324,56 @@ def assert_counts_match_reference(model, state, batch, report):
         best = max(count for _, count in round_.evaluated)
         assert round_.frontier == tuple(keep for keep, count in round_.evaluated if count == best)
         assert round_.representative in round_.frontier
+
+
+# ---------------------------------------------------------------------------
+# a reference engine across ticks
+
+
+def reference_run(model, state, requests, config, pushes):
+    """(tick, batch, blocked, executed, valuation, secure) of each tick of a
+    plain engine under the "greedy" or "none" policy; ``pushes[t]`` is a
+    sequence of requests that join the queue before tick t, one tick each.
+
+    The queue is a list. Each tick drops from its front the requests of the
+    agents still blocked, takes up to the cap, blocks the top-ranked agent
+    of ``simulate``, ``build_matrix`` and ``rank_agents`` on what is kept
+    until nothing would become true (blocking no one under "none"), applies
+    the kept writes and sets each blocked agent's release: the tick named by
+    BlockUntilTick, or the tick after this one plus a draw from the
+    strategy's own seed if it has one, else from the run's. Under DropTick
+    an agent is blocked for its tick only."""
+    strategy = config.blocking_strategy
+    own_seed = getattr(strategy, "seed", None)
+    draws = random.Random(config.random_seed if own_seed is None else own_seed)
+    cap = config.max_actions_per_tick
+    cap = len(model.critical_formulas) if cap == "auto" else cap
+    queue, release, records = list(requests), {}, []
+    for pushed in pushes:
+        queue += pushed
+        now = state.tick + 1
+        batch = []
+        while queue and len(batch) < cap:
+            request = queue.pop(0)
+            if release.get(request.agent, now) <= now:
+                batch.append(request)
+        blocked = []
+        while config.policy == "greedy":
+            kept = [r for r in batch if r.agent not in blocked]
+            report = simulate(model, state, kept)
+            if not report.became_true:
+                break
+            blocked.append(rank_agents(build_matrix(model, report), config.tie_break, kept)[0])
+        for agent in blocked:
+            if isinstance(strategy, BlockUntilTick):
+                release[agent] = strategy.release_tick
+            elif isinstance(strategy, BlockForRandomInterval):
+                release[agent] = now + 1 + draws.randint(strategy.low, strategy.high)
+        executed = tuple(r for r in batch if r.agent not in blocked)
+        state = SystemState(now, run_batch(state.valuation, executed))
+        secure = not any(truth_eval(f, state.valuation) for f in model.critical_formulas)
+        records.append((now, tuple(batch), tuple(blocked), executed, state.valuation, secure))
+    return records
 
 
 # ---------------------------------------------------------------------------

@@ -363,6 +363,13 @@ def test_single_flip_agents_rejects_modal(example1_model, example1_state):
         single_flip_agents(example1_model, example1_state, parse_formula("<>{a1} v1"))
 
 
+def test_audit_refuses_a_model_with_a_modal_critical_formula(example1_model, example1_state):
+    modal = Model(example1_model.agents, example1_model.variables, example1_model.partition,
+                  (parse_formula("<>{a1} v1 & v2"),))
+    with pytest.raises(ModalFormulaError, match="the audit requires propositional"):
+        audit_vulnerabilities(modal, example1_state)
+
+
 @given(st.integers(0, 2**32 - 1))
 def test_single_flip_agents_match_reference(seed):
     rng = random.Random(seed)
@@ -469,9 +476,9 @@ def test_audit_agent_budget():
 
 def test_the_audit_reads_what_the_model_found(monkeypatch):
     """Model construction already walked each critical formula, so the audit
-    walks none and asks no coalition for its variables: over the seed-1
-    analyze benchmark scenarios the findings are the ones pinned when the
-    audit still made 120 walks and 637 coalition_variables calls a pass."""
+    walks none: over the seed-1 analyze benchmark scenarios the findings are
+    the ones pinned when the audit still made 120 walks a pass and asked the
+    model for a coalition's variables 637 times."""
     monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parent.parent / "benchmark"))
     import workloads
 
@@ -479,9 +486,6 @@ def test_the_audit_reads_what_the_model_found(monkeypatch):
     calls = []
     walk = formula_mod.structure
     monkeypatch.setattr(formula_mod, "structure", lambda f: calls.append("structure") or walk(f))
-    variables_of = Model.coalition_variables
-    monkeypatch.setattr(Model, "coalition_variables",
-                        lambda self, c: calls.append("coalition_variables") or variables_of(self, c))
     found = [
         repr((f.formula_index, f.coalition, sorted(f.witness.assignment.items())))
         for scenario in loaded

@@ -17,11 +17,14 @@ import coalguard
 from coalguard import (
     ActionQueue,
     CoalGuardError,
+    Diamond,
     EngineConfig,
     Model,
     PreconditionError,
     SystemState,
+    TOP,
     TickRecord,
+    Var,
     audit_vulnerabilities,
     brute_force_min_block,
     build_cycle_instance,
@@ -32,6 +35,7 @@ from coalguard import (
     disjoin,
     eval_formula,
     fit_loglog_slope,
+    format_formula,
     greedy_block,
     is_connected,
     is_secure,
@@ -119,6 +123,9 @@ MALFORMED_RECORDS = [
         lambda: fit_loglog_slope((0, 10), (1.0, 2.0)),
         lambda: fit_loglog_slope((10, 100), (1.0, "2")),
         lambda: run_bench((3, 4), seed=[1]),
+        # a coalition naming an agent by other than a str, printed
+        lambda: str(Diamond([5], TOP)),
+        lambda: format_formula(Diamond(["b", 5], Var("x"))),
     ],
     ids=[
         "ActionQueue", "is_secure", "eval_formula", "diamond_holds", "simulate", "tick",
@@ -128,7 +135,7 @@ MALFORMED_RECORDS = [
         "rank_agents-matrix", "rank_agents-int-batch", "rank_agents-int-request", "conjoin",
         "disjoin", "load_scenario", "trace_text", "tick-other-queue", "run_ticks-other-queue",
         "build_matrix-other-report", "fit-no-times", "fit-zero-size", "fit-str-time",
-        "run_bench-list-seed",
+        "run_bench-list-seed", "str-int-agent", "format_formula-mixed-agents",
     ],
 )
 def test_a_wrong_kind_is_refused_on_entry(call):

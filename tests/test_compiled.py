@@ -9,6 +9,7 @@ from coalguard import (
     ActionRequest,
     BudgetExceededError,
     CoalGuardError,
+    PreconditionError,
     Diamond,
     Model,
     Not,
@@ -19,10 +20,13 @@ from coalguard import (
     Var,
     compile_formula,
     eval_formula,
+    format_formula,
     is_secure,
     parse_formula,
     simulate,
 )
+from coalguard import formula as formula_mod
+from coalguard import model as model_mod
 from coalguard.formula import structure
 from helpers import (
     random_formula,
@@ -144,6 +148,60 @@ def test_unknown_names_still_raise(text, error):
     with pytest.raises(error) as raised:
         two_agent_model("x & y", text)
     assert str(raised.value) == str(reference.value)
+
+
+def test_each_entry_checks_a_modal_formulas_names_once(monkeypatch):
+    """A <> trusts the names its entry checked and reads only its own
+    coalition's variables: building a model over two nested <>s calls
+    check_names once, not 3 times, and evaluating it once, not 4 times."""
+    calls = []
+    check_names = formula_mod.check_names
+    for module in (formula_mod, model_mod):
+        monkeypatch.setattr(module, "check_names", lambda *a: calls.append(a) or check_names(*a))
+    f = parse_formula("<>{a1} <>{a2} (x & y)")
+    model = two_agent_model(format_formula(f))
+    assert len(calls) == 1
+    for valuation in ({"x": False, "y": False}, {"x": True, "y": True}):
+        calls.clear()
+        assert eval_formula(f, model, valuation) and model.compiled.evaluators[0](valuation, True)
+        assert len(calls) == 1
+    calls.clear()
+    assert compile_formula(f, model)({"x": False, "y": False}, True)
+    assert len(calls) == 1
+
+
+BASE = two_agent_model()
+ZEROS = {"x": False, "y": False}
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda f: compile_formula(f, None), PreconditionError, "model must be a Model, not None"),
+        (lambda f: compile_formula(f, BASE), UnknownAgentError, "unknown agents: ['ghost']"),
+        (lambda f: eval_formula(f, BASE, ZEROS), UnknownAgentError, "unknown agents: ['ghost']"),
+        (lambda f: Model(BASE.agents, BASE.variables, BASE.partition, (f,)),
+         UnknownAgentError, "unknown agents: ['ghost']"),
+    ],
+    ids=["compile_formula-none", "compile_formula", "eval_formula", "Model"],
+)
+def test_a_modal_formulas_entry_raises_what_its_diamonds_did(call, error, message):
+    """The names a <> once checked itself: an inner <> naming an unknown
+    agent, or no model at all, raise the same error as before."""
+    with pytest.raises(error) as raised:
+        call(parse_formula("<>{a1} <>{ghost} x"))
+    assert str(raised.value) == message
+    if error is UnknownAgentError:  # the unknown variable under two <>s, likewise
+        with pytest.raises(UnknownVariableError, match=r"unknown variables: \['zz'\]"):
+            call(parse_formula("<>{a1} <>{a2} (x & zz)"))
+
+
+def test_compile_formula_checks_a_modal_formulas_names_outside_its_diamonds():
+    """A name outside every <> was not checked by any <>, so such a formula
+    compiled and its closure raised KeyError; the entry refuses it now."""
+    with pytest.raises(UnknownVariableError, match=r"unknown variables: \['zz'\]"):
+        compile_formula(parse_formula("zz | <>{a1} x"), BASE)
+    assert compile_formula(parse_formula("zz | x"), None)({"zz": 0, "x": 1}, 1) == 1
 
 
 def test_diamond_budget_raises_only_when_evaluated():

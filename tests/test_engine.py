@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 import yaml
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from coalguard import (
     ActionQueue,
@@ -21,6 +21,7 @@ from coalguard import (
     SystemState,
     UnknownVariableError,
     apply_actions,
+    brute_force_min_block,
     load_scenario,
     run_ticks,
     scenario_from_mapping,
@@ -29,7 +30,8 @@ from coalguard import (
     trace_text,
 )
 from coalguard import engine
-from helpers import random_model, random_requests, replay_matches, truth_eval
+from helpers import random_model, random_requests, random_scenario, reference_run
+from helpers import replay_matches, truth_eval
 
 
 # ---------------------------------------------------------------------------
@@ -494,3 +496,84 @@ def test_run_ticks_applies_each_batch_at_most_once(monkeypatch, scenario_dir, po
             config = replace(s.config, policy=policy, max_actions_per_tick=cap)
             result = run_ticks(s.model, s.initial_state, s.queue, config, 4)
             assert 0 < len(calls) <= len(result.records) == 4, (name, cap)
+
+
+# ---------------------------------------------------------------------------
+# runs across ticks: tick, run_ticks and a reference engine
+
+
+def test_a_lone_tick_draws_releases_from_a_strategys_own_seed(scenario_dir):
+    """A lone tick is run_ticks' first: with its own seed, a strategy draws
+    from Random(5), not from the config's Random(1)."""
+    s = load_scenario(scenario_dir / "example1.yaml")
+    config = EngineConfig(policy="greedy", random_seed=1,
+                          blocking_strategy=BlockForRandomInterval(0, 9, seed=5))
+    outcome = tick(s.model, s.initial_state, s.queue, config)
+    assert outcome.registry == {"a3": 11, "a1": 6}
+    run = run_ticks(s.model, s.initial_state, s.queue, config, 1)
+    assert (outcome.record, outcome.state, outcome.queue) == (run.records[0], run.final_state, run.queue)
+
+
+def _tick_loop(model, state, queue, config, pushes):
+    """Ticks one at a time, threading the queue, the registry and both
+    generators as run_ticks does; pushes[t] is pushed before tick t. Returns
+    the outcomes, the state before each tick and the requests pushed."""
+    rng = random.Random(config.random_seed)
+    own_seed = getattr(config.blocking_strategy, "seed", None)
+    strategy_rng = rng if own_seed is None else random.Random(own_seed)
+    registry, outcomes, states, pushed = None, [], [], []
+    for writes in pushes:
+        for agent, variable, value in writes:
+            queue = queue.push(agent, variable, value)
+        pushed.append(queue.requests[len(queue) - len(writes):])
+        states.append(state)
+        outcomes.append(tick(model, state, queue, config, registry, rng, strategy_rng))
+        state, queue, registry = outcomes[-1].state, outcomes[-1].queue, outcomes[-1].registry
+    return outcomes, states, pushed
+
+
+STRATEGIES = [DropTick(), BlockUntilTick(3), BlockForRandomInterval(0, 2),
+              BlockForRandomInterval(0, 3, seed=7)]
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(engine.POLICIES),
+    st.sampled_from(STRATEGIES),
+    st.sampled_from(["auto", 1, 2, 3]),
+    st.sampled_from(["fifo", "lex"]),
+    st.integers(0, 3),
+    st.integers(0, 8),
+)
+def test_ticks_match_run_ticks_and_a_reference_run(
+    seed, policy, strategy, cap, tie_break, random_seed, ticks
+):
+    """A tick loop is run_ticks, and a lone tick its first tick. With pushes
+    between ticks, greedy and "none" records equal reference_run's, and each
+    nondeterministic tick blocks as few agents as brute force."""
+    rng = random.Random(seed)
+    model, state, requests = random_scenario(rng, 8, 5, 3, 12)
+    queue = ActionQueue(model, requests)
+    config = EngineConfig(cap, policy, strategy, tie_break, random_seed)
+
+    run = run_ticks(model, state, queue, config, ticks)
+    outcomes, _, _ = _tick_loop(model, state, queue, config, [()] * ticks)
+    assert [o.record for o in outcomes] == run.records
+    if outcomes:
+        assert (outcomes[-1].state, outcomes[-1].queue) == (run.final_state, run.queue)
+        lone = tick(model, state, queue, config)
+        assert (lone.record, lone.state, lone.queue, lone.registry) == (
+            outcomes[0].record, outcomes[0].state, outcomes[0].queue, outcomes[0].registry)
+
+    pushes = [[(r.agent, r.variable, r.new_value) for r in random_requests(rng, model, 4)]
+              if rng.random() < 0.7 else [] for _ in range(ticks)]
+    outcomes, states, pushed = _tick_loop(model, state, queue, config, pushes)
+    records = [o.record for o in outcomes]
+    if policy == "nondeterministic":
+        for before, record in zip(states, records):
+            least = brute_force_min_block(model, before, record.batch)
+            assert len(record.blocked) == len(least.blocked) and record.secure
+    else:
+        assert [(r.tick, r.batch, r.blocked, r.executed, r.valuation, r.secure)
+                for r in records] == reference_run(model, state, requests, config, pushed)

@@ -228,6 +228,12 @@ def test_malformed_arguments_raise_precondition_error(example1_model, call):
         call(example1_model)
 
 
+def test_owned_rejects_an_unknown_agent(example1_model):
+    assert example1_model.owned("a3") == ("v2", "v6")
+    with pytest.raises(UnknownAgentError, match="unknown agent: 'ghost'"):
+        example1_model.owned("ghost")
+
+
 def test_eval_rejects_unknown_names(example1_model, example1_state):
     with pytest.raises(UnknownVariableError):
         eval_formula(parse_formula("v1 & zz"), example1_model, example1_state)
@@ -307,7 +313,7 @@ def test_diamond_matches_exhaustive_reference(seed):
     holds, witness = diamond_holds(model, state, coalition, f)
     assert holds == brute_diamond(model, state, coalition, f)
     if holds:
-        owned = set(model.coalition_variables(coalition))
+        owned = {v for v in model.variables if model.owner_of(v) in coalition}
         assert set(witness.assignment) <= owned
         merged = dict(valuation)
         merged.update(witness.assignment)

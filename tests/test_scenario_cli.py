@@ -476,25 +476,27 @@ def test_trace_line_writes_hand_built_greedy_rounds_as_json_does(kind):
 
 
 def test_trace_line_writes_rounds_larger_than_the_subset_memo_as_json_does():
-    """The 15-cycle's last two rounds list 6,435 keep-sets each, more than
-    the 4,096 texts the trace writer keeps, so they write their texts
-    without the memo, which only the smaller rounds ask; the line is still
-    the one json.dumps writes."""
-    model, state, batch = build_cycle_instance(15)
-    report = nondet_block(model, state, batch, seed=0)
-    assert [len(r.evaluated) for r in report.iterations][-2:] == [6435, 6435]
-    after = apply_actions(state, report.allowed_batch)
-    record = TickRecord(after.tick, batch, report.iterations, report.blocked,
-                        report.allowed_batch, after.valuation, is_secure(model, after))
-    asked = sum(len(r.evaluated) + len(r.frontier) + 1
-                for r in report.iterations if len(r.evaluated) <= 4096)
-    before = scenario_mod._subset_json.cache_info()
-    line, reference = trace_line(record), reference_line(record)
-    after_line = scenario_mod._subset_json.cache_info()
-    assert after_line.hits + after_line.misses - before.hits - before.misses == asked
-    # the first differing position, not a diff of two 1.5 MB lines
-    mismatch = next((i for i, (a, b) in enumerate(zip(line, reference)) if a != b), None)
-    assert (mismatch, len(line)) == (None, len(reference))
+    """The trace writer keeps 4,096 keep-set texts, and a record asks for
+    them only when its rounds list no more keep-sets than that in all: the
+    12-cycle's 2,509 ask for every text, the 13-cycle's 5,811 (no round over
+    1,716) and the 15-cycle's 22,818 (its last two rounds 6,435 each) for
+    none. Each line is still the one json.dumps writes."""
+    for n, listed in ((12, 2509), (13, 5811), (15, 22818)):
+        model, state, batch = build_cycle_instance(n)
+        report = nondet_block(model, state, batch, seed=0)
+        assert sum(len(r.evaluated) for r in report.iterations) == listed
+        after = apply_actions(state, report.allowed_batch)
+        record = TickRecord(after.tick, batch, report.iterations, report.blocked,
+                            report.allowed_batch, after.valuation, is_secure(model, after))
+        texts = sum(len(r.evaluated) + len(r.frontier) + 1 for r in report.iterations)
+        before = scenario_mod._subset_json.cache_info()
+        line, reference = trace_line(record), reference_line(record)
+        after_line = scenario_mod._subset_json.cache_info()
+        asked = after_line.hits + after_line.misses - before.hits - before.misses
+        assert asked == (texts if listed <= 4096 else 0), n
+        # the first differing position, not a diff of two 1.5 MB lines
+        mismatch = next((i for i, (a, b) in enumerate(zip(line, reference)) if a != b), None)
+        assert (mismatch, len(line)) == (None, len(reference)), n
 
 
 def test_trace_text_round_trips(tmp_path, scenario_dir):
@@ -511,6 +513,12 @@ def test_trace_text_round_trips(tmp_path, scenario_dir):
 def test_trace_line_refuses_what_is_not_a_tick_record():
     with pytest.raises(PreconditionError, match="from a TickRecord, not 5"):
         trace_line(5)
+
+
+def test_trace_line_refuses_an_iteration_that_is_neither_a_greedy_nor_an_oracle_round():
+    record = TickRecord(1, (), (5,), (), (), {}, True)
+    with pytest.raises(PreconditionError, match="unknown iteration snapshot int"):
+        trace_line(record)
 
 
 @pytest.mark.parametrize(
@@ -762,6 +770,37 @@ def test_cli_analyze_horn_output_of_the_bundled_scenarios(capsys, scenario_dir, 
     assert main(["analyze", str(scenario_dir / name), "--horn"]) == 0
     lines = ["Horn relabelings:", *HORN_SECTIONS[name]]
     assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
+
+
+def test_cli_analyze_reports_modal_unrenamable_and_unreachable_formulas(capsys, tmp_path):
+    """The Horn section skips a modal formula and names one no renaming
+    makes Horn; the audit reports that no coalition can satisfy a formula
+    that nothing satisfies, and refuses a modal model with one error line."""
+    modal = tmp_path / "modal.yaml"
+    modal.write_text(
+        "agents: {a1: [x, z], a2: [y]}\n"
+        "formulas: ['<>{a1} x & y', '(x | y | z) & (~x | ~y | ~z)']\n"
+        "initial: {x: false, y: false, z: false}\nqueue: []\n"
+    )
+    assert main(["analyze", str(modal), "--horn"]) == 0
+    assert capsys.readouterr().out == (
+        "Horn relabelings:\n"
+        "  formula[0] <>{a1}x & y: skipped (modal operator)\n"
+        "  formula[1] (x | y | z) & (~x | ~y | ~z): not renamable Horn\n"
+    )
+    assert main(["analyze", str(modal), "--audit"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: the audit requires propositional critical formulas\n"
+    never = tmp_path / "never.yaml"
+    never.write_text(
+        "agents: {a1: [x], a2: [y]}\nformulas: ['x & ~x | y & ~y']\n"
+        "initial: {x: false, y: false}\nqueue: []\n"
+    )
+    assert main(["analyze", str(never), "--audit"]) == 0
+    assert capsys.readouterr().out == (
+        "vulnerability audit (minimal coalitions at the initial state):\n"
+        "  none: no coalition can make any critical formula true\n"
+    )
 
 
 def test_cli_analyze_horn_past_the_clause_cap(capsys, tmp_path):
