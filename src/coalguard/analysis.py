@@ -51,14 +51,25 @@ class StateGraph:
     edge_labels: tuple[str, ...]
     secure_bits: int
 
+    def __post_init__(self):
+        """PreconditionError for a field not of its kind, BudgetExceededError
+        past GRAPH_VARIABLE_CAP variables: secure formats a bit per vertex."""
+        variables, labels, bits = self.variables, self.edge_labels, self.secure_bits
+        if not isinstance(variables, tuple) or not all(isinstance(v, str) for v in variables):
+            raise PreconditionError(f"a graph's variables are a tuple of str, not {variables!r}")
+        _check_graph_cap(len(variables))
+        if not isinstance(labels, tuple) or len(labels) != len(variables):
+            raise PreconditionError(f"a graph's labels are a tuple, one a variable, not {labels!r}")
+        if type(bits) is not int or bits < 0 or bits >> self.num_vertices:
+            raise PreconditionError(f"secure_bits {bits!r} is not a set of the graph's vertices")
+
     @property
     def num_vertices(self) -> int:
         return 1 << len(self.variables)
 
     @property
     def num_edges(self) -> int:
-        n = len(self.variables)
-        return n * (1 << (n - 1)) if n else 0
+        return len(self.variables) * self.num_vertices // 2
 
     @cached_property
     def secure(self) -> tuple[bool, ...]:
@@ -75,11 +86,7 @@ class StateGraph:
             raise UnknownVariableError(
                 f"state variables do not match the graph: {sorted(mismatch)}"
             )
-        index = 0
-        for j, v in enumerate(self.variables):
-            if valuation[v]:
-                index |= 1 << j
-        return index
+        return sum(1 << j for j, v in enumerate(self.variables) if valuation[v])
 
     def edges(self) -> Iterator[tuple[int, int, str]]:
         """Every undirected edge once, as (smaller index, larger index, agent)."""
@@ -93,6 +100,13 @@ class StateGraph:
         return tuple(i for i, flag in enumerate(self.secure) if flag)
 
 
+def _check_graph_cap(n: int) -> int:
+    if n > GRAPH_VARIABLE_CAP:
+        raise BudgetExceededError(f"{n} variables exceed the state-graph cap of "
+                                  f"{GRAPH_VARIABLE_CAP}")
+    return n
+
+
 def build_state_graph(model: Model) -> StateGraph:
     """Flag the valuations where no critical formula holds.
 
@@ -100,11 +114,7 @@ def build_state_graph(model: Model) -> StateGraph:
     tables, each a compiled closure run once on the valuation masks.
     """
     require(model, Model, "model")
-    n = len(model.variables)
-    if n > GRAPH_VARIABLE_CAP:
-        raise BudgetExceededError(
-            f"{n} variables exceed the state-graph cap of {GRAPH_VARIABLE_CAP}"
-        )
+    n = _check_graph_cap(len(model.variables))
     labels = tuple(model.owner_of(v) for v in model.variables)
     full = (1 << (1 << n)) - 1
     lanes = dict(zip(model.variables, valuation_masks(n)))
@@ -193,7 +203,7 @@ def single_flip_agents(model: Model, state: SystemState, formula: Formula) -> fr
     require(state, SystemState, "state")
     used, _ = check_names(formula, model, "single-flip analysis takes a propositional formula")
     valuation = {v: state.value(v) for v in model.variables if v in used}  # first unassigned raises
-    evaluate = _compile(formula, model)
+    evaluate = _compile(formula, model, set())
     if evaluate(valuation, True):
         raise PreconditionError("formula is already true at this state")
     agents = set()

@@ -36,18 +36,14 @@ def build_cycle_instance(
     agents = tuple(f"a{i + 1}" for i in range(size))
     variables = tuple(f"x{i + 1}" for i in range(size))
     partition = {agent: (variable,) for agent, variable in zip(agents, variables)}
-    formulas = tuple(
-        Var(variables[i]) & Var(variables[(i + 1) % size]) for i in range(size)
-    )
+    formulas = tuple(Var(variables[i]) & Var(variables[(i + 1) % size]) for i in range(size))
     model = Model(agents, variables, partition, formulas)
     state = SystemState(0, {v: False for v in variables})
     order = list(range(size))
     if seed is not None:
         random.Random(seed).shuffle(order)
-    batch = tuple(
-        ActionRequest(agents[i], variables[i], True, arrival)
-        for arrival, i in enumerate(order)
-    )
+    batch = tuple(ActionRequest(agents[i], variables[i], True, arrival)
+                  for arrival, i in enumerate(order))
     return model, state, batch
 
 
@@ -94,8 +90,6 @@ def run_bench(sizes: Sequence[int] = DEFAULT_SIZES, seed: int = 0) -> BenchRepor
             timings.append(time.perf_counter() - start)
             if sum(timings) > 1.0:
                 break
-        rows.append(
-            BenchRow(size, min(timings), len(report.iterations), len(report.blocked))
-        )
+        rows.append(BenchRow(size, min(timings), len(report.iterations), len(report.blocked)))
     slope = fit_loglog_slope([r.size for r in rows], [r.seconds for r in rows])
     return BenchReport(tuple(rows), slope)

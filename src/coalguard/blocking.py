@@ -332,9 +332,8 @@ def nondet_block(
     return BlockReport("nondeterministic", blocked, allowed, tuple(rounds), after)
 
 
-def brute_force_min_block(
-    model: Model, state: SystemState, batch: Sequence[ActionRequest]
-) -> BlockReport:
+def brute_force_min_block(model: Model, state: SystemState,
+                          batch: Sequence[ActionRequest]) -> BlockReport:
     """Exhaustively find a smallest blocked set keeping every formula false.
 
     Among minimum-size solutions returns the lexicographically least blocked

@@ -41,10 +41,8 @@ def _comma_ints(text: str) -> tuple[int, ...]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="coalguard",
-        description="Keep critical formulas false while agents write their variables.",
-    )
+    description = "Keep critical formulas false while agents write their variables."
+    parser = argparse.ArgumentParser(prog="coalguard", description=description)
     commands = parser.add_subparsers(dest="command", required=True)
 
     validate = commands.add_parser("validate", help="check a scenario file")
@@ -57,11 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--policy", choices=POLICIES, help="override the scenario's policy")
     run.add_argument("--seed", type=int, help="override the scenario's random seed")
     run.add_argument("--trace", metavar="OUT", help="write a JSONL trace to this path")
-    run.add_argument(
-        "--allow-insecure-start",
-        action="store_true",
-        help="accept a scenario whose initial state satisfies a critical formula",
-    )
+    run.add_argument("--allow-insecure-start", action="store_true",
+                     help="accept a scenario whose initial state satisfies a critical formula")
     run.set_defaults(handler=cmd_run)
 
     analyze = commands.add_parser("analyze", help="inspect a scenario without running it")
@@ -69,18 +64,13 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--state-graph", action="store_true", help="graph statistics only")
     analyze.add_argument("--horn", action="store_true", help="Horn relabelings only")
     analyze.add_argument("--audit", action="store_true", help="vulnerability audit only")
-    analyze.add_argument(
-        "--export-edges", metavar="OUT", help="also write the state graph as a text edge list"
-    )
+    analyze.add_argument("--export-edges", metavar="OUT",
+                         help="also write the state graph as a text edge list")
     analyze.set_defaults(handler=cmd_analyze)
 
     bench = commands.add_parser("bench", help="time greedy blocking on synthetic instances")
-    bench.add_argument(
-        "--sizes",
-        type=_comma_ints,
-        default=DEFAULT_SIZES,
-        help="comma-separated instance sizes (default 25,50,100,200)",
-    )
+    bench.add_argument("--sizes", type=_comma_ints, default=DEFAULT_SIZES,
+                       help="comma-separated instance sizes (default 25,50,100,200)")
     bench.add_argument("--seed", type=int, default=0, help="request-order shuffle seed")
     bench.set_defaults(handler=cmd_bench)
 
@@ -94,27 +84,21 @@ def cmd_validate(args) -> int:
         print(f"invalid: {exc}")
         return 1
     model = scenario.model
-    print(
-        f"ok: {len(model.agents)} agents, {len(model.variables)} variables, "
-        f"{len(model.critical_formulas)} critical formulas, "
-        f"{len(scenario.queue)} queued requests"
-    )
+    print(f"ok: {len(model.agents)} agents, {len(model.variables)} variables, "
+          f"{len(model.critical_formulas)} critical formulas, "
+          f"{len(scenario.queue)} queued requests")
     return 0
 
 
 def cmd_run(args) -> int:
     scenario = load_scenario(args.scenario, allow_insecure_start=args.allow_insecure_start)
     config = override_config(scenario.config, args.policy, args.seed)
-    result = run_ticks(
-        scenario.model, scenario.initial_state, scenario.queue, config, args.ticks
-    )
+    result = run_ticks(scenario.model, scenario.initial_state, scenario.queue, config, args.ticks)
     for record in result.records:
         verdict = "secure" if record.secure else "INSECURE"
         blocked = ",".join(record.blocked) if record.blocked else "-"
-        print(
-            f"tick {record.tick}: batch={len(record.batch)} "
-            f"blocked=[{blocked}] executed={len(record.executed)} {verdict}"
-        )
+        print(f"tick {record.tick}: batch={len(record.batch)} "
+              f"blocked=[{blocked}] executed={len(record.executed)} {verdict}")
     if args.trace:
         write_trace(result.records, args.trace)
         print(f"trace written to {args.trace}")

@@ -90,9 +90,15 @@ class ActionQueue:
 
         A request is considered once, when it reaches the front; if its owner
         is blocked at that moment it is consumed without effect. Returns
-        (batch, dropped, remaining).
+        (batch, dropped, remaining). An n that is not an int, or a blocked that
+        is not an iterable of agents, raises PreconditionError.
         """
-        blocked = set(blocked)
+        if type(n) is not int:  # checked inline, as tick takes a batch every tick
+            raise PreconditionError(f"n must be an int, not {n!r}")
+        try:
+            blocked = set(blocked)
+        except TypeError:
+            raise PreconditionError(f"blocked must be an iterable of agents: {blocked!r}") from None
         batch: list[ActionRequest] = []
         dropped: list[ActionRequest] = []
         buffer, index, end = self.buffer, self.start, self.end
@@ -282,13 +288,8 @@ class RunResult:
         return all(record.secure for record in self.records)
 
 
-def run_ticks(
-    model: Model,
-    state: SystemState,
-    queue: ActionQueue,
-    config: EngineConfig,
-    ticks: int,
-) -> RunResult:
+def run_ticks(model: Model, state: SystemState, queue: ActionQueue, config: EngineConfig,
+              ticks: int) -> RunResult:
     """Run a fixed number of ticks, threading queue, registry, and RNG state."""
     registry, rng, strategy_rng = _start(model, state, queue, config)
     if type(ticks) is not int or ticks < 0:  # a bool is no tick count

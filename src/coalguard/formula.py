@@ -345,13 +345,15 @@ def eval_formula(f: Formula, model, state) -> bool:
     Diamond nodes quantify existentially over assignments to the coalition's
     variables, everything else held fixed. ``state`` may be a SystemState or
     a plain variable -> bool mapping; one that leaves a variable f reads
-    unassigned raises UnknownVariableError. The reference for compile_formula.
+    unassigned raises UnknownVariableError. The reference for compile_formula,
+    sharing none of its closures: f is walked once, to check its names, and
+    each <> child once a call, the first time that <> is evaluated.
     """
     check_names(f, model)
     valuation = getattr(state, "valuation", state)
     require(valuation, Mapping, "a state's valuation")
     try:
-        return _eval(f, model, valuation)
+        return _eval(f, model, valuation, {})
     except KeyError as exc:
         raise unassigned(exc.args[0]) from None
 
@@ -366,9 +368,14 @@ def check_names(f: Formula, model, modal: Optional[str] = None) -> Structure:
     checked_structure raises, then ModalFormulaError(modal) for a modal f if
     modal is given, then for the first undeclared variable or agent that f
     names; else return f's structure."""
+    return _check_names(f, model, modal, None)
+
+
+def _check_names(f: Formula, model, modal: Optional[str], found: Optional[Structure]) -> Structure:
+    """check_names, reading f's structure from found when its entry walked f already."""
     if not isinstance(getattr(model, "variable_set", None), frozenset):  # Model is a layer up
         raise PreconditionError(f"model must be a Model, not {model!r}")
-    used, coalitions = checked_structure(f)
+    used, coalitions = found or checked_structure(f)
     if modal is not None and coalitions:
         raise ModalFormulaError(modal)
     unknown = used - model.variable_set
@@ -381,17 +388,21 @@ def check_names(f: Formula, model, modal: Optional[str] = None) -> Structure:
     return used, coalitions
 
 
-def _eval(f: Formula, model, valuation: Mapping[str, bool]) -> bool:
+def _eval(f: Formula, model, valuation: Mapping[str, bool], scopes: dict) -> bool:
+    """f's truth; scopes maps id(<> node) to the variables it assigns."""
     if isinstance(f, Top):
         return True
     if isinstance(f, Var):
         return valuation[f.name]
     if isinstance(f, Not):
-        return not _eval(f.child, model, valuation)
+        return not _eval(f.child, model, valuation, scopes)
     if isinstance(f, Or):
-        return _eval(f.left, model, valuation) or _eval(f.right, model, valuation)
-    relevant = _diamond_variables(f, model)  # a Diamond: check_names refused any other node
-    witness = first_witness(lambda trial, _: _eval(f.child, model, trial), valuation, relevant)
+        return _eval(f.left, model, valuation, scopes) or _eval(f.right, model, valuation, scopes)
+    relevant = scopes.get(id(f))  # a Diamond: check_names refused any other node
+    if relevant is None:
+        relevant = scopes[id(f)] = _scope(model, f.coalition, structure(f.child)[0])
+    witness = first_witness(
+        lambda trial, _: _eval(f.child, model, trial, scopes), valuation, relevant)
     return witness is not None
 
 
@@ -403,30 +414,37 @@ def compile_formula(f: Formula, model) -> Evaluator:
     ``ones``; <>{C} g ORs g over the assignments to C's variables that g
     mentions until all lanes hold, checking its budget only when evaluated.
     A propositional f needs no model and has no names checked; a modal f's
-    are, here. One past FORMULA_DEPTH_CAP levels raises BudgetExceededError."""
-    if checked_structure(f)[1]:
-        check_names(f, model)
-    return _compile(f, model)
+    are, here, from the one walk that also measures f's height. One past
+    FORMULA_DEPTH_CAP levels raises BudgetExceededError."""
+    found = checked_structure(f)
+    if found[1]:
+        _check_names(f, model, None, found)
+    return _compile(f, model, set())
 
 
-def _compile(f: Formula, model) -> Evaluator:
+def _compile(f: Formula, model, found: set) -> Evaluator:
+    """f's closure. Adds the variables f mentions to found, so that a <>
+    takes its child's from this recursion instead of walking the child."""
     if isinstance(f, Top):
         return lambda lanes, ones: ones
     if isinstance(f, Var):
         name = f.name
+        found.add(name)
         return lambda lanes, ones: lanes[name]
     pair = as_conjunction(f)
     if pair is not None:  # the ~(~a | ~b) that & builds, in one call instead of four
-        left, right = _compile(pair[0], model), _compile(pair[1], model)
+        left, right = _compile(pair[0], model, found), _compile(pair[1], model, found)
         return lambda lanes, ones: (x := left(lanes, ones)) and x & right(lanes, ones)
     if isinstance(f, Not):
-        child = _compile(f.child, model)
+        child = _compile(f.child, model, found)
         return lambda lanes, ones: ones ^ child(lanes, ones)
     if isinstance(f, Or):
-        left, right = _compile(f.left, model), _compile(f.right, model)
+        left, right = _compile(f.left, model, found), _compile(f.right, model, found)
         return lambda lanes, ones: x if (x := left(lanes, ones)) == ones else x | right(lanes, ones)
-    child = _compile(f.child, model)  # a Diamond: the entry walk refused any other node
-    relevant = _diamond_variables(f, model)
+    inner = set()  # a Diamond: the entry walk refused any other node
+    child = _compile(f.child, model, inner)
+    found |= inner
+    relevant = _scope(model, f.coalition, inner)
     def diamond(lanes, ones):
         _check_budget(relevant)
         trial, result = dict(lanes), 0
@@ -439,10 +457,9 @@ def _compile(f: Formula, model) -> Evaluator:
     return diamond
 
 
-def _diamond_variables(f: Diamond, model) -> tuple[str, ...]:
-    """The variables of f's coalition that its child mentions, in model order."""
-    inner = structure(f.child)[0]
-    return tuple(v for v in model.variables if v in inner and model.owner_of(v) in f.coalition)
+def _scope(model, coalition: frozenset[str], used) -> tuple[str, ...]:
+    """The variables in used that coalition owns, in model order."""
+    return tuple(v for v in model.variables if v in used and model.owner_of(v) in coalition)
 
 
 def _check_budget(relevant: Sequence[str]) -> None:
@@ -571,7 +588,7 @@ def find_horn_labeling(f: Formula) -> Optional[HornLabeling]:
     names = tuple(sorted(used))
     clauses = _all_clauses(len(names))
     full = (1 << (1 << len(names))) - 1
-    table = _compile(f, None)(dict(zip(names, valuation_masks(len(names)))), full)
+    table = _compile(f, None, set())(dict(zip(names, valuation_masks(len(names)))), full)
     flipped = horn_renaming(_prime_implicates(clauses, table))
     return None if flipped is None else HornLabeling(names, frozenset(names[j] for j in flipped))
 

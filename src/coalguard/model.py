@@ -24,6 +24,7 @@ from .formula import (
     Evaluator,
     Formula,
     _compile,
+    _scope,
     check_names,
     coalition_names,
     first_witness,
@@ -129,7 +130,7 @@ class CompiledModel(NamedTuple):
 def compile_model(model: Model, facts: Sequence[tuple]) -> CompiledModel:
     """The compiled form, given check_names' variables and coalitions of
     each formula; Model construction builds it once, as model.compiled."""
-    evaluators = tuple(_compile(f, model) for f in model.critical_formulas)
+    evaluators = tuple(_compile(f, model, set()) for f in model.critical_formulas)
     variables = tuple(used for used, _ in facts)
     coalitions = tuple(found for _, found in facts)
     agents = tuple(frozenset(map(model.owner_of, used)) for used in variables)
@@ -247,9 +248,9 @@ def diamond_holds(
     missing = members - model.agent_set
     if missing:
         raise UnknownAgentError(f"unknown agents: {sorted(missing, key=repr)}")
-    relevant = tuple(v for v in model.variables if v in used and model.owner_of(v) in members)
+    relevant = _scope(model, members, used)
     try:
-        assignment = first_witness(_compile(f, model), state.valuation, relevant)
+        assignment = first_witness(_compile(f, model, set()), state.valuation, relevant)
     except KeyError as exc:
         raise unassigned(exc.args[0]) from None
     if assignment is None:
@@ -277,17 +278,14 @@ def check_request(model: Model, request: ActionRequest, last: Optional[ActionReq
     owner = model.owner_of(request.variable)
     if owner != request.agent:
         raise OwnershipViolationError(
-            f"{request.agent!r} does not control {request.variable!r} "
-            f"(owned by {owner!r})"
-        )
+            f"{request.agent!r} does not control {request.variable!r} (owned by {owner!r})")
     if not isinstance(request.new_value, bool):
         raise PreconditionError(f"new value must be a bool, not {request.new_value!r}")
     if type(request.arrival_index) is not int:  # a bool is no arrival index
         raise QueueOrderError(f"arrival index must be an int, not {request.arrival_index!r}")
     if last is not None and request.arrival_index <= last.arrival_index:
-        raise QueueOrderError(
-            f"arrival index {request.arrival_index} not after {last.arrival_index}"
-        )
+        index, after = request.arrival_index, last.arrival_index
+        raise QueueOrderError(f"arrival index {index} not after {after}")
 
 
 class CheckedBatch(tuple):

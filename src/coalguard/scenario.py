@@ -111,8 +111,7 @@ def scenario_from_mapping(data: Mapping, allow_insecure_start: bool = False) -> 
     agents_map = _require_mapping(data["agents"], "agents")
     partition = {}
     for agent, owned in agents_map.items():
-        if owned is None:
-            owned = []
+        owned = [] if owned is None else owned
         if not isinstance(owned, list) or not all(isinstance(v, str) for v in owned):
             raise ScenarioError(f"agents[{agent}] must be a list of variable names")
         partition[agent] = tuple(owned)
@@ -152,13 +151,9 @@ def scenario_from_mapping(data: Mapping, allow_insecure_start: bool = False) -> 
     evaluators = model.compiled.evaluators
     satisfied = [i for i, evaluate in enumerate(evaluators) if evaluate(state.valuation, True)]
     if satisfied and not allow_insecure_start:
-        raise InsecureStartError(
-            f"initial state satisfies critical formula(s) {satisfied}"
-        )
+        raise InsecureStartError(f"initial state satisfies critical formula(s) {satisfied}")
 
-    raw_queue = data["queue"]
-    if raw_queue is None:
-        raw_queue = []
+    raw_queue = [] if data["queue"] is None else data["queue"]
     if not isinstance(raw_queue, list):
         raise ScenarioError("queue must be a list of requests")
     requests: list[ActionRequest] = []

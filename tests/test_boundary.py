@@ -16,11 +16,13 @@ from hypothesis import given, settings, strategies as st
 import coalguard
 from coalguard import (
     ActionQueue,
+    BudgetExceededError,
     CoalGuardError,
     Diamond,
     EngineConfig,
     Model,
     PreconditionError,
+    StateGraph,
     SystemState,
     TOP,
     TickRecord,
@@ -55,6 +57,7 @@ from coalguard import (
     validate_model,
     write_trace,
 )
+from coalguard.analysis import GRAPH_VARIABLE_CAP
 from coalguard.model import check_batch
 
 EXAMPLE = load_scenario(pathlib.Path(__file__).parent.parent / "scenarios" / "example1.yaml")
@@ -196,6 +199,48 @@ def test_a_buffer_of_another_models_queue_is_checked_again():
         ActionQueue(OTHER, QUEUE.buffer)
     view = ActionQueue(MODEL, QUEUE.buffer, 1, 3)
     assert view.buffer is QUEUE.buffer and view.requests == BATCH[1:3]
+
+
+@pytest.mark.parametrize(
+    "n, blocked",
+    [("a", ()), (1.5, ()), (True, ()), (None, ()), (2, 5), (2, None), (2, [["a1"]])],
+    ids=["str-n", "float-n", "bool-n", "none-n", "int-blocked", "none-blocked",
+         "unhashable-agent"],
+)
+def test_take_batch_excluding_refuses_a_count_or_blocked_set_of_another_kind(n, blocked):
+    # a float n took whole requests while len(batch) < n: 1.5 took 2
+    with pytest.raises(PreconditionError):
+        QUEUE.take_batch_excluding(n, blocked)
+
+
+@pytest.mark.parametrize(
+    "variables, labels, bits",
+    [
+        (("x",), ("a",), "zz"),  # is_connected raised a raw TypeError
+        (5, ("a",), 1),  # so did iter_edge_lines
+        (("x", "y"), ("a",), 15),  # num_edges said 4 where edges() yielded 2
+        (["x"], ("a",), 1),
+        (("x", 5), ("a", "b"), 1),
+        (("x",), ["a"], 1),
+        (("x",), ("a",), 4),  # a vertex past the graph's two
+        (("x",), ("a",), -1),
+        (("x",), ("a",), True),
+    ],
+)
+def test_a_malformed_state_graph_is_refused_when_built(variables, labels, bits):
+    with pytest.raises(PreconditionError):
+        StateGraph(variables, labels, bits)
+
+
+def test_a_state_graph_past_the_variable_cap_is_refused_when_built():
+    # built near the cap only: its secure view formats a bit per vertex
+    names = tuple(f"x{j}" for j in range(GRAPH_VARIABLE_CAP + 1))
+    with pytest.raises(BudgetExceededError, match="state-graph cap of 16"):
+        StateGraph(names, ("a",) * len(names), 0)
+    everything = (1 << (1 << GRAPH_VARIABLE_CAP)) - 1
+    graph = StateGraph(names[:-1], ("a",) * GRAPH_VARIABLE_CAP, everything)
+    assert graph.num_edges == GRAPH_VARIABLE_CAP << (GRAPH_VARIABLE_CAP - 1)
+    assert is_connected(graph, restrict_to_secure=True)
 
 
 # ---------------------------------------------------------------------------

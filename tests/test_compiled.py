@@ -26,7 +26,6 @@ from coalguard import (
     simulate,
 )
 from coalguard import formula as formula_mod
-from coalguard import model as model_mod
 from coalguard.formula import structure
 from helpers import (
     random_formula,
@@ -152,12 +151,11 @@ def test_unknown_names_still_raise(text, error):
 
 def test_each_entry_checks_a_modal_formulas_names_once(monkeypatch):
     """A <> trusts the names its entry checked and reads only its own
-    coalition's variables: building a model over two nested <>s calls
-    check_names once, not 3 times, and evaluating it once, not 4 times."""
+    coalition's variables: building a model over two nested <>s checks its
+    names once, not 3 times, and evaluating it once, not 4 times."""
     calls = []
-    check_names = formula_mod.check_names
-    for module in (formula_mod, model_mod):
-        monkeypatch.setattr(module, "check_names", lambda *a: calls.append(a) or check_names(*a))
+    check = formula_mod._check_names
+    monkeypatch.setattr(formula_mod, "_check_names", lambda *a: calls.append(a) or check(*a))
     f = parse_formula("<>{a1} <>{a2} (x & y)")
     model = two_agent_model(format_formula(f))
     assert len(calls) == 1
@@ -172,6 +170,57 @@ def test_each_entry_checks_a_modal_formulas_names_once(monkeypatch):
 
 BASE = two_agent_model()
 ZEROS = {"x": False, "y": False}
+
+
+def count_walks(monkeypatch):
+    """The list that every later formula._walk call appends its formula to."""
+    calls = []
+    walk = formula_mod._walk
+    monkeypatch.setattr(formula_mod, "_walk", lambda f: calls.append(f) or walk(f))
+    return calls
+
+
+def nested_model(k):
+    """Agents a1..ak owning x1..xk, and <>{a1} ... <>{ak} (x1 & ... & xk)."""
+    agents, variables = [f"a{i}" for i in range(1, k + 1)], [f"x{i}" for i in range(1, k + 1)]
+    f = parse_formula(" ".join(f"<>{{{a}}}" for a in agents) + " (" + " & ".join(variables) + ")")
+    return Model(agents, variables, dict(zip(agents, ((v,) for v in variables)))), f
+
+
+TRIPLE = "<>{a1} <>{a2} <>{a3} (x & y & z & w)"
+FOUR = Model(("a1", "a2", "a3", "a4"), ("x", "y", "z", "w"),
+             {"a1": ("x",), "a2": ("y",), "a3": ("z",), "a4": ("w",)})
+
+
+def test_each_entry_walks_a_modal_formula_once(monkeypatch):
+    """Model(...) and compile_formula walk a formula once at the entry: each
+    <> takes its child's variables from the compile recursion, where it
+    walked the child again (3, 4 and 5 walks before)."""
+    double, triple = parse_formula("<>{a1} <>{a2} (x & y)"), parse_formula(TRIPLE)
+    calls = count_walks(monkeypatch)
+    Model(BASE.agents, BASE.variables, BASE.partition, (double,))
+    assert len(calls) == 1
+    calls.clear()
+    Model(FOUR.agents, FOUR.variables, FOUR.partition, (triple,))
+    assert len(calls) == 1
+    calls.clear()
+    evaluate = compile_formula(triple, FOUR)
+    assert len(calls) == 1
+    assert evaluate({"x": 0, "y": 0, "z": 0, "w": 1}, 1) == 1 and len(calls) == 1
+    calls.clear()  # eval_formula walks f, then each <> child once: 8 walks before
+    assert not eval_formula(triple, FOUR, dict.fromkeys(FOUR.variables, False))
+    assert len(calls) == 4
+    assert not hasattr(formula_mod, "_diamond_variables")
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_eval_formula_walks_each_diamond_once_a_call(monkeypatch, k):
+    """eval_formula walks each <> child the first time it is evaluated, not
+    every time: k nested <>s made 2^k walks, now k + 1."""
+    model, f = nested_model(k)
+    calls = count_walks(monkeypatch)
+    assert eval_formula(f, model, dict.fromkeys(model.variables, False))
+    assert len(calls) == k + 1
 
 
 @pytest.mark.parametrize(

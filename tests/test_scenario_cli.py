@@ -41,6 +41,7 @@ from coalguard import (
     trace_text,
 )
 import coalguard
+from coalguard import BenchReport, BenchRow, cli
 from coalguard.cli import main
 from coalguard import scenario as scenario_mod
 from coalguard.scenario import config_from_mapping, override_config, parse_strategy
@@ -663,6 +664,16 @@ def test_bench_rejects_sizes_it_cannot_fit(capsys, sizes, message):
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_bench_warns_past_the_slope_gate_and_exits_0(capsys, monkeypatch):
+    rows = (BenchRow(25, 0.001, 12, 12), BenchRow(50, 0.5, 25, 25))
+    report = BenchReport(rows, cli.SLOPE_GATE + 0.5)
+    monkeypatch.setattr(cli, "run_bench", lambda sizes, seed: report)
+    assert main(["bench", "--sizes", "25,50"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == [f"log-log slope: {cli.SLOPE_GATE + 0.5:.3f}",
+                          f"warning: slope exceeds the soft gate of {cli.SLOPE_GATE}"]
 
 
 def test_fit_loglog_slope_needs_two_distinct_sizes_before_it_divides():
