@@ -8,7 +8,6 @@ an exhaustive minimal-coalition vulnerability audit.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Union
@@ -18,6 +17,7 @@ from .errors import UnknownVariableError, require
 from .formula import (
     Formula,
     _all_clauses,
+    _check_budget,
     _compile,
     _prime_implicates,
     Not,
@@ -25,7 +25,6 @@ from .formula import (
     check_names,
     conjoin,
     disjoin,
-    first_witness,
     flip_across,
     horn_renaming,
     valuation_masks,
@@ -33,7 +32,7 @@ from .formula import (
 from .model import Model, PartialValuation, SystemState
 
 GRAPH_VARIABLE_CAP = 16
-AUDIT_AGENT_CAP = 12
+AUDIT_AGENT_CAP = 15
 SURVEY_VARIABLE_CAP = 4
 
 
@@ -77,11 +76,12 @@ class StateGraph:
         return tuple(map("1".__eq__, bits))
 
     def valuation_of(self, index: int) -> dict[str, bool]:
+        require(index, int, "a vertex index")
         return {v: bool((index >> j) & 1) for j, v in enumerate(self.variables)}
 
     def vertex_index(self, state: Union[SystemState, Mapping[str, bool]]) -> int:
         valuation = state.valuation if isinstance(state, SystemState) else state
-        mismatch = set(valuation) ^ set(self.variables)
+        mismatch = set(require(valuation, Mapping, "a state")) ^ set(self.variables)
         if mismatch:
             raise UnknownVariableError(
                 f"state variables do not match the graph: {sorted(mismatch)}"
@@ -92,9 +92,8 @@ class StateGraph:
         """Every undirected edge once, as (smaller index, larger index, agent)."""
         for i in range(self.num_vertices):
             for j, label in enumerate(self.edge_labels):
-                k = i ^ (1 << j)
-                if k > i:
-                    yield i, k, label
+                if not (i >> j) & 1:
+                    yield i, i | (1 << j), label
 
     def secure_indices(self) -> tuple[int, ...]:
         return tuple(i for i, flag in enumerate(self.secure) if flag)
@@ -127,19 +126,20 @@ def build_state_graph(model: Model) -> StateGraph:
 def _connected(members: int, num_vars: int) -> bool:
     """Is the subgraph induced on the vertices set in the members bitset connected?
 
-    Floods from the lowest member. Each sweep adds, for every variable j,
-    the members one flip of variable j away from the region reached so far.
+    Floods from the lowest member, adding the members one flip of variable j
+    away, for each j in turn, until the flood covers them all or stops growing.
     """
     reached = members & -members
-    if reached == members:  # at most one member
-        return True
     masks = valuation_masks(num_vars)
-    while True:
+    while reached != members:  # more than one member, and some not reached
         before = reached
         for j, mask in enumerate(masks):
             reached |= flip_across(reached, j, mask) & members
+            if reached == members:
+                return True
         if reached == before:
-            return reached == members
+            return False
+    return True
 
 
 def is_connected(graph: StateGraph, restrict_to_secure: bool = False) -> bool:
@@ -167,10 +167,9 @@ def secure_path(
     source = graph.vertex_index(start)
     target = graph.vertex_index(goal)
     members = graph.secure_bits
-    if not (members >> source) & 1:
-        raise PreconditionError("start state is not secure")
-    if not (members >> target) & 1:
-        raise PreconditionError("goal state is not secure")
+    for index, name in ((source, "start"), (target, "goal")):
+        if not (members >> index) & 1:
+            raise PreconditionError(f"{name} state is not secure")
     masks = valuation_masks(len(graph.variables))
     layers = [1 << source]
     unseen = members ^ layers[0]
@@ -202,15 +201,13 @@ def single_flip_agents(model: Model, state: SystemState, formula: Formula) -> fr
     """
     require(state, SystemState, "state")
     used, _ = check_names(formula, model, "single-flip analysis takes a propositional formula")
-    valuation = {v: state.value(v) for v in model.variables if v in used}  # first unassigned raises
-    evaluate = _compile(formula, model, set())
-    if evaluate(valuation, True):
+    names = [v for v in model.variables if v in used]  # the first unassigned raises below
+    ones = (2 << len(names)) - 1  # lane j flips names[j]; the last lane is the state
+    lanes = {v: (ones if state.value(v) else 0) ^ (1 << j) for j, v in enumerate(names)}
+    flipped = _compile(formula, model, set())(lanes, ones)
+    if (flipped >> len(names)) & 1:
         raise PreconditionError("formula is already true at this state")
-    agents = set()
-    for variable in used:
-        if evaluate({**valuation, variable: not valuation[variable]}, True):
-            agents.add(model.owner_of(variable))
-    return frozenset(agents)
+    return frozenset(model.owner_of(v) for j, v in enumerate(names) if (flipped >> j) & 1)
 
 
 @dataclass(frozen=True)
@@ -226,14 +223,15 @@ class VulnerabilityFinding:
 def audit_vulnerabilities(model: Model, state: SystemState) -> tuple[VulnerabilityFinding, ...]:
     """All minimal coalitions that could make some critical formula true.
 
-    Coalitions are enumerated by ascending size; supersets of an already
-    reported coalition are skipped, which is exact because ability is
-    monotone under adding agents. An agent owning none of a formula's
-    variables adds nothing to a coalition, so only the formula's own agents
-    are combined, in model order, and an agent able alone joins no larger
-    coalition. A formula already true at the state is the exception: there
-    every agent alone is able, so no larger coalition is tried.
-    AUDIT_AGENT_CAP bounds the agents combined for one formula.
+    A coalition can exactly when some state it reaches from this one, by
+    setting its own variables of the formula, is in the formula's truth
+    table (van der Hoek & Wooldridge, AIJ 2005). A coalition's reach grows
+    from its prefix's by a flip_across OR per variable; coalitions grow by
+    size, and only the unable ones of one size are kept. Only the formula's
+    own agents are combined, in model order. A witness is the first state
+    in reach and table in itertools.product order. DIAMOND_VARIABLE_CAP
+    bounds an audited formula's variables, checked first; AUDIT_AGENT_CAP
+    the agents combined for one false at the state.
     """
     require(model, Model, "model")
     require(state, SystemState, "state")
@@ -244,31 +242,43 @@ def audit_vulnerabilities(model: Model, state: SystemState) -> tuple[Vulnerabili
         state.value(variable)  # raises for a variable the state leaves unassigned
     findings = []
     for index, f in enumerate(model.critical_formulas):
-        used = compiled.variables[index]
-        owners = [(v, model.owner_of(v)) for v in model.variables if v in used]  # model order
-        if compiled.evaluators[index](state.valuation, True):
-            candidates = model.agents
-        else:
-            candidates = tuple(a for a in model.agents if a in compiled.agents[index])
-            if len(candidates) > AUDIT_AGENT_CAP:
-                raise BudgetExceededError(
-                    f"formula {index}: {len(candidates)} agents exceed the audit cap "
-                    f"of {AUDIT_AGENT_CAP}"
-                )
-        minimal: list[frozenset[str]] = []
-        for size in range(1, len(candidates) + 1):
-            for combo in itertools.combinations(candidates, size):
-                members = frozenset(combo)
-                if any(found <= members for found in minimal):
-                    continue
-                relevant = tuple(v for v, owner in owners if owner in members)
-                assignment = first_witness(compiled.evaluators[index], state.valuation, relevant)
-                if assignment is not None:
-                    minimal.append(members)
-                    witness = PartialValuation(members, assignment)
-                    findings.append(VulnerabilityFinding(index, f, combo, witness))
-            if size == 1:  # an agent able alone is in no larger minimal coalition
-                candidates = tuple(a for a in candidates if frozenset((a,)) not in minimal)
+        names = tuple(v for v in model.variables if v in compiled.variables[index])
+        _check_budget(names)  # the formula's own coalition controls them all
+        masks = valuation_masks(len(names))
+        table = compiled.evaluators[index](dict(zip(names, masks)), (1 << (1 << len(names))) - 1)
+        point = sum(1 << j for j, v in enumerate(names) if state.valuation[v])
+        holds = (table >> point) & 1  # then every agent alone is able, and none is combined
+        candidates = tuple(a for a in model.agents if holds or a in compiled.agents[index])
+        if not holds and len(candidates) > AUDIT_AGENT_CAP:
+            raise BudgetExceededError(
+                f"formula {index}: {len(candidates)} agents exceed the audit cap "
+                f"of {AUDIT_AGENT_CAP}"
+            )
+        owned = {a: [] for a in candidates}
+        for j, v in enumerate(names):
+            owned[model.owner_of(v)].append(j)
+        unable = {(): 1 << point}  # the coalitions of one size that cannot, with their reach
+        while unable:
+            level, unable = unable, {}
+            for combo, reach in level.items():
+                for last in candidates[candidates.index(combo[-1]) + 1 if combo else 0:]:
+                    members = combo + (last,)
+                    if any(members[:i] + members[i + 1:] not in level for i in range(len(combo))):
+                        continue  # a subset is able, so members is not minimal
+                    grown = reach
+                    for j in owned[last]:
+                        grown |= flip_across(grown, j, masks[j])
+                    face = table & grown  # the states members can reach where f holds
+                    if not face:
+                        unable[members] = grown
+                        continue
+                    witness = {}
+                    for j in sorted(j for a in members for j in owned[a]):  # false first
+                        low = face & ~masks[j]
+                        witness[names[j]] = not low
+                        face = low or face & masks[j]
+                    findings.append(VulnerabilityFinding(
+                        index, f, members, PartialValuation(members, witness)))
     return tuple(findings)
 
 
@@ -369,9 +379,6 @@ def iter_edge_lines(graph: StateGraph) -> Iterator[str]:
     checked on the call, before the first line.
     """
     require(graph, StateGraph, "graph")
-    n = len(graph.variables)
-
-    def bits(index: int) -> str:
-        return "".join("1" if (index >> j) & 1 else "0" for j in range(n))
-
-    return (f"{bits(i)} {bits(k)} {label}" for i, k, label in graph.edges())
+    width = f"0{len(graph.variables)}b"  # reversed below, so that bit 0 comes first
+    return (f"{format(i, width)[::-1]} {format(k, width)[::-1]} {label}"
+            for i, k, label in graph.edges())

@@ -56,8 +56,6 @@ class ActionQueue:
                 raise PreconditionError(f"queue requests must be iterable, not {kind}") from None
             try:
                 for index, request in enumerate(buffer):
-                    if not isinstance(request, ActionRequest):
-                        raise PreconditionError(f"not an ActionRequest: {request!r}")
                     check_request(self.model, request, buffer[index - 1] if index else None)
             except CoalGuardError as exc:  # name the request's position
                 exc.args = (f"queue[{index}]: {exc}",)
@@ -190,11 +188,6 @@ class EngineConfig:
         require(self.blocking_strategy, BlockingStrategy, "blocking_strategy")
         require(self.random_seed, int, "random_seed")
 
-    def batch_size(self, model: Model) -> int:
-        if self.max_actions_per_tick == "auto":
-            return len(model.critical_formulas)
-        return self.max_actions_per_tick
-
 
 # ---------------------------------------------------------------------------
 # ticks
@@ -261,7 +254,9 @@ def _tick(model, state, queue, config, blocked_registry, rng, strategy_rng) -> T
     """tick on checked arguments, with the rngs drawn and the registry a mapping."""
     forming = state.tick + 1  # registry entries name the first tick an agent may act in
     registry = {agent: release for agent, release in blocked_registry.items() if release > forming}
-    batch, _, remaining = queue.take_batch_excluding(config.batch_size(model), registry)
+    cap = config.max_actions_per_tick  # "auto": one request per critical formula
+    batch, _, remaining = queue.take_batch_excluding(
+        len(model.critical_formulas) if cap == "auto" else cap, registry)
 
     if config.policy == "none":
         report = BlockReport("none", (), batch, (), apply_actions(state, batch))

@@ -401,9 +401,10 @@ def _eval(f: Formula, model, valuation: Mapping[str, bool], scopes: dict) -> boo
     relevant = scopes.get(id(f))  # a Diamond: check_names refused any other node
     if relevant is None:
         relevant = scopes[id(f)] = _scope(model, f.coalition, structure(f.child)[0])
-    witness = first_witness(
-        lambda trial, _: _eval(f.child, model, trial, scopes), valuation, relevant)
-    return witness is not None
+    _check_budget(relevant)
+    trials = ({**valuation, **dict(zip(relevant, combo))}
+              for combo in itertools.product((False, True), repeat=len(relevant)))
+    return any(_eval(f.child, model, trial, scopes) for trial in trials)
 
 
 def compile_formula(f: Formula, model) -> Evaluator:
@@ -471,24 +472,6 @@ def _check_budget(relevant: Sequence[str]) -> None:
         )
 
 
-def first_witness(
-    evaluate: Evaluator, valuation: Mapping[str, bool], relevant: Sequence[str]
-) -> Optional[dict[str, bool]]:
-    """The first assignment to ``relevant`` making ``evaluate(trial, True)`` true, or None.
-
-    Assignments are tried in itertools.product order, False before True, the
-    rest of the valuation held fixed. Capped at DIAMOND_VARIABLE_CAP variables.
-    """
-    _check_budget(relevant)
-    trial = dict(valuation)
-    for combo in itertools.product((False, True), repeat=len(relevant)):
-        assignment = dict(zip(relevant, combo))
-        trial.update(assignment)
-        if evaluate(trial, True):
-            return assignment
-    return None
-
-
 # ---------------------------------------------------------------------------
 # truth tables (Knuth, TAOCP Vol. 4A, 7.1.1-7.1.3)
 
@@ -497,8 +480,13 @@ def valuation_masks(num_vars: int) -> tuple[int, ...]:
     """Mask j has bit i set exactly when bit j of i is set, for i < 2^num_vars.
 
     Numbering valuations so that bit j of valuation i is the value of the
-    j-th variable makes mask j that variable's truth table.
+    j-th variable makes mask j that variable's truth table. Kept up to 16 variables (256 KiB).
     """
+    return _masks(num_vars) if num_vars <= 16 else _masks.__wrapped__(num_vars)
+
+
+@lru_cache(maxsize=None)
+def _masks(num_vars: int) -> tuple[int, ...]:
     size = 1 << num_vars
     full = (1 << size) - 1
     masks = [0] * num_vars

@@ -9,6 +9,7 @@ variable; a batch of them is checked, applied or simulated against a state.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -23,11 +24,11 @@ from .errors import (
 from .formula import (
     Evaluator,
     Formula,
+    _check_budget,
     _compile,
     _scope,
     check_names,
     coalition_names,
-    first_witness,
     unassigned,
 )
 
@@ -101,7 +102,7 @@ class Model:
             raise UnknownVariableError(f"no agent controls {variable!r}") from None
 
     def owned(self, agent: str) -> tuple[str, ...]:
-        if agent not in self.agent_set:
+        if require(agent, str, "agent") not in self.agent_set:
             raise UnknownAgentError(f"unknown agent: {agent!r}")
         return self.partition.get(agent, ())
 
@@ -162,7 +163,7 @@ class SystemState:
     def value(self, variable: str) -> bool:
         try:
             return self.valuation[variable]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise unassigned(variable) from None
 
     def with_updates(self, changes: Mapping[str, bool], tick: Optional[int] = None) -> "SystemState":
@@ -249,13 +250,16 @@ def diamond_holds(
     if missing:
         raise UnknownAgentError(f"unknown agents: {sorted(missing, key=repr)}")
     relevant = _scope(model, members, used)
+    _check_budget(relevant)
+    evaluate, trial = _compile(f, model, set()), dict(state.valuation)
     try:
-        assignment = first_witness(_compile(f, model, set()), state.valuation, relevant)
+        for combo in itertools.product((False, True), repeat=len(relevant)):
+            trial.update(zip(relevant, combo))
+            if evaluate(trial, True):
+                return True, PartialValuation(members, zip(relevant, combo))
     except KeyError as exc:
         raise unassigned(exc.args[0]) from None
-    if assignment is None:
-        return False, None
-    return True, PartialValuation(members, assignment)
+    return False, None
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +277,10 @@ class ActionRequest:
 
 
 def check_request(model: Model, request: ActionRequest, last: Optional[ActionRequest]) -> None:
-    """What enqueueing checks: the requester owns the variable, the value is a
-    bool, and the arrival index is an int after the last pending one's, if any."""
+    """What enqueueing checks: an ActionRequest whose agent owns the variable, a
+    bool value, and an int arrival index after the last pending one's, if any."""
+    if not isinstance(request, ActionRequest):
+        raise PreconditionError(f"not an ActionRequest: {request!r}")
     owner = model.owner_of(request.variable)
     if owner != request.agent:
         raise OwnershipViolationError(

@@ -6,24 +6,31 @@ from collections import deque
 
 from coalguard import (
     ActionRequest,
+    BudgetExceededError,
     BlockForRandomInterval,
     BlockUntilTick,
     BlockingMatrix,
     Diamond,
     GreedyIteration,
+    ModalFormulaError,
     Model,
     Not,
     OracleRound,
     Or,
+    PartialValuation,
     SystemState,
     TickRecord,
     Top,
     Var,
+    VulnerabilityFinding,
     build_matrix,
     eval_formula,
     rank_agents,
     simulate,
 )
+from coalguard.analysis import AUDIT_AGENT_CAP
+from coalguard.errors import require
+from coalguard.formula import DIAMOND_VARIABLE_CAP
 
 
 # ---------------------------------------------------------------------------
@@ -448,3 +455,73 @@ def record_to_dict(record: TickRecord) -> dict:
         "valuation": dict(record.valuation),
         "secure": record.secure,
     }
+
+
+# ---------------------------------------------------------------------------
+# the audit as it was before truth tables: one assignment search per coalition
+
+
+def first_witness(evaluate, valuation, relevant):
+    """The first assignment to ``relevant`` making ``evaluate(trial, True)`` true, or None.
+
+    Assignments are tried in itertools.product order, False before True, the
+    rest of the valuation held fixed. Capped at DIAMOND_VARIABLE_CAP variables.
+    """
+    if len(relevant) > DIAMOND_VARIABLE_CAP:
+        raise BudgetExceededError(f"coalition controls {len(relevant)} variables of the formula")
+    trial = dict(valuation)
+    for combo in itertools.product((False, True), repeat=len(relevant)):
+        assignment = dict(zip(relevant, combo))
+        trial.update(assignment)
+        if evaluate(trial, True):
+            return assignment
+    return None
+
+
+def reference_audit_loop(model, state):
+    """audit_vulnerabilities by first_witness on each candidate coalition.
+
+    Coalitions are enumerated by ascending size; supersets of an already
+    reported coalition are skipped, which is exact because ability is
+    monotone under adding agents. An agent owning none of a formula's
+    variables adds nothing to a coalition, so only the formula's own agents
+    are combined, in model order, and an agent able alone joins no larger
+    coalition. A formula already true at the state is the exception: there
+    every agent alone is able, so no larger coalition is tried.
+    AUDIT_AGENT_CAP bounds the agents combined for one formula.
+    """
+    require(model, Model, "model")
+    require(state, SystemState, "state")
+    compiled = model.compiled
+    if any(compiled.coalitions):
+        raise ModalFormulaError("the audit requires propositional critical formulas")
+    for variable in model.variables:
+        state.value(variable)  # raises for a variable the state leaves unassigned
+    findings = []
+    for index, f in enumerate(model.critical_formulas):
+        used = compiled.variables[index]
+        owners = [(v, model.owner_of(v)) for v in model.variables if v in used]  # model order
+        if compiled.evaluators[index](state.valuation, True):
+            candidates = model.agents
+        else:
+            candidates = tuple(a for a in model.agents if a in compiled.agents[index])
+            if len(candidates) > AUDIT_AGENT_CAP:
+                raise BudgetExceededError(
+                    f"formula {index}: {len(candidates)} agents exceed the audit cap "
+                    f"of {AUDIT_AGENT_CAP}"
+                )
+        minimal: list[frozenset[str]] = []
+        for size in range(1, len(candidates) + 1):
+            for combo in itertools.combinations(candidates, size):
+                members = frozenset(combo)
+                if any(found <= members for found in minimal):
+                    continue
+                relevant = tuple(v for v, owner in owners if owner in members)
+                assignment = first_witness(compiled.evaluators[index], state.valuation, relevant)
+                if assignment is not None:
+                    minimal.append(members)
+                    witness = PartialValuation(members, assignment)
+                    findings.append(VulnerabilityFinding(index, f, combo, witness))
+            if size == 1:  # an agent able alone is in no larger minimal coalition
+                candidates = tuple(a for a in candidates if frozenset((a,)) not in minimal)
+    return tuple(findings)

@@ -32,8 +32,8 @@ from coalguard import (
     scenario_from_mapping,
     survey_secure_connectivity,
 )
-from coalguard import formula as formula_mod
-from coalguard.analysis import SurveyRow, _connected
+from coalguard import analysis as analysis_mod, disjoin, formula as formula_mod
+from coalguard.analysis import AUDIT_AGENT_CAP, SurveyRow, _connected
 from coalguard.formula import valuation_masks
 from helpers import (
     brute_prime_implicates,
@@ -41,6 +41,7 @@ from helpers import (
     random_model,
     random_secure_state,
     read_clauses,
+    reference_audit_loop,
     reference_secure_path,
     truth_eval,
 )
@@ -177,6 +178,52 @@ def test_bitset_flood_matches_union_find(n, data):
     expected = union_find_connected(graph, members)
     assert _connected(members, n) == expected
     assert is_connected(graph, restrict_to_secure=True) == expected
+
+
+def test_the_flood_stops_once_it_covers_every_member(monkeypatch):
+    # from vertex 0 one flip across each variable in turn covers the whole
+    # cube, so no sweep runs past the n-th flip to find the fixpoint
+    calls = []
+    flip = formula_mod.flip_across
+    monkeypatch.setattr(analysis_mod, "flip_across", lambda *a: calls.append(a) or flip(*a))
+    for n in range(4, 13):
+        calls.clear()
+        assert _connected((1 << (1 << n)) - 1, n)
+        assert len(calls) <= n
+        calls.clear()  # an edge along variable 0 is covered by the first flip
+        assert _connected(0b11, n)
+        assert len(calls) == 1
+
+
+def test_exclusive_or_pair_sets_are_disconnected():
+    # the valuations where x0 equals x1, the secure set of x0 XOR x1, are two
+    # subcubes no single flip joins, whatever the other variables
+    for n in range(2, 9):
+        members = sum(1 << i for i in range(1 << n) if (i & 1) == (i >> 1) & 1)
+        assert not _connected(members, n)
+        assert _connected(members | 0b10, n)  # one vertex between them joins the two
+
+
+def audit_compact(findings):
+    return [(f.formula_index, f.coalition, dict(f.witness.assignment)) for f in findings]
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_audit_matches_the_per_coalition_loop(seed):
+    """The audit on truth tables finds the coalitions, in the same order, and
+    the witnesses that first_witness found coalition by coalition, at secure
+    starts, insecure ones and states where some formula already holds."""
+    rng = random.Random(seed)
+    model = random_model(rng, max_vars=9, max_agents=6, max_formulas=3)
+    wider = [random_formula(rng, model.variables, depth=4) for _ in range(2)]
+    model = Model(model.agents, model.variables, model.partition,
+                  model.critical_formulas + tuple(wider))
+    states = [random_secure_state(rng, model)]
+    states += [SystemState(0, {v: rng.random() < 0.5 for v in model.variables}) for _ in range(3)]
+    for state in filter(None, states):
+        findings = audit_vulnerabilities(model, state)
+        assert audit_compact(findings) == audit_compact(reference_audit_loop(model, state))
+        assert all(type(value) is bool for f in findings for value in f.witness.assignment.values())
 
 
 def reference_audit(model, state):
@@ -460,18 +507,89 @@ def test_audit_reports_only_minimal_coalitions(example1_model, example1_state):
 
 def test_audit_agent_budget():
     # the cap counts the agents combined for one formula, not the model's agents
-    agents = tuple(f"a{i}" for i in range(13))
-    variables = tuple(f"x{i}" for i in range(13))
+    past = AUDIT_AGENT_CAP + 1
+    agents = tuple(f"a{i}" for i in range(past))
+    variables = tuple(f"x{i}" for i in range(past))
     partition = {a: (v,) for a, v in zip(agents, variables)}
     low = SystemState(0, {v: False for v in variables})
     pair = Model(agents, variables, partition, (parse_formula("x0 & x1"),))
     assert [f.coalition for f in audit_vulnerabilities(pair, low)] == [("a0", "a1")]
     wide = Model(agents, variables, partition, (parse_formula(" & ".join(variables)),))
-    with pytest.raises(BudgetExceededError, match="13 agents exceed the audit cap of 12"):
+    message = f"{past} agents exceed the audit cap of {AUDIT_AGENT_CAP}"
+    with pytest.raises(BudgetExceededError, match=message):
         audit_vulnerabilities(wide, low)
     # where the formula already holds, every agent alone is able and none is combined
     high = SystemState(0, {v: True for v in variables})
     assert [f.coalition for f in audit_vulnerabilities(wide, high)] == [(a,) for a in agents]
+
+
+@pytest.mark.parametrize("shape, count", [("conjunction", 1), ("cycle", 29)])
+def test_audit_on_twelve_agents(shape, count):
+    """CI times these two: one formula over 12 agents owning a variable each,
+    false at the start. A cycle's minimal coalitions are its minimal vertex
+    covers, the smallest of them every second agent."""
+    agents = tuple(f"a{i}" for i in range(12))
+    variables = tuple(f"x{i}" for i in range(12))
+    partition = {a: (v,) for a, v in zip(agents, variables)}
+    text = {"conjunction": " & ".join(variables),
+            "cycle": " & ".join(f"(x{i} | x{(i + 1) % 12})" for i in range(12))}[shape]
+    model = Model(agents, variables, partition, (parse_formula(text),))
+    low = SystemState(0, {v: False for v in variables})
+    findings = audit_vulnerabilities(model, low)
+    assert len(findings) == count
+    assert all(all(f.witness.assignment.values()) for f in findings)
+    if shape == "cycle":
+        assert findings[0].coalition == agents[::2]
+
+
+def test_audit_refuses_a_formula_past_the_variable_cap_before_any_coalition(monkeypatch):
+    # two agents, so the agent cap allows the formula; the variable cap holds
+    # whether or not the formula already holds at the state
+    for width in (20, 21):
+        variables = tuple(f"x{i}" for i in range(width))
+        partition = {"a0": variables[:10], "a1": variables[10:]}
+        model = Model(("a0", "a1"), variables, partition, (disjoin(map(Var, variables)),))
+        low = SystemState(0, {v: False for v in variables})
+        if width == 20:
+            assert [f.coalition for f in audit_vulnerabilities(model, low)] == [("a0",), ("a1",)]
+            continue
+        flips = []
+        monkeypatch.setattr(analysis_mod, "flip_across", lambda *a: flips.append(a))
+        for state in (low, low.with_updates({"x0": True})):
+            with pytest.raises(BudgetExceededError, match="controls 21 variables"):
+                audit_vulnerabilities(model, state)
+        assert flips == []
+
+
+def analyze_scenarios(monkeypatch):
+    """The 40 seed-1 scenarios of the analyze benchmark workload, loaded."""
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parent.parent / "benchmark"))
+    import workloads
+
+    return [scenario_from_mapping(m, allow_insecure_start=True) for m in workloads.analyze(1)]
+
+
+def test_the_audit_runs_each_formula_once(monkeypatch):
+    """The audit reads each critical formula's truth table and never searches
+    a coalition's assignments one at a time, which would run the formula's
+    evaluator once per assignment: over the seed-1 analyze scenarios its 120
+    evaluators run 120 times, where the per-coalition loop ran them 1,470."""
+    counts = {"table": 0, "loop": 0}
+
+    def counting(evaluate, key):
+        def counted(lanes, ones):
+            counts[key] += 1
+            return evaluate(lanes, ones)
+        return counted
+
+    for scenario in analyze_scenarios(monkeypatch):
+        model = scenario.model
+        for key, audit in (("table", audit_vulnerabilities), ("loop", reference_audit_loop)):
+            evaluators = tuple(counting(e, key) for e in model.compiled.evaluators)
+            twin = Model(model.agents, model.variables, model.partition, model.critical_formulas)
+            object.__setattr__(twin, "compiled", model.compiled._replace(evaluators=evaluators))
+            audit(twin, scenario.initial_state)
+    assert counts == {"table": 120, "loop": 1470}
 
 
 def test_the_audit_reads_what_the_model_found(monkeypatch):
@@ -479,10 +597,7 @@ def test_the_audit_reads_what_the_model_found(monkeypatch):
     walks none: over the seed-1 analyze benchmark scenarios the findings are
     the ones pinned when the audit still made 120 walks a pass and asked the
     model for a coalition's variables 637 times."""
-    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parent.parent / "benchmark"))
-    import workloads
-
-    loaded = [scenario_from_mapping(m, allow_insecure_start=True) for m in workloads.analyze(1)]
+    loaded = analyze_scenarios(monkeypatch)
     calls = []
     walk = formula_mod.structure
     monkeypatch.setattr(formula_mod, "structure", lambda f: calls.append("structure") or walk(f))

@@ -274,8 +274,6 @@ GOOD = [
 BAD = [None, -1, True, 1.5, "", [5], {}, object(), OTHER_QUEUE, OTHER_STATE, *MALFORMED_RECORDS]
 
 
-@settings(max_examples=800)
-@given(st.sampled_from(CALLABLES), st.data())
 def _call_with_pool_arguments(function, data):
     parameters = [
         p for p in inspect.signature(function).parameters.values()
@@ -295,7 +293,52 @@ def _call_with_pool_arguments(function, data):
         assert function in (coalguard.load_scenario, coalguard.write_trace)
 
 
+@settings(max_examples=800)
+@given(st.sampled_from(CALLABLES), st.data())
+def _call_exported_callables(function, data):
+    _call_with_pool_arguments(function, data)
+
+
 def test_exported_callables_return_or_raise_coalguard_errors(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # write_trace may write a file a pool string names
     assert {tick, run_ticks, greedy_block, write_trace, fit_loglog_slope} <= set(CALLABLES)
-    _call_with_pool_arguments()
+    _call_exported_callables()
+
+
+# an instance of each exported class with public methods; BlockingStrategy's
+# schedule is left out: tick calls it only with arguments it checked itself
+INSTANCES = [MODEL, STATE, QUEUE, GRAPH]
+METHODS = [
+    getattr(obj, name) for obj in INSTANCES for name in sorted(vars(type(obj)))
+    if not name.startswith("_") and inspect.isfunction(vars(type(obj))[name])
+]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: GRAPH.vertex_index(5),
+        lambda: GRAPH.valuation_of("x"),
+        lambda: MODEL.owned(["x"]),
+        lambda: QUEUE.enqueue("x"),
+    ],
+    ids=["vertex_index-int", "valuation_of-str", "owned-list", "enqueue-str"],
+)
+def test_a_method_refuses_a_wrong_kind(call):
+    with pytest.raises(PreconditionError):
+        call()
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(METHODS), st.data())
+def _call_public_methods(method, data):
+    _call_with_pool_arguments(method, data)
+
+
+def test_public_methods_return_or_raise_coalguard_errors():
+    covered = {(type(m.__self__), m.__name__) for m in METHODS}
+    for cls in filter(inspect.isclass, vars(coalguard).values()):
+        for name, member in vars(cls).items():
+            if inspect.isfunction(member) and not name.startswith("_") and name != "schedule":
+                assert (cls, name) in covered, f"{cls.__name__}.{name} has no instance to call"
+    _call_public_methods()
