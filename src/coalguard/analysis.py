@@ -16,10 +16,11 @@ from .errors import BudgetExceededError, ModalFormulaError, PreconditionError
 from .errors import UnknownVariableError, require
 from .formula import (
     Formula,
-    _all_clauses,
     _check_budget,
-    _compile,
+    _clause_codes,
+    _decode,
     _prime_implicates,
+    _truth_table,
     Not,
     Var,
     check_names,
@@ -204,7 +205,7 @@ def single_flip_agents(model: Model, state: SystemState, formula: Formula) -> fr
     names = [v for v in model.variables if v in used]  # the first unassigned raises below
     ones = (2 << len(names)) - 1  # lane j flips names[j]; the last lane is the state
     lanes = {v: (ones if state.value(v) else 0) ^ (1 << j) for j, v in enumerate(names)}
-    flipped = _compile(formula, model, set())(lanes, ones)
+    flipped = _truth_table(formula, lanes, ones)
     if (flipped >> len(names)) & 1:
         raise PreconditionError("formula is already true at this state")
     return frozenset(model.owner_of(v) for j, v in enumerate(names) if (flipped >> j) & 1)
@@ -294,19 +295,18 @@ def _check_table(table: int, num_vars: int) -> None:
 def formula_from_truth_table(num_vars: int, table: int) -> Formula:
     """Minimal clause form of the function given by a truth-table integer.
 
-    Valuation masks assign variable x{j+1} the j-th bit; bit m of the table
-    is the function's value at mask m. The result conjoins the function's
-    prime implicates, every clause it entails with no entailed sub-clause,
-    shortest first, so equivalent functions get identical formulas and
-    clause-level properties reflect the function, not one arbitrary way of
-    writing it down. All 3^num_vars clauses are tested on the table, an int in
-    0 .. 2^(2^num_vars) - 1, so num_vars is capped at TRUTH_TABLE_VARIABLE_CAP.
+    Bit m of the table, an int in 0 .. 2^(2^num_vars) - 1, is the function's
+    value where x{j+1} is bit j of m. The result conjoins the function's prime
+    implicates, every clause it entails with no entailed sub-clause, shortest
+    first, so equivalent functions get identical formulas and clause-level
+    properties reflect the function. num_vars is capped at
+    TRUTH_TABLE_VARIABLE_CAP, as the primes are merged over all 3^num_vars clauses.
     """
     if require(num_vars, int, "num_vars") < 1:
         raise PreconditionError("need at least one variable")
-    clauses = _all_clauses(num_vars)  # raises past TRUTH_TABLE_VARIABLE_CAP
+    literals, steps, _ = _clause_codes(num_vars)  # raises past TRUTH_TABLE_VARIABLE_CAP
     _check_table(table, num_vars)
-    primes = sorted(_prime_implicates(clauses, table), key=lambda c: (len(c), c))
+    primes = sorted(_decode(literals, _prime_implicates(steps, table)), key=lambda c: (len(c), c))
     return conjoin(
         disjoin(Var(f"x{j + 1}") if positive else Not(Var(f"x{j + 1}")) for j, positive in clause)
         for clause in primes
@@ -359,14 +359,14 @@ def survey_secure_connectivity(
     states = 1 << num_vars
     if tables is not None and not isinstance(tables, Iterable):
         raise PreconditionError(f"tables must be an iterable of ints, not {tables!r}")
-    clauses = _all_clauses(num_vars)
+    literals, steps, _ = _clause_codes(num_vars)
     rows = []
     for table in range(1 << states) if tables is None else tables:
         _check_table(table, num_vars)
         members = table if reading == "satisfying" else ((1 << states) - 1) ^ table
         connected = _connected(members, num_vars)
-        relabelable = horn_renaming(_prime_implicates(clauses, table)) is not None
-        rows.append(SurveyRow(table, connected, relabelable))
+        renaming = horn_renaming(_decode(literals, _prime_implicates(steps, table)))
+        rows.append(SurveyRow(table, connected, renaming is not None))
     counterexamples = tuple(r.table for r in rows if r.connected and not r.relabelable)
     converse = tuple(r.table for r in rows if r.relabelable and not r.connected)
     return ConnectivitySurvey(num_vars, reading, tuple(rows), counterexamples, converse)

@@ -36,7 +36,7 @@ class ActionQueue:
     ``start`` instead of copying the rest of the queue, and a push onto a view
     ending where its buffer ends appends in place (amortised O(1)); other
     pushes copy and check it. No view sees a later push; no view of a buffer
-    checked for its model, nor a CheckedBatch taken from one, is checked again.
+    checked for its model (past its bounds), nor a CheckedBatch taken from one, is checked again.
     ``requests``, ``len``, iteration and equality all see only what is pending.
     """
 
@@ -64,6 +64,9 @@ class ActionQueue:
             object.__setattr__(self, "buffer", buffer)
             object.__setattr__(self, "start", 0)
             object.__setattr__(self, "end", len(buffer))
+        elif not (type(self.start) is type(self.end) is int
+                  and 0 <= self.start <= self.end <= len(self.buffer)):  # a bool is no bound
+            raise PreconditionError(f"view {self.start!r}:{self.end!r} not in 0:{len(self.buffer)}")
 
     @property
     def requests(self) -> tuple[ActionRequest, ...]:
@@ -127,7 +130,7 @@ class ActionQueue:
 class BlockingStrategy:
     """How long a veto lasts. ``schedule`` maps blocked agents to the first
     tick at which they may act again; an empty mapping means the veto covers
-    this tick only."""
+    this tick only. Arguments of the wrong kind raise PreconditionError."""
 
     def schedule(self, agents: Sequence[str], current_tick: int, rng: random.Random) -> dict:
         return {}
@@ -146,7 +149,10 @@ class BlockUntilTick(BlockingStrategy):
         require(self.release_tick, int, "release tick")
 
     def schedule(self, agents, current_tick, rng):
-        return {agent: self.release_tick for agent in agents}
+        try:  # caught, not checked, so that a tick pays nothing
+            return {agent: self.release_tick for agent in agents}
+        except TypeError:
+            raise PreconditionError(f"cannot schedule agents {agents!r}") from None
 
 
 @dataclass(frozen=True)
@@ -167,7 +173,10 @@ class BlockForRandomInterval(BlockingStrategy):
     def schedule(self, agents, current_tick, rng):
         # The veto itself covered tick current_tick + 1; the draw adds that
         # many further ticks before the agent's requests are considered again.
-        return {agent: current_tick + 2 + rng.randint(self.low, self.high) for agent in agents}
+        try:
+            return {agent: current_tick + 2 + rng.randint(self.low, self.high) for agent in agents}
+        except (AttributeError, TypeError):  # caught, as in BlockUntilTick
+            raise PreconditionError(f"cannot schedule {agents!r} from {current_tick!r}") from None
 
 
 @dataclass(frozen=True)

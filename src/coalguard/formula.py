@@ -11,9 +11,8 @@ Surface syntax accepted by :func:`parse_formula`:
     ( f )           grouping
 
 Binary operators associate to the left and ``&`` binds tighter than ``|``.
-The AST keeps five node kinds only (Top, Var, Not, Or, Diamond); ``&`` is
-surface sugar and never appears in a parsed tree, so formatting a formula
-prints negations and disjunctions instead.
+The AST keeps five node kinds only (Top, Var, Not, Or, Diamond): ``&`` is
+surface sugar, parsed to ~(~f | ~g) and printed back as f & g.
 """
 
 from __future__ import annotations
@@ -509,47 +508,68 @@ def flip_across(bits: int, j: int, mask: int) -> int:
 # Horn tooling
 
 
-# Most variables a truth table may span for prime implicates: all 3^n clauses
-# are tested on a 2^n-bit table, about 3x the work per extra variable.
+# Most variables a truth table may span for prime implicates: the bitsets
+# run over all 3^n clauses, about 3x the work per extra variable.
 TRUTH_TABLE_VARIABLE_CAP = 10
 
 
 @lru_cache(maxsize=None)  # one entry per variable count, at most the cap + 1
-def _all_clauses(
-    num_vars: int,
-) -> tuple[tuple[int, tuple[tuple[int, bool], ...], tuple[int, ...]], ...]:
-    """Every clause over x1..x{num_vars} as (falsified, literals, drops).
-
-    falsified is the bitset of the valuations that falsify the clause,
-    literals its (variable index, positive) pairs by index, and drops the
-    positions of the clauses with one literal dropped. A clause's position
-    sums 3^j for a literal x{j+1} and 2 * 3^j for its negation. Raises
-    BudgetExceededError past TRUTH_TABLE_VARIABLE_CAP variables.
-    """
+def _clause_codes(num_vars: int) -> tuple[tuple, tuple, int]:
+    """The clauses over n variables as bitsets, bit c for the clause whose code
+    c sums 3^j for a literal x{j+1} and 2 * 3^j for its negation: each code's
+    literals, as (variable, positive) pairs; per variable j, top first, 3^j,
+    the codes without x{j+1}, the table bits with bit j set once the bits above
+    j are spread, and their shift; and the codes with two positive literals."""
     if num_vars > TRUTH_TABLE_VARIABLE_CAP:
         raise BudgetExceededError(
             f"{num_vars} variables exceed the truth-table cap of {TRUTH_TABLE_VARIABLE_CAP}"
         )
-    full = (1 << (1 << num_vars)) - 1
-    clauses = [(full, (), ())]
-    for j, mask in enumerate(valuation_masks(num_vars)):
-        size = len(clauses)
-        for digit, positive, falsified in ((1, True, full ^ mask), (2, False, mask)):
-            for code, (bits, literals, drops) in enumerate(clauses[:size]):
-                dropped = (*(d + digit * size for d in drops), code)
-                clauses.append((bits & falsified, (*literals, (j, positive)), dropped))
-    return tuple(clauses)
+    full, literals, steps = (1 << 3 ** num_vars) - 1, [()], []
+    one = two = 0  # the codes with at least one, and at least two, positive literals
+    for j in range(num_vars):
+        power, low, positive, negative = 3 ** j, 1 << j, (j, True), (j, False)
+        literals += [c + (positive,) for c in literals] + [c + (negative,) for c in literals]
+        period = full // ((1 << 3 * power) - 1)  # bit 0 of each run of 3^(j+1): no loop over codes
+        missing = ((1 << power) - 1) * period
+        two |= one & missing << power
+        one |= missing << power
+        # spread above j, an index with bit j set lies 2^j.. past a multiple of 3^(j+1)
+        steps.insert(0, (power, missing, (((1 << low) - 1) << low) * period, 2 * power - low))
+    return tuple(literals), tuple(steps), two
 
 
-def _prime_implicates(clauses, table: int) -> list[tuple[tuple[int, bool], ...]]:
-    """The literals of each clause of _all_clauses that the table implies (no
-    model falsifies it) while it implies none of the clause's drops."""
-    implied = [not bits & table for bits, _, _ in clauses]
-    return [
-        literals
-        for (_, literals, drops), holds in zip(clauses, implied)
-        if holds and not any(map(implied.__getitem__, drops))
-    ]
+def _prime_implicates(steps: tuple, table: int) -> int:
+    """The codes of the table's prime implicates, by Quine-McCluskey's merge on
+    bitsets (Quine 1952; McCluskey 1956). Valuation i falsifies one full clause,
+    code sum((1 + bit j of i) * 3^j), implied when bit i of the table is 0; a
+    shorter clause is implied when both its extensions by a missing variable
+    are, and prime when it drops to no implied clause."""
+    implied = ((1 << (1 << len(steps))) - 1) ^ table
+    for power, _, moving, shift in steps:  # bit j of each index becomes digit 1 + bit j
+        moved = implied & moving
+        implied = (implied ^ moved) << power | moved << shift
+    for power, missing, _, _ in steps:
+        implied |= implied >> power & implied >> 2 * power & missing
+    covered = 0
+    for power, missing, _, _ in steps:
+        covered |= (shorter := implied & missing) << power | shorter << 2 * power
+    return implied & ~covered
+
+
+def _decode(literals: tuple, clauses: int) -> list[tuple[tuple[int, bool], ...]]:
+    """The literals of each clause whose code is set in clauses, lowest code first."""
+    return [literals[m.start()] for m in re.finditer("1", format(clauses, "b")[::-1])]
+
+
+def _truth_table(f: Formula, lanes: Mapping[str, int], ones: int) -> int:
+    """The truth table of a propositional f, lanes[v] being v's."""
+    if isinstance(f, Not):
+        return ones ^ _truth_table(f.child, lanes, ones)
+    if isinstance(f, Or):
+        return _truth_table(f.left, lanes, ones) | _truth_table(f.right, lanes, ones)
+    if isinstance(f, Var):
+        return lanes[f.name]
+    return ones  # Top: the entry refused any other node
 
 
 @dataclass(frozen=True)
@@ -574,10 +594,13 @@ def find_horn_labeling(f: Formula) -> Optional[HornLabeling]:
     if coalitions:
         raise ModalFormulaError("cannot decide Horn renamability of a modal formula")
     names = tuple(sorted(used))
-    clauses = _all_clauses(len(names))
+    literals, steps, horn_breaking = _clause_codes(len(names))  # the cap, before any table
     full = (1 << (1 << len(names))) - 1
-    table = _compile(f, None, set())(dict(zip(names, valuation_masks(len(names)))), full)
-    flipped = horn_renaming(_prime_implicates(clauses, table))
+    table = _truth_table(f, dict(zip(names, valuation_masks(len(names)))), full)
+    primes = _prime_implicates(steps, table)
+    if not primes & horn_breaking:  # Horn already: no clause tuples are built
+        return HornLabeling(names, frozenset())
+    flipped = horn_renaming(_decode(literals, primes))
     return None if flipped is None else HornLabeling(names, frozenset(names[j] for j in flipped))
 
 
@@ -586,56 +609,24 @@ def horn_renaming(clauses: Iterable[Iterable[tuple]]) -> Optional[frozenset]:
     literal, or None when no renaming does (Lewis, JACM 1978).
 
     A literal is a (variable, positive) pair. Clauses already Horn need no
-    flip; otherwise the standard 2-SAT reduction decides.
+    flip. Otherwise of each pair of literals in a clause one must end negative,
+    flipped if positive and kept if not: a 2-SAT instance, whose truth table
+    over its variables (the first in sorted order the highest bit) gives the
+    greatest solution. BudgetExceededError past TRUTH_TABLE_VARIABLE_CAP of them.
     """
     clauses = tuple(clauses)
     if all(sum(positive for _, positive in clause) <= 1 for clause in clauses):
         return frozenset()
-    # For every pair of literals in a clause, at most one may stay positive
-    # after renaming: flip-literal(l) = s_v when l is positive, ~s_v when
-    # negative; each pair contributes (flip(l1) | flip(l2)).
-    constraints = [pair for c in clauses for pair in itertools.combinations(sorted(c), 2)]
-    constrained = {v for pair in constraints for v, _ in pair}
-    solution = _solve_2sat(sorted(constrained), constraints)
-    if solution is None:
+    pairs = [pair for clause in clauses for pair in itertools.combinations(clause, 2)]
+    names = sorted({v for pair in pairs for v, _ in pair}, reverse=True)
+    if len(names) > TRUTH_TABLE_VARIABLE_CAP:
+        raise BudgetExceededError(f"{len(names)} variables exceed the truth-table cap")
+    full = (1 << (1 << len(names))) - 1
+    flips = dict(zip(names, valuation_masks(len(names))))  # where each variable is flipped
+    solutions = full
+    for (u, p), (v, q) in pairs:
+        solutions &= (flips[u] if p else full ^ flips[u]) | (flips[v] if q else full ^ flips[v])
+    if not solutions:
         return None
-    return frozenset(v for v, flip in solution.items() if flip)
-
-
-def _solve_2sat(variables, clauses):
-    """Satisfy clauses of pairs of (variable, wanted-value) literals.
-
-    Tries each variable's True branch first; if its implication closure
-    conflicts, the opposite value is forced. A consistent closure can always
-    be committed in 2-SAT, so no deeper backtracking is needed.
-    """
-    implications: dict[tuple[str, bool], list[tuple[str, bool]]] = {}
-    for a, b in clauses:
-        implications.setdefault((a[0], not a[1]), []).append(b)
-        implications.setdefault((b[0], not b[1]), []).append(a)
-
-    assignment: dict[str, bool] = {}
-    for variable in variables:
-        if variable in assignment:
-            continue
-        closure = (_close((variable, True), assignment, implications)
-                   or _close((variable, False), assignment, implications))
-        if closure is None:
-            return None
-        assignment.update(closure)
-    return assignment
-
-
-def _close(start, assignment, implications):
-    trial: dict[str, bool] = {}
-    stack = [start]
-    while stack:
-        variable, value = stack.pop()
-        current = assignment.get(variable, trial.get(variable))
-        if current is not None:
-            if current != value:
-                return None
-            continue
-        trial[variable] = value
-        stack.extend(implications.get((variable, value), ()))
-    return trial
+    best = solutions.bit_length() - 1
+    return frozenset(v for j, v in enumerate(names) if best >> j & 1)

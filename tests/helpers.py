@@ -3,6 +3,7 @@
 import itertools
 import random
 from collections import deque
+from functools import lru_cache
 
 from coalguard import (
     ActionRequest,
@@ -30,7 +31,7 @@ from coalguard import (
 )
 from coalguard.analysis import AUDIT_AGENT_CAP
 from coalguard.errors import require
-from coalguard.formula import DIAMOND_VARIABLE_CAP
+from coalguard.formula import DIAMOND_VARIABLE_CAP, TRUTH_TABLE_VARIABLE_CAP, valuation_masks
 
 
 # ---------------------------------------------------------------------------
@@ -525,3 +526,111 @@ def reference_audit_loop(model, state):
             if size == 1:  # an agent able alone is in no larger minimal coalition
                 candidates = tuple(a for a in candidates if frozenset((a,)) not in minimal)
     return tuple(findings)
+
+
+# ---------------------------------------------------------------------------
+# prime implicates clause by clause, and Horn renaming by 2-SAT: the code the
+# bitset merge and the renaming's truth table in coalguard.formula replaced
+
+
+@lru_cache(maxsize=None)  # one entry per variable count, at most the cap + 1
+def _all_clauses(
+    num_vars: int,
+) -> tuple[tuple[int, tuple[tuple[int, bool], ...], tuple[int, ...]], ...]:
+    """Every clause over x1..x{num_vars} as (falsified, literals, drops).
+
+    falsified is the bitset of the valuations that falsify the clause,
+    literals its (variable index, positive) pairs by index, and drops the
+    positions of the clauses with one literal dropped. A clause's position
+    sums 3^j for a literal x{j+1} and 2 * 3^j for its negation. Raises
+    BudgetExceededError past TRUTH_TABLE_VARIABLE_CAP variables.
+    """
+    if num_vars > TRUTH_TABLE_VARIABLE_CAP:
+        raise BudgetExceededError(
+            f"{num_vars} variables exceed the truth-table cap of {TRUTH_TABLE_VARIABLE_CAP}"
+        )
+    full = (1 << (1 << num_vars)) - 1
+    clauses = [(full, (), ())]
+    for j, mask in enumerate(valuation_masks(num_vars)):
+        size = len(clauses)
+        for digit, positive, falsified in ((1, True, full ^ mask), (2, False, mask)):
+            for code, (bits, literals, drops) in enumerate(clauses[:size]):
+                dropped = (*(d + digit * size for d in drops), code)
+                clauses.append((bits & falsified, (*literals, (j, positive)), dropped))
+    return tuple(clauses)
+
+
+def _prime_implicates(clauses, table: int) -> list[tuple[tuple[int, bool], ...]]:
+    """The literals of each clause of _all_clauses that the table implies (no
+    model falsifies it) while it implies none of the clause's drops."""
+    implied = [not bits & table for bits, _, _ in clauses]
+    return [
+        literals
+        for (_, literals, drops), holds in zip(clauses, implied)
+        if holds and not any(map(implied.__getitem__, drops))
+    ]
+
+
+def scan_prime_implicates(num_vars, table):
+    """The prime implicates of a truth table, as the clause scan lists them."""
+    return _prime_implicates(_all_clauses(num_vars), table)
+
+
+def horn_renaming_2sat(clauses):
+    """The variables to flip so that every clause keeps at most one positive
+    literal, or None when no renaming does (Lewis, JACM 1978).
+
+    A literal is a (variable, positive) pair. Clauses already Horn need no
+    flip; otherwise the standard 2-SAT reduction decides.
+    """
+    clauses = tuple(clauses)
+    if all(sum(positive for _, positive in clause) <= 1 for clause in clauses):
+        return frozenset()
+    # For every pair of literals in a clause, at most one may stay positive
+    # after renaming: flip-literal(l) = s_v when l is positive, ~s_v when
+    # negative; each pair contributes (flip(l1) | flip(l2)).
+    constraints = [pair for c in clauses for pair in itertools.combinations(sorted(c), 2)]
+    constrained = {v for pair in constraints for v, _ in pair}
+    solution = _solve_2sat(sorted(constrained), constraints)
+    if solution is None:
+        return None
+    return frozenset(v for v, flip in solution.items() if flip)
+
+
+def _solve_2sat(variables, clauses):
+    """Satisfy clauses of pairs of (variable, wanted-value) literals.
+
+    Tries each variable's True branch first; if its implication closure
+    conflicts, the opposite value is forced. A consistent closure can always
+    be committed in 2-SAT, so no deeper backtracking is needed.
+    """
+    implications: dict[tuple[str, bool], list[tuple[str, bool]]] = {}
+    for a, b in clauses:
+        implications.setdefault((a[0], not a[1]), []).append(b)
+        implications.setdefault((b[0], not b[1]), []).append(a)
+
+    assignment: dict[str, bool] = {}
+    for variable in variables:
+        if variable in assignment:
+            continue
+        closure = (_close((variable, True), assignment, implications)
+                   or _close((variable, False), assignment, implications))
+        if closure is None:
+            return None
+        assignment.update(closure)
+    return assignment
+
+
+def _close(start, assignment, implications):
+    trial: dict[str, bool] = {}
+    stack = [start]
+    while stack:
+        variable, value = stack.pop()
+        current = assignment.get(variable, trial.get(variable))
+        if current is not None:
+            if current != value:
+                return None
+            continue
+        trial[variable] = value
+        stack.extend(implications.get((variable, value), ()))
+    return trial

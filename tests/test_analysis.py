@@ -612,6 +612,25 @@ def test_the_audit_reads_what_the_model_found(monkeypatch):
     assert digest == "063973af455a45019ba90f42dac3505b68635b45571b18bd5042ecfb10f04098"
 
 
+def test_horn_labeling_compiles_no_closures(monkeypatch):
+    """find_horn_labeling evaluates a formula's table by one direct recursion:
+    over the 120 seed-1 analyze formulas it compiles no closures, where it
+    compiled each formula once, and builds clause tuples for the 38 formulas
+    whose primes are not Horn as they stand only. The labelings are the ones
+    pinned when it compiled (those 38 flip a variable)."""
+    loaded = analyze_scenarios(monkeypatch)
+    calls = []
+    for name in ("_compile", "_decode"):
+        wrapped = getattr(formula_mod, name)
+        monkeypatch.setattr(formula_mod, name, lambda *a, n=name, w=wrapped: calls.append(n) or w(*a))
+    labelings = [formula_mod.find_horn_labeling(f) for s in loaded for f in s.model.critical_formulas]
+    assert calls == ["_decode"] * 38 and len(labelings) == 120
+    assert sum(bool(labeling.flipped) for labeling in labelings) == 38
+    text = "\n".join(repr((h.variables, sorted(h.flipped))) for h in labelings)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == "94e291b92977d22fe07c3ba2eb2d35b9d54c9bf079b5f733740f333e36aa1515"
+
+
 # ---------------------------------------------------------------------------
 # truth-table formulas
 

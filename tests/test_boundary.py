@@ -16,6 +16,9 @@ from hypothesis import given, settings, strategies as st
 import coalguard
 from coalguard import (
     ActionQueue,
+    BlockForRandomInterval,
+    BlockUntilTick,
+    BlockingStrategy,
     BudgetExceededError,
     CoalGuardError,
     Diamond,
@@ -305,9 +308,9 @@ def test_exported_callables_return_or_raise_coalguard_errors(tmp_path, monkeypat
     _call_exported_callables()
 
 
-# an instance of each exported class with public methods; BlockingStrategy's
-# schedule is left out: tick calls it only with arguments it checked itself
-INSTANCES = [MODEL, STATE, QUEUE, GRAPH]
+# an instance of each exported class with public methods
+INSTANCES = [MODEL, STATE, QUEUE, GRAPH, BlockingStrategy(), BlockUntilTick(2),
+             BlockForRandomInterval(0, 2, 1)]
 METHODS = [
     getattr(obj, name) for obj in INSTANCES for name in sorted(vars(type(obj)))
     if not name.startswith("_") and inspect.isfunction(vars(type(obj))[name])
@@ -339,6 +342,6 @@ def test_public_methods_return_or_raise_coalguard_errors():
     covered = {(type(m.__self__), m.__name__) for m in METHODS}
     for cls in filter(inspect.isclass, vars(coalguard).values()):
         for name, member in vars(cls).items():
-            if inspect.isfunction(member) and not name.startswith("_") and name != "schedule":
+            if inspect.isfunction(member) and not name.startswith("_"):
                 assert (cls, name) in covered, f"{cls.__name__}.{name} has no instance to call"
     _call_public_methods()

@@ -146,6 +146,20 @@ def test_queue_views_are_not_rechecked(monkeypatch, example1_model, example1_bat
     assert ActionQueue(example1_model, example1_batch, 1, 3).requests == example1_batch[1:3]
 
 
+@pytest.mark.parametrize(
+    "start, end",
+    [(0, "b"), (5, 1), (0, 99), (-1, 2), (True, 2), (0, 2.0), ("0", 2)],
+    ids=["str-end", "start-past-end", "end-past-buffer", "negative", "bool", "float", "str-start"],
+)
+def test_a_view_of_a_checked_buffer_refuses_bounds_outside_it(example1_queue, start, end):
+    # the buffer is trusted, so only the bounds are checked, when the view is built
+    with pytest.raises(PreconditionError, match="not in 0:4"):
+        ActionQueue(example1_queue.model, example1_queue.buffer, start, end)
+    for start, end in ((0, 0), (1, 3), (4, 4)):
+        view = ActionQueue(example1_queue.model, example1_queue.buffer, start, end)
+        assert len(view) == end - start
+
+
 def test_take_batch_excluding_consumes_dropped(example1_queue, example1_batch):
     batch, dropped, rest = example1_queue.take_batch_excluding(2, {"a1"})
     assert batch == example1_batch[1:3]
@@ -447,6 +461,23 @@ def test_random_interval_schedule_bounds():
         BlockForRandomInterval(3, 1)
     with pytest.raises(CoalGuardError, match="interval must satisfy"):
         BlockForRandomInterval(-1, 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rng: BlockUntilTick(2).schedule(5, 0, rng),
+        lambda rng: BlockUntilTick(2).schedule([["a1"]], 0, rng),
+        lambda rng: BlockForRandomInterval(0, 2, 1).schedule(("a1",), "x", rng),
+        lambda rng: BlockForRandomInterval(0, 2, 1).schedule(("a1",), 0, None),
+        lambda rng: BlockForRandomInterval(0, 2, 1).schedule(5, 0, rng),
+    ],
+    ids=["until-int-agents", "until-unhashable", "interval-str-tick", "interval-no-rng",
+         "interval-int-agents"],
+)
+def test_a_schedule_of_the_wrong_kinds_raises_a_precondition_error(call):
+    with pytest.raises(PreconditionError, match="cannot schedule"):
+        call(random.Random(0))
 
 
 def test_run_ticks_replay_invariant(example1_model, example1_state, example1_queue, example1_config):

@@ -29,12 +29,24 @@ from coalguard import (
     single_flip_agents,
     validate_model,
 )
-from coalguard.formula import FORMULA_DEPTH_CAP, structure, valuation_masks
+from coalguard.formula import (
+    FORMULA_DEPTH_CAP,
+    TRUTH_TABLE_VARIABLE_CAP,
+    _clause_codes,
+    _decode,
+    _prime_implicates,
+    horn_renaming,
+    structure,
+    valuation_masks,
+)
+import helpers
 from helpers import (
     enumerate_labelings,
     formula_prime_implicates,
     formula_table,
+    horn_renaming_2sat,
     random_formula,
+    scan_prime_implicates,
     truth_eval,
     vars_in,
 )
@@ -319,6 +331,82 @@ def test_horn_labeling_truth_table_cap():
     assert labeling == HornLabeling(names, frozenset(names))  # one clause, all flipped
     with pytest.raises(BudgetExceededError, match="11 variables exceed the truth-table cap of 10"):
         find_horn_labeling(conjoin(Var(f"v{i}") for i in range(11)))
+
+
+def _tables(num_vars):
+    """Every table up to 3 variables; from 4 on, random, sparse and dense ones
+    and the two constants."""
+    full = (1 << (1 << num_vars)) - 1
+    if num_vars <= 3:
+        return range(full + 1)
+    rng = random.Random(num_vars)
+    draw = lambda: rng.getrandbits(1 << num_vars)  # noqa: E731
+    return ([draw() for _ in range(3)] + [draw() & draw() & draw() for _ in range(2)]
+            + [draw() | draw() | draw() for _ in range(2)] + [0, full])
+
+
+@pytest.mark.parametrize("num_vars", range(11))
+def test_prime_implicates_merged_on_bitsets_match_the_clause_scan(num_vars):
+    """The bitset merge lists the primes the clause-by-clause scan listed, in
+    its order (lowest clause code first), from no variables up to the cap."""
+    literals, steps, _ = _clause_codes(num_vars)
+    assert len(literals) == 3 ** num_vars and len(steps) == num_vars
+    for table in _tables(num_vars):
+        primes = _decode(literals, _prime_implicates(steps, table))
+        assert primes == scan_prime_implicates(num_vars, table), (num_vars, table)
+    if num_vars == TRUTH_TABLE_VARIABLE_CAP:
+        helpers._all_clauses.cache_clear()  # the scan's clauses hold 56 MiB at 10
+
+
+def test_no_variables_have_the_empty_clause_or_no_prime():
+    literals, steps, horn_breaking = _clause_codes(0)
+    assert (literals, steps, horn_breaking) == (((),), (), 0)
+    assert _decode(literals, _prime_implicates(steps, 0)) == [()]  # false implies the empty clause
+    assert _decode(literals, _prime_implicates(steps, 1)) == []
+    assert find_horn_labeling(TOP) == find_horn_labeling(Not(TOP)) == HornLabeling((), frozenset())
+
+
+def test_the_horn_bit_test_is_horn_renamings_own():
+    """A table is Horn as it stands, with no renaming, exactly when no prime
+    implicate's code is in the mask of codes with two positive literals."""
+    literals, steps, horn_breaking = _clause_codes(3)
+    verdicts = set()
+    for table in range(256):
+        primes = _prime_implicates(steps, table)
+        already = horn_renaming(_decode(literals, primes)) == frozenset()
+        assert (not primes & horn_breaking) == already, table
+        verdicts.add(already)
+    assert verdicts == {True, False}
+
+
+def test_horn_renaming_on_its_truth_table_matches_the_2sat_search():
+    """The renaming's truth table picks the solution the 2-SAT search
+    committed to: on every table's primes up to 3 variables, on sampled
+    4-variable tables, and on random clause sets over named variables."""
+    samples = [(n, table) for n in range(4) for table in _tables(n)]
+    samples += [(4, table) for table in random.Random(0).sample(range(1 << 16), 300)]
+    for num_vars, table in samples:
+        literals, steps, _ = _clause_codes(num_vars)
+        clauses = _decode(literals, _prime_implicates(steps, table))
+        assert horn_renaming(clauses) == horn_renaming_2sat(clauses), (num_vars, table)
+    rng = random.Random(5)
+    outcomes = set()
+    for _ in range(3000):
+        names = [f"v{i}" for i in range(rng.randint(1, 7))]
+        widths = [rng.randint(0, min(4, len(names))) for _ in range(rng.randint(0, 8))]
+        clauses = [tuple((v, rng.random() < 0.6) for v in rng.sample(names, k)) for k in widths]
+        found = horn_renaming(clauses)
+        assert found == horn_renaming_2sat(clauses), clauses
+        outcomes.add("none" if found is None else "flips" if found else "kept")
+    assert outcomes == {"none", "flips", "kept"}
+
+
+def test_horn_renaming_past_the_truth_table_cap_raises():
+    # eleven variables in pairs of positive literals: a truth table of 2^11 rows
+    clauses = [((f"v{i}", True), (f"v{i + 1}", True)) for i in range(10)]
+    with pytest.raises(BudgetExceededError, match="11 variables exceed the truth-table cap"):
+        horn_renaming(clauses)
+    assert horn_renaming(clauses[:9]) is not None
 
 
 @given(formulas(names=("p", "q", "r", "s"), max_depth=4))
