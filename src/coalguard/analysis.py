@@ -77,7 +77,8 @@ class StateGraph:
         return tuple(map("1".__eq__, bits))
 
     def valuation_of(self, index: int) -> dict[str, bool]:
-        require(index, int, "a vertex index")
+        if not 0 <= require(index, int, "a vertex index") < self.num_vertices:
+            raise PreconditionError(f"vertex index {index} is not in 0..{self.num_vertices - 1}")
         return {v: bool((index >> j) & 1) for j, v in enumerate(self.variables)}
 
     def vertex_index(self, state: Union[SystemState, Mapping[str, bool]]) -> int:
@@ -101,9 +102,8 @@ class StateGraph:
 
 
 def _check_graph_cap(n: int) -> int:
-    if n > GRAPH_VARIABLE_CAP:
-        raise BudgetExceededError(f"{n} variables exceed the state-graph cap of "
-                                  f"{GRAPH_VARIABLE_CAP}")
+    if n > (cap := GRAPH_VARIABLE_CAP):
+        raise BudgetExceededError(f"{n} variables exceed the state-graph cap of {cap}")
     return n
 
 
@@ -205,7 +205,7 @@ def single_flip_agents(model: Model, state: SystemState, formula: Formula) -> fr
     names = [v for v in model.variables if v in used]  # the first unassigned raises below
     ones = (2 << len(names)) - 1  # lane j flips names[j]; the last lane is the state
     lanes = {v: (ones if state.value(v) else 0) ^ (1 << j) for j, v in enumerate(names)}
-    flipped = _truth_table(formula, lanes, ones)
+    flipped = _truth_table(formula, model, lanes, ones, {})
     if (flipped >> len(names)) & 1:
         raise PreconditionError("formula is already true at this state")
     return frozenset(model.owner_of(v) for j, v in enumerate(names) if (flipped >> j) & 1)
@@ -251,10 +251,8 @@ def audit_vulnerabilities(model: Model, state: SystemState) -> tuple[Vulnerabili
         holds = (table >> point) & 1  # then every agent alone is able, and none is combined
         candidates = tuple(a for a in model.agents if holds or a in compiled.agents[index])
         if not holds and len(candidates) > AUDIT_AGENT_CAP:
-            raise BudgetExceededError(
-                f"formula {index}: {len(candidates)} agents exceed the audit cap "
-                f"of {AUDIT_AGENT_CAP}"
-            )
+            raise BudgetExceededError(f"formula {index}: {len(candidates)} agents exceed the "
+                                      f"audit cap of {AUDIT_AGENT_CAP}")
         owned = {a: [] for a in candidates}
         for j, v in enumerate(names):
             owned[model.owner_of(v)].append(j)
@@ -288,7 +286,7 @@ def audit_vulnerabilities(model: Model, state: SystemState) -> tuple[Vulnerabili
 
 
 def _check_table(table: int, num_vars: int) -> None:
-    if not isinstance(table, int) or not 0 <= table < (1 << (1 << num_vars)):
+    if type(table) is bool or not isinstance(table, int) or not 0 <= table < 1 << (1 << num_vars):
         raise PreconditionError(f"table {table!r} out of range for {num_vars} variables")
 
 
@@ -353,9 +351,8 @@ def survey_secure_connectivity(
     if reading not in ("falsifying", "satisfying"):
         raise PreconditionError(f"unknown reading: {reading!r}")
     if require(num_vars, int, "num_vars") < 1 or num_vars > SURVEY_VARIABLE_CAP:
-        raise BudgetExceededError(
-            f"survey supports 1..{SURVEY_VARIABLE_CAP} variables, got {num_vars}"
-        )
+        raise BudgetExceededError(f"survey supports 1..{SURVEY_VARIABLE_CAP} variables, "
+                                  f"got {num_vars}")
     states = 1 << num_vars
     if tables is not None and not isinstance(tables, Iterable):
         raise PreconditionError(f"tables must be an iterable of ints, not {tables!r}")

@@ -343,18 +343,26 @@ def eval_formula(f: Formula, model, state) -> bool:
 
     Diamond nodes quantify existentially over assignments to the coalition's
     variables, everything else held fixed. ``state`` may be a SystemState or
-    a plain variable -> bool mapping; one that leaves a variable f reads
+    a plain mapping to bits (check_bits); one that leaves a variable f reads
     unassigned raises UnknownVariableError. The reference for compile_formula,
     sharing none of its closures: f is walked once, to check its names, and
     each <> child once a call, the first time that <> is evaluated.
     """
     check_names(f, model)
-    valuation = getattr(state, "valuation", state)
-    require(valuation, Mapping, "a state's valuation")
+    valuation = require(getattr(state, "valuation", state), Mapping, "a state's valuation")
+    if valuation is state:  # a SystemState checked its own values
+        check_bits(valuation.values())
     try:
-        return _eval(f, model, valuation, {})
+        return bool(_truth_table(f, model, valuation, True, {}))
     except KeyError as exc:
         raise unassigned(exc.args[0]) from None
+
+
+def check_bits(values: Iterable) -> None:
+    """PreconditionError for a value not a bool or the int 0 or 1: ~ is ``ones ^ value``."""
+    for value in values:
+        if value is not True and value is not False and (type(value) is not int or value >> 1):
+            raise PreconditionError(f"a value must be a bool or the int 0 or 1, not {value!r}")
 
 
 def unassigned(variable: str) -> UnknownVariableError:
@@ -387,23 +395,29 @@ def _check_names(f: Formula, model, modal: Optional[str], found: Optional[Struct
     return used, coalitions
 
 
-def _eval(f: Formula, model, valuation: Mapping[str, bool], scopes: dict) -> bool:
-    """f's truth; scopes maps id(<> node) to the variables it assigns."""
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Var):
-        return valuation[f.name]
+def _truth_table(f: Formula, model, lanes: Mapping[str, int], ones: int, scopes: dict) -> int:
+    """f over the lanes, as compile_formula's closure computes it, but by recursion; scopes
+    maps id(<> node) to the variables it assigns, so a <> walks its child once a call."""
     if isinstance(f, Not):
-        return not _eval(f.child, model, valuation, scopes)
+        return ones ^ _truth_table(f.child, model, lanes, ones, scopes)
     if isinstance(f, Or):
-        return _eval(f.left, model, valuation, scopes) or _eval(f.right, model, valuation, scopes)
-    relevant = scopes.get(id(f))  # a Diamond: check_names refused any other node
+        left = _truth_table(f.left, model, lanes, ones, scopes)
+        return left if left == ones else left | _truth_table(f.right, model, lanes, ones, scopes)
+    if isinstance(f, Var):
+        return lanes[f.name]
+    if isinstance(f, Top):
+        return ones
+    relevant = scopes.get(id(f))  # a Diamond: the entry refused any other node
     if relevant is None:
         relevant = scopes[id(f)] = _scope(model, f.coalition, structure(f.child)[0])
     _check_budget(relevant)
-    trials = ({**valuation, **dict(zip(relevant, combo))}
-              for combo in itertools.product((False, True), repeat=len(relevant)))
-    return any(_eval(f.child, model, trial, scopes) for trial in trials)
+    trial, result = dict(lanes), 0
+    for combo in itertools.product((0, ones), repeat=len(relevant)):
+        trial.update(zip(relevant, combo))
+        result |= _truth_table(f.child, model, trial, ones, scopes)
+        if result == ones:
+            break
+    return result
 
 
 def compile_formula(f: Formula, model) -> Evaluator:
@@ -465,10 +479,8 @@ def _scope(model, coalition: frozenset[str], used) -> tuple[str, ...]:
 def _check_budget(relevant: Sequence[str]) -> None:
     """Raise BudgetExceededError for more than DIAMOND_VARIABLE_CAP variables."""
     if len(relevant) > DIAMOND_VARIABLE_CAP:
-        raise BudgetExceededError(
-            f"coalition controls {len(relevant)} variables of the formula, "
-            f"cap is {DIAMOND_VARIABLE_CAP}"
-        )
+        raise BudgetExceededError(f"coalition controls {len(relevant)} variables of the "
+                                  f"formula, cap is {DIAMOND_VARIABLE_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -521,9 +533,8 @@ def _clause_codes(num_vars: int) -> tuple[tuple, tuple, int]:
     the codes without x{j+1}, the table bits with bit j set once the bits above
     j are spread, and their shift; and the codes with two positive literals."""
     if num_vars > TRUTH_TABLE_VARIABLE_CAP:
-        raise BudgetExceededError(
-            f"{num_vars} variables exceed the truth-table cap of {TRUTH_TABLE_VARIABLE_CAP}"
-        )
+        raise BudgetExceededError(f"{num_vars} variables exceed the truth-table cap of "
+                                  f"{TRUTH_TABLE_VARIABLE_CAP}")
     full, literals, steps = (1 << 3 ** num_vars) - 1, [()], []
     one = two = 0  # the codes with at least one, and at least two, positive literals
     for j in range(num_vars):
@@ -561,17 +572,6 @@ def _decode(literals: tuple, clauses: int) -> list[tuple[tuple[int, bool], ...]]
     return [literals[m.start()] for m in re.finditer("1", format(clauses, "b")[::-1])]
 
 
-def _truth_table(f: Formula, lanes: Mapping[str, int], ones: int) -> int:
-    """The truth table of a propositional f, lanes[v] being v's."""
-    if isinstance(f, Not):
-        return ones ^ _truth_table(f.child, lanes, ones)
-    if isinstance(f, Or):
-        return _truth_table(f.left, lanes, ones) | _truth_table(f.right, lanes, ones)
-    if isinstance(f, Var):
-        return lanes[f.name]
-    return ones  # Top: the entry refused any other node
-
-
 @dataclass(frozen=True)
 class HornLabeling:
     """Per-variable polarity: names in ``flipped`` are renamed, the rest kept."""
@@ -596,7 +596,7 @@ def find_horn_labeling(f: Formula) -> Optional[HornLabeling]:
     names = tuple(sorted(used))
     literals, steps, horn_breaking = _clause_codes(len(names))  # the cap, before any table
     full = (1 << (1 << len(names))) - 1
-    table = _truth_table(f, dict(zip(names, valuation_masks(len(names)))), full)
+    table = _truth_table(f, None, dict(zip(names, valuation_masks(len(names)))), full, {})
     primes = _prime_implicates(steps, table)
     if not primes & horn_breaking:  # Horn already: no clause tuples are built
         return HornLabeling(names, frozenset())

@@ -9,7 +9,6 @@ variable; a batch of them is checked, applied or simulated against a state.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -27,9 +26,12 @@ from .formula import (
     _check_budget,
     _compile,
     _scope,
+    _truth_table,
+    check_bits,
     check_names,
     coalition_names,
     unassigned,
+    valuation_masks,
 )
 
 
@@ -156,9 +158,7 @@ class SystemState:
             object.__setattr__(self, "valuation", dict(self.valuation))
         except (TypeError, ValueError) as exc:
             raise PreconditionError(f"valuation must be a mapping: {exc}") from None
-        for value in self.valuation.values():
-            if value is not True and value is not False and (type(value) is not int or value >> 1):
-                raise PreconditionError(f"a value must be a bool or the int 0 or 1, not {value!r}")
+        check_bits(self.valuation.values())
 
     def value(self, variable: str) -> bool:
         try:
@@ -239,9 +239,10 @@ def diamond_holds(
 ) -> tuple[bool, Optional[PartialValuation]]:
     """Can the coalition make f true by setting only its own variables?
 
-    Returns (verdict, witness). The witness assigns the coalition's
-    variables that occur in f; applying it to the state makes f true.
-    Enumeration is exhaustive over those variables and capped at 20.
+    Returns (verdict, witness); the witness, applied to the state, makes f true.
+    Lane i of one truth table gives the coalition's variables in f (at most
+    DIAMOND_VARIABLE_CAP) the i-th itertools.product assignment and the other
+    variables the state's values; the witness is the first lane where f holds.
     """
     require(state, SystemState, "state")
     used, _ = check_names(f, model, "ability checks take a propositional formula")
@@ -251,15 +252,16 @@ def diamond_holds(
         raise UnknownAgentError(f"unknown agents: {sorted(missing, key=repr)}")
     relevant = _scope(model, members, used)
     _check_budget(relevant)
-    evaluate, trial = _compile(f, model, set()), dict(state.valuation)
-    try:
-        for combo in itertools.product((False, True), repeat=len(relevant)):
-            trial.update(zip(relevant, combo))
-            if evaluate(trial, True):
-                return True, PartialValuation(members, zip(relevant, combo))
-    except KeyError as exc:
-        raise unassigned(exc.args[0]) from None
-    return False, None
+    full = (1 << (1 << len(relevant))) - 1
+    lanes = dict(zip(relevant, reversed(valuation_masks(len(relevant)))))  # product order
+    for v in model.variables:
+        if v in used and v not in lanes:
+            lanes[v] = full if state.value(v) else 0
+    table = _truth_table(f, model, lanes, full, {})
+    if not table:
+        return False, None
+    first = table & -table  # the lowest lane where f holds
+    return True, PartialValuation(members, {v: bool(lanes[v] & first) for v in relevant})
 
 
 # ---------------------------------------------------------------------------

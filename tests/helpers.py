@@ -1,8 +1,11 @@
-"""Shared test oracles, deliberately independent of the library internals."""
+"""Shared test oracles, deliberately independent of the library internals,
+except for the earlier library code kept as references, which imports the
+internals it used."""
 
 import itertools
 import random
 from collections import deque
+from collections.abc import Mapping
 from functools import lru_cache
 
 from coalguard import (
@@ -22,6 +25,7 @@ from coalguard import (
     SystemState,
     TickRecord,
     Top,
+    UnknownAgentError,
     Var,
     VulnerabilityFinding,
     build_matrix,
@@ -31,7 +35,18 @@ from coalguard import (
 )
 from coalguard.analysis import AUDIT_AGENT_CAP
 from coalguard.errors import require
-from coalguard.formula import DIAMOND_VARIABLE_CAP, TRUTH_TABLE_VARIABLE_CAP, valuation_masks
+from coalguard.formula import (
+    DIAMOND_VARIABLE_CAP,
+    TRUTH_TABLE_VARIABLE_CAP,
+    _check_budget,
+    _compile,
+    _scope,
+    check_names,
+    coalition_names,
+    structure,
+    unassigned,
+    valuation_masks,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -634,3 +649,59 @@ def _close(start, assignment, implications):
         trial[variable] = value
         stack.extend(implications.get((variable, value), ()))
     return trial
+
+
+# ---------------------------------------------------------------------------
+# eval_formula and diamond_holds as they were before formula._truth_table
+# served both, copied from the library as its references
+
+
+def eval_formula_reference(f, model, state):
+    """eval_formula over its own recursion, _eval."""
+    check_names(f, model)
+    valuation = getattr(state, "valuation", state)
+    require(valuation, Mapping, "a state's valuation")
+    try:
+        return _eval(f, model, valuation, {})
+    except KeyError as exc:
+        raise unassigned(exc.args[0]) from None
+
+
+def _eval(f, model, valuation, scopes):
+    """f's truth; scopes maps id(<> node) to the variables it assigns."""
+    if isinstance(f, Top):
+        return True
+    if isinstance(f, Var):
+        return valuation[f.name]
+    if isinstance(f, Not):
+        return not _eval(f.child, model, valuation, scopes)
+    if isinstance(f, Or):
+        return _eval(f.left, model, valuation, scopes) or _eval(f.right, model, valuation, scopes)
+    relevant = scopes.get(id(f))  # a Diamond: check_names refused any other node
+    if relevant is None:
+        relevant = scopes[id(f)] = _scope(model, f.coalition, structure(f.child)[0])
+    _check_budget(relevant)
+    trials = ({**valuation, **dict(zip(relevant, combo))}
+              for combo in itertools.product((False, True), repeat=len(relevant)))
+    return any(_eval(f.child, model, trial, scopes) for trial in trials)
+
+
+def diamond_holds_reference(model, state, coalition, f):
+    """diamond_holds by a compiled closure called once per assignment."""
+    require(state, SystemState, "state")
+    used, _ = check_names(f, model, "ability checks take a propositional formula")
+    members = coalition_names(coalition)
+    missing = members - model.agent_set
+    if missing:
+        raise UnknownAgentError(f"unknown agents: {sorted(missing, key=repr)}")
+    relevant = _scope(model, members, used)
+    _check_budget(relevant)
+    evaluate, trial = _compile(f, model, set()), dict(state.valuation)
+    try:
+        for combo in itertools.product((False, True), repeat=len(relevant)):
+            trial.update(zip(relevant, combo))
+            if evaluate(trial, True):
+                return True, PartialValuation(members, zip(relevant, combo))
+    except KeyError as exc:
+        raise unassigned(exc.args[0]) from None
+    return False, None

@@ -22,6 +22,7 @@ from coalguard import (
     build_state_graph,
     diamond_holds,
     eval_formula,
+    format_formula,
     formula_from_truth_table,
     is_connected,
     is_secure,
@@ -85,6 +86,9 @@ def test_vertex_index_round_trip():
         assert graph.vertex_index(graph.valuation_of(index)) == index
     with pytest.raises(UnknownVariableError):
         graph.vertex_index({"A": True})
+    for index in (99, -1, graph.num_vertices):  # 99 and -1 both read as every variable true
+        with pytest.raises(PreconditionError, match="vertex index"):
+            graph.valuation_of(index)
 
 
 def test_edge_count_formula_up_to_five():
@@ -636,8 +640,6 @@ def test_horn_labeling_compiles_no_closures(monkeypatch):
 
 
 def test_truth_table_formula_edge_tables():
-    from coalguard import format_formula
-
     assert format_formula(formula_from_truth_table(2, 0b1111)) == "true"
     assert format_formula(formula_from_truth_table(2, 0b0000)) == "~true"
     assert format_formula(formula_from_truth_table(2, 0b1000)) == "x1 & x2"
@@ -764,6 +766,17 @@ def test_survey_guard_rails(four_variable_survey):
             survey_secure_connectivity(2, tables=[table])
     with pytest.raises(CoalGuardError, match="at least one variable"):
         formula_from_truth_table(0, 1)
+
+
+def test_a_bool_is_no_truth_table():
+    """True and False are ints to isinstance but no table: True was read as
+    the table 1, ~x1 & ~x2, and kept as SurveyRow(table=True, ...)."""
+    for table in (True, False):
+        with pytest.raises(PreconditionError, match="out of range"):
+            formula_from_truth_table(2, table)
+        with pytest.raises(PreconditionError, match="out of range"):
+            survey_secure_connectivity(2, tables=[table])
+    assert format_formula(formula_from_truth_table(2, 1)) == "~x1 & ~x2"
 
 
 def test_survey_rejects_a_sample_that_is_not_iterable():

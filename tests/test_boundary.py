@@ -322,10 +322,13 @@ METHODS = [
     [
         lambda: GRAPH.vertex_index(5),
         lambda: GRAPH.valuation_of("x"),
+        lambda: GRAPH.valuation_of(GRAPH.num_vertices),
+        lambda: GRAPH.valuation_of(-1),
         lambda: MODEL.owned(["x"]),
         lambda: QUEUE.enqueue("x"),
     ],
-    ids=["vertex_index-int", "valuation_of-str", "owned-list", "enqueue-str"],
+    ids=["vertex_index-int", "valuation_of-str", "valuation_of-past-the-end",
+         "valuation_of-negative", "owned-list", "enqueue-str"],
 )
 def test_a_method_refuses_a_wrong_kind(call):
     with pytest.raises(PreconditionError):

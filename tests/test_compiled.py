@@ -28,6 +28,7 @@ from coalguard import (
 from coalguard import formula as formula_mod
 from coalguard.formula import structure
 from helpers import (
+    eval_formula_reference,
     random_formula,
     random_model,
     random_requests,
@@ -211,6 +212,52 @@ def test_each_entry_walks_a_modal_formula_once(monkeypatch):
     assert not eval_formula(triple, FOUR, dict.fromkeys(FOUR.variables, False))
     assert len(calls) == 4
     assert not hasattr(formula_mod, "_diamond_variables")
+
+
+def outcome(call):
+    """What call returns, or the kind and message of the CoalGuardError it raises."""
+    try:
+        return call()
+    except CoalGuardError as exc:
+        return type(exc), str(exc)
+
+
+@given(seeds, st.booleans(), st.booleans())
+def test_eval_formula_matches_its_former_recursion(seed, modal, partial):
+    """eval_formula against _eval, the recursion it had of its own, on modal
+    and propositional formulas over bools and the ints 0 and 1, in a plain
+    mapping and a SystemState: the same truth, or, where a partial state
+    leaves out a variable that f reads, the same error naming it."""
+    rng = random.Random(seed)
+    model = random_model(rng, max_vars=7, max_agents=4)
+    f = modal_formula(rng, model) if modal else random_formula(rng, list(model.variables))
+    for _ in range(4):
+        valuation = {v: rng.choice((False, True, 0, 1)) for v in model.variables
+                     if not partial or rng.random() < 0.8}
+        for state in (valuation, SystemState(0, valuation)):
+            expected = outcome(lambda: eval_formula_reference(f, model, state))
+            got = outcome(lambda: eval_formula(f, model, state))
+            assert got == expected if isinstance(expected, tuple) else got is bool(expected)
+
+
+def test_a_diamond_stops_at_its_first_holding_assignment():
+    """<>{a1} (~x | y) holds at x = false, before any assignment reads y,
+    which the state leaves out: true, as under the former recursion, and
+    no UnknownVariableError."""
+    f, state = parse_formula("<>{a1} (~x | y)"), {"x": True}
+    assert eval_formula(f, BASE, state) is eval_formula_reference(f, BASE, state) is True
+
+
+@pytest.mark.parametrize("value", [2, -1, 1.0, None, "1"])
+def test_eval_formula_refuses_a_value_that_is_not_a_bit(value):
+    """A plain mapping's values follow SystemState's rule: ~x at x = 2 read
+    false under the former recursion, but True ^ 2 would read true."""
+    for call in (lambda: eval_formula(parse_formula("~x"), BASE, {"x": value, "y": False}),
+                 lambda: SystemState(0, {"x": value, "y": False})):
+        with pytest.raises(PreconditionError, match="a bool or the int 0 or 1"):
+            call()
+    for bit in (False, True, 0, 1):
+        assert eval_formula(parse_formula("~x"), BASE, {"x": bit, "y": False}) is (not bit)
 
 
 @pytest.mark.parametrize("k", range(2, 7))

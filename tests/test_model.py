@@ -11,8 +11,11 @@ from coalguard import (
     CoalGuardError,
     Diamond,
     EngineConfig,
+    Formula,
     Model,
     ModalFormulaError,
+    Not,
+    Or,
     OwnershipViolationError,
     PartialValuation,
     PreconditionError,
@@ -23,6 +26,7 @@ from coalguard import (
     Var,
     audit_vulnerabilities,
     build_cycle_instance,
+    conjoin,
     diamond_holds,
     eval_formula,
     is_secure,
@@ -32,7 +36,15 @@ from coalguard import (
     tick,
     validate_model,
 )
-from helpers import brute_diamond, random_formula, random_model, truth_eval
+from coalguard import formula as formula_mod, model as model_mod
+from coalguard.formula import DIAMOND_VARIABLE_CAP
+from helpers import (
+    brute_diamond,
+    diamond_holds_reference,
+    random_formula,
+    random_model,
+    truth_eval,
+)
 
 
 def zeros(model):
@@ -332,3 +344,59 @@ def test_diamond_monotone_in_coalition(seed):
     held_grown, _ = diamond_holds(model, state, grown, f)
     if held_small:
         assert held_grown
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+def test_diamond_holds_matches_its_former_assignment_loop(seed, empty, already_true):
+    """One truth table against the loop that called a closure once per
+    assignment: the same verdict and the same witness, in the same order,
+    for the empty coalition too and for formulas already true at the state."""
+    rng = random.Random(seed)
+    model = random_model(rng, max_vars=8, max_agents=4, max_formulas=1)
+    valuation = {v: rng.random() < 0.5 for v in model.variables}
+    state = SystemState(0, valuation)
+    coalition = () if empty else rng.sample(model.agents, rng.randint(1, len(model.agents)))
+    f = random_formula(rng, list(model.variables), depth=4)
+    if already_true:
+        v = rng.choice(model.variables)
+        f = Or(f, Var(v) if valuation[v] else Not(Var(v)))
+    expected = diamond_holds_reference(model, state, coalition, f)
+    got = diamond_holds(model, state, coalition, f)
+    assert got == expected
+    if got[0]:
+        assert list(got[1].assignment.items()) == list(expected[1].assignment.items())
+
+
+def test_diamond_holds_names_the_first_unassigned_variable_outside_its_scope():
+    """A variable of f outside the coalition's scope that the state leaves
+    unassigned raises, the first in model order, as single_flip_agents does
+    (the former loop named z, the first its evaluation read); a scope
+    variable the state leaves out is assigned by the coalition anyway."""
+    model = Model(("a1", "a2"), ("x", "y", "z"), {"a1": ("x",), "a2": ("y", "z")})
+    f = parse_formula("x & (z | y)")
+    state = SystemState(0, {"x": False})
+    for call in (lambda: diamond_holds(model, state, ("a1",), f),
+                 lambda: single_flip_agents(model, state, f)):
+        with pytest.raises(UnknownVariableError, match="does not assign 'y'"):
+            call()
+    holds, witness = diamond_holds(model, SystemState(0, {"y": True, "z": False}), ("a1",), f)
+    assert holds and witness.assignment == {"x": True}
+
+
+def test_diamond_holds_at_the_cap_of_scope_variables_is_one_pass(monkeypatch):
+    """At DIAMOND_VARIABLE_CAP scope variables diamond_holds enters the
+    truth-table recursion once, at the root, and visits each node once: the
+    former loop called a compiled closure once per assignment, 2^20 times
+    here, since only the last assignment makes f true."""
+    names = tuple(f"x{i}" for i in range(DIAMOND_VARIABLE_CAP))
+    model = Model(("a", "b"), names + ("y",), {"a": names, "b": ("y",)})
+    f = Or(conjoin(Var(v) for v in names), Var("y"))
+    roots, below = [], []
+    recursion = formula_mod._truth_table
+    monkeypatch.setattr(model_mod, "_truth_table", lambda g, *a: roots.append(g) or recursion(g, *a))
+    monkeypatch.setattr(formula_mod, "_truth_table", lambda g, *a: below.append(g) or recursion(g, *a))
+    holds, witness = diamond_holds(model, zeros(model), ("a",), f)
+    assert holds and witness.assignment == dict.fromkeys(names, True)
+    assert roots == [f]
+    nodes = lambda g: 1 + sum(nodes(c) for c in vars(g).values() if isinstance(c, Formula))
+    assert len(below) == nodes(f) - 1

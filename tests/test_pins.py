@@ -24,7 +24,7 @@ from coalguard.cli import main
 
 ROOT = pathlib.Path(__file__).parent.parent
 # the most lines src/coalguard/*.py may hold; it may fall, but not grow
-SOURCE_LINES_CAP = 2858
+SOURCE_LINES_CAP = 2857
 
 
 @pytest.mark.parametrize(
