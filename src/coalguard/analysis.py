@@ -23,6 +23,7 @@ from .formula import (
     _truth_table,
     Not,
     Var,
+    check_bits,
     check_names,
     conjoin,
     disjoin,
@@ -88,6 +89,7 @@ class StateGraph:
             raise UnknownVariableError(
                 f"state variables do not match the graph: {sorted(mismatch)}"
             )
+        check_bits(valuation.values())
         return sum(1 << j for j, v in enumerate(self.variables) if valuation[v])
 
     def edges(self) -> Iterator[tuple[int, int, str]]:

@@ -211,26 +211,23 @@ class OracleRound:
     success: bool
 
 
-def _evaluation_order(positions: list[int]) -> list[int]:
-    """Hook: the order a level's candidates, given by their positions in
-    the level, are counted in. Results are reduced canonically, so any
-    permutation yields the same frontier."""
-    return positions
+def _evaluation_order(masks: array) -> Sequence[int]:
+    """Hook: the order a level's shared keep masks, in name order, are counted in, as a new
+    sequence. Counts map back canonically, so any permutation yields the same rounds."""
+    return masks
 
 
-@functools.lru_cache(maxsize=None)
-def _level_masks(size: int, cardinality: int, code: str) -> array:
-    """The keep masks of ``itertools.combinations(range(size), cardinality)``
-    in that order, bit i set when position i is kept, packed as ``code``.
-
-    Shared by every tick: callers read it and never write to it. The domain
-    is bounded, since ``nondet_block`` asks only for 0 <= cardinality < size
-    <= ``SUBSET_SEARCH_CAP`` = 16: at most 136 levels per item code, the
-    largest 12,870 items, and under 2**17 items (1 MiB at 8 bytes an item)
-    over all levels of one code.
-    """
-    return array(code, [sum(1 << i for i in keep)
-                        for keep in itertools.combinations(range(size), cardinality)])
+@functools.lru_cache(maxsize=32)
+def _level(ranks: tuple[int, ...], cardinality: int, code: str) -> tuple[array, array]:
+    """For requesters whose ranks in name order are ``ranks``: the positions of
+    their keep tuples of ``cardinality`` in ``itertools.combinations`` order,
+    sorted by tuple (0, 1, ... when the ranks ascend), and the tuples' masks, bit
+    i for requester i, as ``code``. Read-only and shared; an entry holds at most
+    C(16, 8) = 12,870 of each, 2 + 8 bytes, so the 32 kept take under 4 MiB."""
+    level = list(itertools.combinations(ranks, cardinality))
+    positions = sorted(range(len(level)), key=level.__getitem__)
+    masks = list(map(sum, itertools.combinations([1 << i for i in range(len(ranks))], cardinality)))
+    return array("H", positions), array(code, map(masks.__getitem__, positions))
 
 
 def _false_counter(
@@ -239,14 +236,12 @@ def _false_counter(
     """How many critical formulas the batch restricted to each of a list of
     keep-sets leaves false, counted bit-parallel (Knuth, TAOCP 4A, 7.1.3).
 
-    The keep-sets come as their masks over the requesters, bit i for
-    ``requesters[i]``, packed in an ``array`` whose items are wide enough
-    for a mask and a count; each item is one lane of an int. A formula
-    mentioning no variable that a write changes is a constant. For the
-    rest, a variable's lanes are its value at the state, flipped where its
-    writer is kept; the formula's compiled closure, run once over them,
-    sums its false lanes into every count.
-    """
+    The keep-sets come as ``_level``'s masks, in an ``array`` whose items are
+    wide enough for a mask and a count, each one lane of an int. A formula
+    mentioning no variable that a write changes is a constant. For the rest,
+    a variable's lanes are its value at the state, flipped where its writer
+    is kept; the formula's compiled closure, run once over them, sums its
+    false lanes into every count."""
     compiled, before = model.compiled, state.valuation
     position = {agent: i for i, agent in enumerate(requesters)}
     writes = {r.variable: (position[r.agent], r.new_value) for r in batch}  # the owner's last
@@ -295,8 +290,7 @@ def nondet_block(
     """
     batch = check_batch(model, batch)
     require(seed, (int, type(None)), "seed")
-    require(rng, (random.Random, type(None)), "rng")
-    rng = rng if rng is not None else random.Random(seed)
+    rng = require(rng, (random.Random, type(None)), "rng") or random.Random(seed)
     initial = simulate(model, state, batch)
     if not initial.became_true:
         return BlockReport("nondeterministic", (), batch, (), initial.simulated_state)
@@ -309,14 +303,18 @@ def nondet_block(
     chosen: tuple[str, ...] = ()  # stays empty, blocking everyone, only from an insecure start
     try:
         false_counts = _false_counter(model, state, batch, requesters)
+        ranks = tuple(map(sorted(requesters).index, requesters))
         for cardinality in range(len(requesters) - 1, -1, -1):
+            positions, masks = _level(ranks, cardinality, code)
             level = list(itertools.combinations(requesters, cardinality))
-            order = _evaluation_order(list(range(len(level))))
-            masks = _level_masks(len(requesters), cardinality, code)
-            counts = false_counts(array(code, map(masks.__getitem__, order)))
-            evaluated = tuple(sorted(zip(map(level.__getitem__, order), counts)))
+            keeps = tuple(map(level.__getitem__, positions))
+            lanes = array(code, _evaluation_order(masks))
+            counts = false_counts(lanes)
+            if lanes != masks:  # counted in another order: put back in name order
+                counts = list(map(dict(zip(lanes, counts)).__getitem__, masks))
+            evaluated = tuple(zip(keeps, counts))
             best = max(counts)
-            frontier = tuple(keep for keep, count in evaluated if count == best)
+            frontier = tuple(itertools.compress(keeps, map(best.__eq__, counts)))
             representative = rng.choice(frontier)
             success = best == total
             rounds.append(OracleRound(cardinality, evaluated, frontier, representative, success))

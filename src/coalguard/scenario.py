@@ -195,6 +195,7 @@ def override_config(
 
 _canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _name = json.encoder.encode_basestring_ascii  # the C escaper json.dumps uses
+_count_json = functools.lru_cache(maxsize=1024)(lambda n: '{"false_count":%d,"subset":' % (n,))
 
 
 def _leaf(value) -> str:
@@ -278,8 +279,7 @@ def _iteration_json(item, subset) -> str:
             '{"candidates":[%s],"cardinality":%d,"frontier":%s,"kind":"oracle",'
             '"representative":%s,"success":%s}'
         ) % (
-            ",".join(['{"false_count":%d,"subset":%s}' % (n, subset(keep))
-                      for keep, n in item.evaluated]),
+            ",".join([_count_json(n) + subset(keep) + "}" for keep, n in item.evaluated]),
             item.cardinality, _list(item.frontier, subset), subset(item.representative),
             _leaf(item.success),
         )

@@ -435,15 +435,19 @@ def test_criterion_10_determinism(monkeypatch):
     # the canonical frontier reduction must absorb it.
     scramble = random.Random(97)
     original = blocking_mod._evaluation_order
+    scrambled = []
 
     def shuffled(candidates):
         out = list(original(candidates))
         scramble.shuffle(out)
+        scrambled.append(out != list(candidates))
         return out
 
     monkeypatch.setattr(blocking_mod, "_evaluation_order", shuffled)
     if run_trace("nondeterministic") != baseline_oracle:
         problems.append("scrambled completion order changed the trace")
+    if not any(scrambled):  # a path that bypassed the hook would have tested nothing
+        problems.append("the oracle counted no level in a scrambled order")
     monkeypatch.undo()
     elapsed = time.perf_counter() - start
 

@@ -91,6 +91,21 @@ def test_vertex_index_round_trip():
             graph.valuation_of(index)
 
 
+@pytest.mark.parametrize(
+    "valuation",
+    [{"x": "no", "y": None}, {"x": 2, "y": []}, {"x": True, "y": 2}, {"x": 0.0, "y": 1}],
+    ids=["str-and-none", "two-and-list", "bool-and-two", "float-and-int"],
+)
+def test_vertex_index_refuses_values_that_are_not_bits(valuation):
+    """A value is a bool or the int 0 or 1, as SystemState and eval_formula
+    read it: a truthy "no" or 2 once read as true."""
+    graph = StateGraph(("x", "y"), ("a", "b"), 0)
+    with pytest.raises(PreconditionError, match="bool or the int 0 or 1"):
+        graph.vertex_index(valuation)
+    assert graph.vertex_index({"x": 1, "y": False}) == 1
+    assert graph.vertex_index({"x": 0, "y": 1}) == 2
+
+
 def test_edge_count_formula_up_to_five():
     for n in range(1, 6):
         variables = tuple(f"x{i}" for i in range(n))

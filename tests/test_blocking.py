@@ -516,17 +516,19 @@ def renamed_cycle(size, names):
 
 
 def test_oracle_caches_serve_interleaved_models_with_other_names():
-    """The level masks are cached per requester count and the trace's subset
-    text per keep tuple. Two 6-cycles take turns: one names its agents in
-    name order, the other against it, so each tick reads what a tick of the
-    other model cached."""
+    """The levels are cached per pattern of the requesters' name ranks and
+    the trace's subset text per keep tuple. Four 6-cycles take turns: two
+    name their agents in name order, two against it, each pair with other
+    names, so a tick reads levels that a tick of another model cached."""
     plain = build_cycle_instance(6)
+    forwards = renamed_cycle(6, [f"q{i + 1}" for i in range(6)])
     backwards = renamed_cycle(6, [f"r{6 - i}" for i in range(6)])
+    reversed_too = renamed_cycle(6, [f"s{6 - i}" for i in range(6)])
     assert list(backwards[0].agents) != sorted(backwards[0].agents)
-    masks_hits = blocking_mod._level_masks.cache_info().hits
+    blocking_mod._level.cache_clear()
     text_hits = scenario_mod._subset_json.cache_info().hits
     for seed in range(3):
-        for model, state, batch in (plain, backwards):
+        for model, state, batch in (plain, backwards, forwards, reversed_too):
             queue = ActionQueue(model, batch)
             config = EngineConfig(len(batch), "nondeterministic", random_seed=seed)
             record = tick(model, state, queue, config).record
@@ -536,8 +538,39 @@ def test_oracle_caches_serve_interleaved_models_with_other_names():
             assert trace_line(record) == json.dumps(
                 record_to_dict(record), sort_keys=True, separators=(",", ":")
             )
-    assert blocking_mod._level_masks.cache_info().hits > masks_hits
+    # two rank patterns, three levels each (six requesters, three blocked),
+    # met by 4 models x 3 seeds x 2 calls
+    levels = blocking_mod._level.cache_info()
+    assert (levels.misses, levels.hits) == (2 * 3, 4 * 3 * 2 * 3 - 2 * 3)
     assert scenario_mod._subset_json.cache_info().hits > text_hits
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(3, 12),
+       st.sampled_from(("numbered", "reversed", "shuffled")))
+def test_oracle_rounds_with_agents_out_of_name_order(seed, size, naming):
+    """Cycles of agents a1..aN, whose names sort a1, a10, a11, a2, ... once
+    N >= 10, and the same names reversed or shuffled, with a random subset of
+    them requesting in a random order: every round lists its keep-sets in
+    name order with their reference counts, and the tick's trace line is the
+    text json.dumps writes."""
+    rng = random.Random(seed)
+    names = [f"a{i + 1}" for i in range(size)]
+    if naming == "reversed":
+        names.reverse()
+    elif naming == "shuffled":
+        rng.shuffle(names)
+    model, state, batch = renamed_cycle(size, names)
+    kept = [r for r in batch if rng.random() < 0.8]
+    rng.shuffle(kept)
+    batch = tuple(replace(r, arrival_index=i) for i, r in enumerate(kept))
+    report = nondet_block(model, state, batch, rng=random.Random(seed))
+    assert_counts_match_reference(model, state, batch, report)
+    config = EngineConfig(max(len(batch), 1), "nondeterministic", random_seed=seed)
+    record = tick(model, state, ActionQueue(model, batch), config).record
+    assert record.iterations == report.iterations
+    assert trace_line(record) == json.dumps(
+        record_to_dict(record), sort_keys=True, separators=(",", ":")
+    )
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from(("fifo", "lex")))
