@@ -230,21 +230,29 @@ def _level(ranks: tuple[int, ...], cardinality: int, code: str) -> tuple[array, 
     return array("H", positions), array(code, map(masks.__getitem__, positions))
 
 
+@functools.lru_cache(maxsize=16)
+def _plan(requesters: tuple[str, ...], cardinality: int, code: str) -> tuple[tuple, array, int]:
+    """A level's keep tuples in name order, ``_level``'s masks and lane constant ``ones``; 16
+    entries hold a tick's every level, each at most 12,870 tuples of 104 bytes: under 26 MiB."""
+    positions, masks = _level(tuple(map(sorted(requesters).index, requesters)), cardinality, code)
+    level = list(itertools.combinations(requesters, cardinality))
+    ones = int.from_bytes(array(code, [1]) * len(masks), sys.byteorder)
+    return tuple(map(level.__getitem__, positions)), masks, ones
+
+
 def _false_counter(
     model: Model, state: SystemState, batch: Sequence[ActionRequest], requesters: Sequence[str]
-) -> Callable[[array], Sequence[int]]:
+) -> Callable[[array, int], Sequence[int]]:
     """How many critical formulas the batch restricted to each of a list of
     keep-sets leaves false, counted bit-parallel (Knuth, TAOCP 4A, 7.1.3).
 
-    The keep-sets come as ``_level``'s masks, in an ``array`` whose items are
-    wide enough for a mask and a count, each one lane of an int. A formula
-    mentioning no variable that a write changes is a constant. For the rest,
-    a variable's lanes are its value at the state, flipped where its writer
-    is kept; the formula's compiled closure, run once over them, sums its
-    false lanes into every count."""
+    The keep-sets come as ``_plan``'s masks and ``ones``, a lane of an int per
+    ``array`` item, which fits a mask and a count. A formula mentioning no
+    variable a write changes is a constant. For the rest, a variable's lanes are
+    its value at the state, flipped where its writer is kept; the formula's
+    closure, run once over them, sums its false lanes into every count."""
     compiled, before = model.compiled, state.valuation
-    position = {agent: i for i, agent in enumerate(requesters)}
-    writes = {r.variable: (position[r.agent], r.new_value) for r in batch}  # the owner's last
+    writes = {r.variable: (requesters.index(r.agent), r.new_value) for r in batch}  # last wins
     changed = {v: i for v, (i, value) in writes.items() if value != before[v]}
     constant, live = 0, []
     for evaluate, used in zip(compiled.evaluators, compiled.variables):
@@ -253,9 +261,8 @@ def _false_counter(
         else:
             live.append(evaluate)
 
-    def false_counts(packed: array) -> Sequence[int]:
+    def false_counts(packed: array, ones: int) -> Sequence[int]:
         masks = int.from_bytes(packed, sys.byteorder)
-        ones = int.from_bytes(array(packed.typecode, [1]) * len(packed), sys.byteorder)
         values = {variable: ones if value else 0 for variable, value in before.items()}
         for variable, i in changed.items():
             values[variable] ^= (masks >> i) & ones
@@ -303,13 +310,10 @@ def nondet_block(
     chosen: tuple[str, ...] = ()  # stays empty, blocking everyone, only from an insecure start
     try:
         false_counts = _false_counter(model, state, batch, requesters)
-        ranks = tuple(map(sorted(requesters).index, requesters))
         for cardinality in range(len(requesters) - 1, -1, -1):
-            positions, masks = _level(ranks, cardinality, code)
-            level = list(itertools.combinations(requesters, cardinality))
-            keeps = tuple(map(level.__getitem__, positions))
+            keeps, masks, ones = _plan(requesters, cardinality, code)
             lanes = array(code, _evaluation_order(masks))
-            counts = false_counts(lanes)
+            counts = false_counts(lanes, ones)
             if lanes != masks:  # counted in another order: put back in name order
                 counts = list(map(dict(zip(lanes, counts)).__getitem__, masks))
             evaluated = tuple(zip(keeps, counts))

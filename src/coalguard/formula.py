@@ -21,7 +21,7 @@ import itertools
 import re
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -410,14 +410,7 @@ def _truth_table(f: Formula, model, lanes: Mapping[str, int], ones: int, scopes:
     relevant = scopes.get(id(f))  # a Diamond: the entry refused any other node
     if relevant is None:
         relevant = scopes[id(f)] = _scope(model, f.coalition, structure(f.child)[0])
-    _check_budget(relevant)
-    trial, result = dict(lanes), 0
-    for combo in itertools.product((0, ones), repeat=len(relevant)):
-        trial.update(zip(relevant, combo))
-        result |= _truth_table(f.child, model, trial, ones, scopes)
-        if result == ones:
-            break
-    return result
+    return _exists(partial(_truth_table, f.child, model, scopes=scopes), lanes, ones, relevant)
 
 
 def compile_formula(f: Formula, model) -> Evaluator:
@@ -459,16 +452,19 @@ def _compile(f: Formula, model, found: set) -> Evaluator:
     child = _compile(f.child, model, inner)
     found |= inner
     relevant = _scope(model, f.coalition, inner)
-    def diamond(lanes, ones):
-        _check_budget(relevant)
-        trial, result = dict(lanes), 0
-        for combo in itertools.product((0, ones), repeat=len(relevant)):
-            trial.update(zip(relevant, combo))
-            result |= child(trial, ones)
-            if result == ones:
-                break
-        return result
-    return diamond
+    return lambda lanes, ones: _exists(child, lanes, ones, relevant)
+
+
+def _exists(child: Evaluator, lanes: Mapping[str, int], ones: int, relevant: Sequence[str]) -> int:
+    """A <>: child ORed over relevant's assignments, in product order, until all lanes hold."""
+    _check_budget(relevant)
+    trial, result = dict(lanes), 0
+    for combo in itertools.product((0, ones), repeat=len(relevant)):
+        trial.update(zip(relevant, combo))
+        result |= child(trial, ones)
+        if result == ones:
+            break
+    return result
 
 
 def _scope(model, coalition: frozenset[str], used) -> tuple[str, ...]:

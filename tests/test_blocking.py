@@ -516,16 +516,18 @@ def renamed_cycle(size, names):
 
 
 def test_oracle_caches_serve_interleaved_models_with_other_names():
-    """The levels are cached per pattern of the requesters' name ranks and
-    the trace's subset text per keep tuple. Four 6-cycles take turns: two
-    name their agents in name order, two against it, each pair with other
-    names, so a tick reads levels that a tick of another model cached."""
+    """The levels' masks are cached per pattern of the requesters' name ranks,
+    their plans per requester tuple and the trace's subset text per keep
+    tuple. Four 6-cycles take turns: two name their agents in name order, two
+    against it, each pair with other names, so a tick reads masks that a tick
+    of another model cached, and a plan that an earlier tick of its own built."""
     plain = build_cycle_instance(6)
     forwards = renamed_cycle(6, [f"q{i + 1}" for i in range(6)])
     backwards = renamed_cycle(6, [f"r{6 - i}" for i in range(6)])
     reversed_too = renamed_cycle(6, [f"s{6 - i}" for i in range(6)])
     assert list(backwards[0].agents) != sorted(backwards[0].agents)
     blocking_mod._level.cache_clear()
+    blocking_mod._plan.cache_clear()
     text_hits = scenario_mod._subset_json.cache_info().hits
     for seed in range(3):
         for model, state, batch in (plain, backwards, forwards, reversed_too):
@@ -538,10 +540,11 @@ def test_oracle_caches_serve_interleaved_models_with_other_names():
             assert trace_line(record) == json.dumps(
                 record_to_dict(record), sort_keys=True, separators=(",", ":")
             )
-    # two rank patterns, three levels each (six requesters, three blocked),
-    # met by 4 models x 3 seeds x 2 calls
-    levels = blocking_mod._level.cache_info()
-    assert (levels.misses, levels.hits) == (2 * 3, 4 * 3 * 2 * 3 - 2 * 3)
+    # 4 models x 3 levels (six requesters, three blocked), met by 3 seeds x 2
+    # calls: each model plans its levels once; the plans share two rank patterns
+    plans, levels = blocking_mod._plan.cache_info(), blocking_mod._level.cache_info()
+    assert (plans.misses, plans.hits) == (4 * 3, 4 * 3 * 3 * 2 - 4 * 3)
+    assert (levels.misses, levels.hits) == (2 * 3, 4 * 3 - 2 * 3)
     assert scenario_mod._subset_json.cache_info().hits > text_hits
 
 
@@ -552,7 +555,8 @@ def test_oracle_rounds_with_agents_out_of_name_order(seed, size, naming):
     N >= 10, and the same names reversed or shuffled, with a random subset of
     them requesting in a random order: every round lists its keep-sets in
     name order with their reference counts, and the tick's trace line is the
-    text json.dumps writes."""
+    text json.dumps writes. A call that plans its levels (cold) and one that
+    reads the plans (warm) give the same rounds and the same trace line."""
     rng = random.Random(seed)
     names = [f"a{i + 1}" for i in range(size)]
     if naming == "reversed":
@@ -563,12 +567,18 @@ def test_oracle_rounds_with_agents_out_of_name_order(seed, size, naming):
     kept = [r for r in batch if rng.random() < 0.8]
     rng.shuffle(kept)
     batch = tuple(replace(r, arrival_index=i) for i, r in enumerate(kept))
+    blocking_mod._plan.cache_clear()
+    cold = nondet_block(model, state, batch, rng=random.Random(seed))
     report = nondet_block(model, state, batch, rng=random.Random(seed))
+    assert report == cold
+    for warm, planned in zip(report.iterations, cold.iterations):  # the plan's own keep tuples
+        assert all(a is b for (a, _), (b, _) in zip(warm.evaluated, planned.evaluated))
     assert_counts_match_reference(model, state, batch, report)
     config = EngineConfig(max(len(batch), 1), "nondeterministic", random_seed=seed)
-    record = tick(model, state, ActionQueue(model, batch), config).record
+    blocking_mod._plan.cache_clear()
+    first, record = (tick(model, state, ActionQueue(model, batch), config).record for _ in range(2))
     assert record.iterations == report.iterations
-    assert trace_line(record) == json.dumps(
+    assert trace_line(first) == trace_line(record) == json.dumps(
         record_to_dict(record), sort_keys=True, separators=(",", ":")
     )
 

@@ -7,6 +7,7 @@ Seconds are not pinned here; the CI workflow prints them.
 import hashlib
 import pathlib
 import sys
+import tokenize
 
 import pytest
 
@@ -25,6 +26,10 @@ from coalguard.cli import main
 ROOT = pathlib.Path(__file__).parent.parent
 # the most lines src/coalguard/*.py may hold; it may fall, but not grow
 SOURCE_LINES_CAP = 2857
+# the most Python tokens they may hold, as stdlib tokenize reads them, less the
+# layout and comment tokens (NL, NEWLINE, INDENT, DEDENT, COMMENT, ENDMARKER):
+# joining lines to fit under the line cap does not lower it
+SOURCE_TOKENS_CAP = 16909
 
 
 @pytest.mark.parametrize(
@@ -114,3 +119,13 @@ def test_an_argument_the_library_refuses_exits_2_with_one_line(capsys, argv):
 def test_the_source_stays_within_its_line_cap():
     text = "".join(p.read_text(encoding="utf-8") for p in sorted(ROOT.glob("src/coalguard/*.py")))
     assert text.count("\n") <= SOURCE_LINES_CAP
+
+
+def test_the_source_stays_within_its_token_cap():
+    layout = {tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.COMMENT,
+              tokenize.ENDMARKER}
+    count = 0
+    for path in sorted(ROOT.glob("src/coalguard/*.py")):
+        with path.open(encoding="utf-8") as handle:
+            count += sum(t.type not in layout for t in tokenize.generate_tokens(handle.readline))
+    assert count <= SOURCE_TOKENS_CAP
