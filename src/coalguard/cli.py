@@ -187,8 +187,7 @@ def cmd_bench(args) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (CoalGuardError, OSError) as exc:

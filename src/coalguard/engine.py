@@ -23,7 +23,7 @@ POLICIES = ("none", "greedy", "nondeterministic")
 
 
 class _Buffer(list):
-    """A request list a queue made and checked against ``model``, so pushes may append to it."""
+    """Requests checked against ``model`` unless it is None: a queue keeps them, pushes append."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,9 +61,7 @@ class ActionQueue:
                 exc.args = (f"queue[{index}]: {exc}",)
                 raise
             buffer.model = self.model
-            object.__setattr__(self, "buffer", buffer)
-            object.__setattr__(self, "start", 0)
-            object.__setattr__(self, "end", len(buffer))
+            vars(self).update(buffer=buffer, start=0, end=len(buffer))
         elif not (type(self.start) is type(self.end) is int
                   and 0 <= self.start <= self.end <= len(self.buffer)):  # a bool is no bound
             raise PreconditionError(f"view {self.start!r}:{self.end!r} not in 0:{len(self.buffer)}")

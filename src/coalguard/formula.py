@@ -105,8 +105,7 @@ class Diamond(Formula):
         names = coalition_names(coalition)
         if not names:
             raise PreconditionError("coalition must be nonempty")
-        object.__setattr__(self, "coalition", names)
-        object.__setattr__(self, "child", child)
+        vars(self).update(coalition=names, child=child)
 
 
 def coalition_names(coalition: Iterable[str]) -> frozenset[str]:
@@ -128,14 +127,12 @@ def _halves(parts: Sequence[Formula], join: Callable[..., Formula], empty: Formu
 
 def conjoin(parts: Iterable[Formula]) -> Formula:
     """Conjunction of ``parts``; Top for an empty sequence."""
-    parts = tuple(require(parts, Iterable, "parts"))
-    return _halves(parts, lambda a, b: a & b, TOP)
+    return _halves(tuple(require(parts, Iterable, "parts")), lambda a, b: a & b, TOP)
 
 
 def disjoin(parts: Iterable[Formula]) -> Formula:
     """Disjunction of ``parts``; ~true for an empty sequence."""
-    parts = tuple(require(parts, Iterable, "parts"))
-    return _halves(parts, Or, Not(TOP))
+    return _halves(tuple(require(parts, Iterable, "parts")), Or, Not(TOP))
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +255,10 @@ _BINDING = {"|": _DISJ, "&": _CONJ}
 
 
 def as_conjunction(f: Formula) -> Optional[tuple[Formula, Formula]]:
-    if (
-        isinstance(f, Not)
-        and isinstance(f.child, Or)
-        and isinstance(f.child.left, Not)
-        and isinstance(f.child.right, Not)
-    ):
-        return f.child.left.child, f.child.right.child
+    if isinstance(f, Not) and isinstance(f.child, Or):
+        left, right = f.child.left, f.child.right
+        if isinstance(left, Not) and isinstance(right, Not):
+            return left.child, right.child
     return None
 
 
@@ -285,8 +279,7 @@ def _fmt(f: Formula, need: int) -> str:
         text = "~" + _fmt(f.child, _UNARY)
         own = _UNARY
     else:  # a Diamond: format_formula's walk refused any other node
-        names = ",".join(sorted(f.coalition))
-        text = "<>{" + names + "}" + _fmt(f.child, _UNARY)
+        text = "<>{" + ",".join(sorted(f.coalition)) + "}" + _fmt(f.child, _UNARY)
         own = _UNARY
     return f"({text})" if own < need else text
 

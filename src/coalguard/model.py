@@ -9,7 +9,7 @@ variable; a batch of them is checked, applied or simulated against a state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -83,13 +83,9 @@ class Model:
         for variable in variables:
             if variable not in owner:
                 raise UnknownVariableError(f"no agent controls {variable!r}")
-        object.__setattr__(self, "agents", agents)
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "partition", normalized)
-        object.__setattr__(self, "critical_formulas", formulas)
-        object.__setattr__(self, "_owner", owner)
-        object.__setattr__(self, "variable_set", variable_set)
-        object.__setattr__(self, "agent_set", agent_set)
+        vars(self).update(agents=agents, variables=variables, partition=normalized,
+                          critical_formulas=formulas, _owner=owner, variable_set=variable_set,
+                          agent_set=agent_set)
         facts = []
         for f in formulas:
             if not isinstance(f, Formula):
@@ -183,8 +179,7 @@ class PartialValuation:
 
     def __post_init__(self):
         try:
-            object.__setattr__(self, "coalition", frozenset(self.coalition))
-            object.__setattr__(self, "assignment", dict(self.assignment))
+            vars(self).update(coalition=frozenset(self.coalition), assignment=dict(self.assignment))
         except (TypeError, ValueError) as exc:
             raise PreconditionError(f"malformed partial valuation: {exc}") from None
 
@@ -268,7 +263,7 @@ def diamond_holds(
 # requests, batches and their simulation
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ActionRequest:
     """One single-variable write. Slotted: a queue holds tens of thousands."""
 
@@ -276,6 +271,16 @@ class ActionRequest:
     variable: str
     new_value: bool
     arrival_index: int
+
+    def __init__(self, agent: str, variable: str, new_value: bool, arrival_index: int):
+        _set_agent(self, agent)
+        _set_variable(self, variable)
+        _set_new_value(self, new_value)
+        _set_arrival_index(self, arrival_index)
+
+
+_set_agent, _set_variable, _set_new_value, _set_arrival_index = (  # cheaper than object.__setattr__
+    ActionRequest.__dict__[f.name].__set__ for f in fields(ActionRequest))
 
 
 def check_request(model: Model, request: ActionRequest, last: Optional[ActionRequest]) -> None:

@@ -35,6 +35,7 @@ from .engine import (
     DropTick,
     EngineConfig,
     TickRecord,
+    _Buffer,
 )
 from .errors import (
     CoalGuardError,
@@ -156,13 +157,17 @@ def scenario_from_mapping(data: Mapping, allow_insecure_start: bool = False) -> 
     raw_queue = [] if data["queue"] is None else data["queue"]
     if not isinstance(raw_queue, list):
         raise ScenarioError("queue must be a list of requests")
-    requests: list[ActionRequest] = []
+    requests, owner, checked = _Buffer(), model._owner, True
     for index, item in enumerate(raw_queue):  # checked inline: a queue holds thousands
-        if not isinstance(item, Mapping) or item.keys() != _QUEUE_KEYS:
+        if type(item) is not dict and not isinstance(item, Mapping) or item.keys() != _QUEUE_KEYS:
             raise ScenarioError(f"queue[{index}] must map exactly agent, var and value: {item!r}")
-        requests.append(ActionRequest(item["agent"], item["var"], item["value"], index))
-    try:  # the queue checks each request's kinds and ownership, naming its index
-        queue = ActionQueue(model, requests)
+        agent, variable, value = item["agent"], item["var"], item["value"]
+        checked = checked and (type(value) is bool and type(agent) is type(variable) is str
+                               and owner.get(variable) == agent)  # so check_request would pass
+        requests.append(ActionRequest(agent, variable, value, index))
+    requests.model = model if checked else None  # else, every shape fault ruled out first,
+    try:  # the queue checks each request and names the first faulty one's index
+        queue = ActionQueue(model, requests, 0, len(requests))
     except CoalGuardError as exc:
         raise ScenarioError(str(exc)) from exc
 

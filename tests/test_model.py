@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import inspect
+import pickle
 import random
 
 import pytest
@@ -5,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from coalguard import (
     ActionQueue,
+    ActionRequest,
     BlockForRandomInterval,
     BlockUntilTick,
     BudgetExceededError,
@@ -400,3 +405,31 @@ def test_diamond_holds_at_the_cap_of_scope_variables_is_one_pass(monkeypatch):
     assert roots == [f]
     nodes = lambda g: 1 + sum(nodes(c) for c in vars(g).values() if isinstance(c, Formula))
     assert len(below) == nodes(f) - 1
+
+
+def test_action_request_keeps_its_frozen_slotted_dataclass_contract():
+    """Its hand-written __init__ changes none of what the dataclass promised."""
+    request = ActionRequest("a1", "x", True, 3)
+    by_keyword = ActionRequest(agent="a1", variable="x", new_value=True, arrival_index=3)
+    assert request == by_keyword and hash(request) == hash(by_keyword)
+    assert repr(request) == repr(by_keyword) == (
+        "ActionRequest(agent='a1', variable='x', new_value=True, arrival_index=3)")
+    assert request != ActionRequest("a1", "x", True, 4) and request != ("a1", "x", True, 3)
+    names = ("agent", "variable", "new_value", "arrival_index")
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(request, name, "y")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(request, name)
+    assert not hasattr(request, "__dict__") and ActionRequest.__slots__ == names
+    assert tuple(f.name for f in dataclasses.fields(request)) == names == ActionRequest.__match_args__
+    assert tuple(inspect.signature(ActionRequest).parameters) == names
+    assert dataclasses.replace(request, agent="a2") == ActionRequest("a2", "x", True, 3)
+    assert dataclasses.astuple(request) == ("a1", "x", True, 3)
+    assert dataclasses.asdict(request) == dict(zip(names, ("a1", "x", True, 3)))
+    for twin in (copy.copy(request), copy.deepcopy(request), pickle.loads(pickle.dumps(request))):
+        assert twin == request and twin is not request and repr(twin) == repr(request)
+    with pytest.raises(TypeError):
+        ActionRequest("a1", "x", True)
+    with pytest.raises(TypeError):
+        ActionRequest("a1", "x", True, 3, arrival=4)

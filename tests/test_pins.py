@@ -12,8 +12,10 @@ import tokenize
 import pytest
 
 from coalguard import (
+    ActionRequest,
     apply_actions,
     build_cycle_instance,
+    engine,
     greedy_block,
     model as model_mod,
     nondet_block,
@@ -29,7 +31,7 @@ SOURCE_LINES_CAP = 2857
 # the most Python tokens they may hold, as stdlib tokenize reads them, less the
 # layout and comment tokens (NL, NEWLINE, INDENT, DEDENT, COMMENT, ENDMARKER):
 # joining lines to fit under the line cap does not lower it
-SOURCE_TOKENS_CAP = 16909
+SOURCE_TOKENS_CAP = 16994
 
 
 @pytest.mark.parametrize(
@@ -74,6 +76,31 @@ def test_greedy_on_the_200_cycle_in_cycle_order():
     assert len(report.iterations) == 100 and len(report.blocked) == 100
 
 
+def test_loading_a_valid_queue_builds_each_request_once_and_checks_none_again(monkeypatch):
+    """A valid N-request queue costs N ActionRequests, no check_request call in
+    any module that holds it, and one buffer: the one the queue then holds."""
+    n = 1000
+    data = {"agents": {"a1": ["x"], "a2": ["y"]}, "formulas": ["x & y"],
+            "initial": {"x": False, "y": False},
+            "queue": [{"agent": f"a{1 + i % 2}", "var": "xy"[i % 2], "value": i % 3 == 0}
+                      for i in range(n)]}
+    built, checks, buffers = [], [], []
+    init = ActionRequest.__init__
+    monkeypatch.setattr(ActionRequest, "__init__", lambda r, *a: built.append(a) or init(r, *a))
+    check = model_mod.check_request
+    counted = lambda *args: checks.append(args) or check(*args)
+    for key, module in list(sys.modules.items()):
+        if key.split(".")[0] == "coalguard" and vars(module).get("check_request") is check:
+            monkeypatch.setattr(module, "check_request", counted)
+    monkeypatch.setattr(engine._Buffer, "__init__",
+                        lambda b, *a: buffers.append(b) or list.__init__(b, *a))
+    queue = scenario_from_mapping(data).queue
+    assert len(built) == len(queue) == n and checks == []
+    assert len(buffers) == 1 and queue.buffer is buffers[0] and (queue.start, queue.end) == (0, n)
+    queue.push("a1", "x", True)  # a push is still checked, once
+    assert len(checks) == 1 and len(built) == n + 1
+
+
 MALFORMED = {
     "doubly_owned": ["agents: {a1: [x, y], a2: [y]}", "formulas: ['x & y']",
                      "initial: {x: false, y: false}", "queue: []"],
@@ -82,6 +109,11 @@ MALFORMED = {
                  "queue: [{agent: a1, var: [x], value: true}]"],
     "undeclared": ["agents: {a1: [x], a2: [y]}", "formulas: ['x & w']",
                    "initial: {x: false, y: false}", "queue: []"],
+    "int_value": ["agents: {a1: [x], a2: [y]}", "formulas: ['x & y']",
+                  "initial: {x: false, y: false}", "queue: [{agent: a1, var: x, value: 1}]"],
+    "owner_then_list": ["agents: {a1: [x], a2: [y]}", "formulas: ['x & y']",
+                        "initial: {x: false, y: false}",
+                        "queue: [{agent: a2, var: x, value: true}, [x]]"],
 }
 
 

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import json
 import os
 import random
@@ -7,7 +8,10 @@ import stat
 import subprocess
 import sys
 import threading
+from collections import OrderedDict
+from collections.abc import Mapping
 from pathlib import Path
+from types import MappingProxyType as MappingProxy
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,10 +28,12 @@ from coalguard import (
     GreedyIteration,
     InsecureStartError,
     Model,
+    OwnershipViolationError,
     PreconditionError,
     ScenarioError,
     SystemState,
     TickRecord,
+    UnknownVariableError,
     apply_actions,
     build_cycle_instance,
     fit_loglog_slope,
@@ -165,6 +171,64 @@ def test_queue_ownership_checked():
     data["queue"].insert(0, {"agent": "a1", "var": "x", "value": True})
     with pytest.raises(ScenarioError, match=r"^queue\[1\]: 'a1' does not control 'y'"):
         scenario_from_mapping(data)
+
+
+class Name(str):
+    """A str subclass: a name the queue accepts, though not of type str."""
+
+
+# Entry fields for the queue-parity grid: owners and owned variables, names of
+# the wrong kind or unhashable, and values that are not bools.
+QUEUE_NAMES = ["a1", "a2", "x", "y", Name("x"), ["x"], ("x",), b"x", None, 0, 1, 1.0,
+               float("nan"), "true"]
+QUEUE_VALUES = [True, False, None, 0, 1, 1.0, float("nan"), "true", [True]]
+NOT_ENTRIES = [None, 5, "a1", ["a1", "x", True], {"agent": "a1", "var": "x"},
+               {"agent": "a1", "var": "x", "value": True, "when": 0}, {}]
+
+
+def expected_queue_load(model, entries):
+    """The load's outcome by the spec: the first entry, by index, that is not a
+    mapping of exactly agent, var and value; else what ActionQueue raises for the
+    entries as ActionRequests (the error's text and type); else their requests."""
+    for index, item in enumerate(entries):
+        if not isinstance(item, Mapping) or set(item) != {"agent", "var", "value"}:
+            return f"queue[{index}] must map exactly agent, var and value: {item!r}", None
+    requests = [ActionRequest(e["agent"], e["var"], e["value"], i) for i, e in enumerate(entries)]
+    try:
+        return ActionQueue(model, requests).requests, "loaded"
+    except CoalGuardError as exc:
+        return str(exc), type(exc)
+
+
+def queue_load(entries):
+    data = minimal_mapping()
+    data["queue"] = entries
+    try:
+        return scenario_from_mapping(data).queue.requests, "loaded"
+    except ScenarioError as exc:
+        return str(exc), None if exc.__cause__ is None else type(exc.__cause__)
+
+
+def test_a_queue_loads_or_fails_as_its_spec_says():
+    """Over agents x variables x values, alone, after a valid entry and before
+    an entry that is not a mapping, and around each shape fault: the first shape
+    fault wins, else the queue's own error, with its type as the cause."""
+    model = scenario_from_mapping(minimal_mapping()).model
+    valid = {"agent": "a1", "var": "x", "value": True}
+    cases = [[valid, *NOT_ENTRIES], [MappingProxy(valid)], [OrderedDict(valid), valid]]
+    for agent, variable, value in itertools.product(QUEUE_NAMES, QUEUE_NAMES, QUEUE_VALUES):
+        entry = {"agent": agent, "var": variable, "value": value}
+        cases += [[entry], [valid, entry], [entry, ["x"]], [entry, valid]]
+    for bad in NOT_ENTRIES:
+        cases += [[bad], [valid, bad], [bad, {"agent": "a2", "var": "x", "value": True}]]
+    cases.append([{"agent": "a2", "var": "x", "value": True}, ["x"]])  # two faults: shape wins
+    outcomes = set()
+    for entries in cases:
+        got, want = queue_load(entries), expected_queue_load(model, entries)
+        assert repr(got) == repr(want), entries  # repr: nan is not equal to itself
+        outcomes.add(want[1])
+    assert outcomes == {"loaded", None, OwnershipViolationError, PreconditionError,
+                        UnknownVariableError}
 
 
 def xor_mapping():
