@@ -217,27 +217,17 @@ def _evaluation_order(masks: array) -> Sequence[int]:
     return masks
 
 
-@functools.lru_cache(maxsize=32)
-def _level(ranks: tuple[int, ...], cardinality: int, code: str) -> tuple[array, array]:
-    """For requesters whose ranks in name order are ``ranks``: the positions of
-    their keep tuples of ``cardinality`` in ``itertools.combinations`` order,
-    sorted by tuple (0, 1, ... when the ranks ascend), and the tuples' masks, bit
-    i for requester i, as ``code``. Read-only and shared; an entry holds at most
-    C(16, 8) = 12,870 of each, 2 + 8 bytes, so the 32 kept take under 4 MiB."""
-    level = list(itertools.combinations(ranks, cardinality))
-    positions = sorted(range(len(level)), key=level.__getitem__)
-    masks = list(map(sum, itertools.combinations([1 << i for i in range(len(ranks))], cardinality)))
-    return array("H", positions), array(code, map(masks.__getitem__, positions))
-
-
 @functools.lru_cache(maxsize=16)
 def _plan(requesters: tuple[str, ...], cardinality: int, code: str) -> tuple[tuple, array, int]:
-    """A level's keep tuples in name order, ``_level``'s masks and lane constant ``ones``; 16
-    entries hold a tick's every level, each at most 12,870 tuples of 104 bytes: under 26 MiB."""
-    positions, masks = _level(tuple(map(sorted(requesters).index, requesters)), cardinality, code)
+    """A level's keep tuples in name order, their masks, bit i for requester i, as
+    ``code``, and the lane constant ``ones``. 16 entries hold a tick's every level,
+    each at most 12,870 tuples of 104 bytes and as many masks of 8: under 28 MiB."""
     level = list(itertools.combinations(requesters, cardinality))
-    ones = int.from_bytes(array(code, [1]) * len(masks), sys.byteorder)
-    return tuple(map(level.__getitem__, positions)), masks, ones
+    bits = [1 << i for i in range(len(requesters))]
+    masks = list(map(sum, itertools.combinations(bits, cardinality)))
+    order = sorted(range(len(level)), key=level.__getitem__)  # name order
+    ones = int.from_bytes(array(code, [1]) * len(level), sys.byteorder)
+    return tuple(map(level.__getitem__, order)), array(code, map(masks.__getitem__, order)), ones
 
 
 def _false_counter(

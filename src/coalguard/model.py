@@ -9,7 +9,7 @@ variable; a batch of them is checked, applied or simulated against a state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -281,6 +281,14 @@ class ActionRequest:
 
 _set_agent, _set_variable, _set_new_value, _set_arrival_index = (  # cheaper than object.__setattr__
     ActionRequest.__dict__[f.name].__set__ for f in fields(ActionRequest))
+
+
+def _frozen(request: ActionRequest, name: str, *value) -> None:
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+# dataclass's own pair stays bound to the class slots=True replaces: TypeError for a non-field
+ActionRequest.__setattr__ = ActionRequest.__delattr__ = _frozen
 
 
 def check_request(model: Model, request: ActionRequest, last: Optional[ActionRequest]) -> None:

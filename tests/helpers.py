@@ -1,68 +1,61 @@
-"""Shared test oracles, deliberately independent of the library internals,
-except for the earlier library code kept as references, which imports the
-internals it used."""
+"""Shared test oracles, written from the definitions and independent of the
+library's internals: they use only names coalguard exports.
 
+There is one oracle per semantics: truth_eval for a formula's value, modal
+included; brute_diamond for <> with its witness; brute_audit for the audit's
+minimal coalitions; brute_prime_implicates for prime implicates; and
+enumerate_labelings for Horn renamings. Each enumerates its cases one by one.
+"""
+
+import functools
 import itertools
 import random
 from collections import deque
-from collections.abc import Mapping
-from functools import lru_cache
 
 from coalguard import (
     ActionRequest,
-    BudgetExceededError,
     BlockForRandomInterval,
     BlockUntilTick,
     BlockingMatrix,
     Diamond,
     GreedyIteration,
-    ModalFormulaError,
     Model,
     Not,
     OracleRound,
     Or,
-    PartialValuation,
     SystemState,
     TickRecord,
     Top,
-    UnknownAgentError,
     Var,
-    VulnerabilityFinding,
     build_matrix,
     eval_formula,
     rank_agents,
     simulate,
 )
-from coalguard.analysis import AUDIT_AGENT_CAP
-from coalguard.errors import require
-from coalguard.formula import (
-    DIAMOND_VARIABLE_CAP,
-    TRUTH_TABLE_VARIABLE_CAP,
-    _check_budget,
-    _compile,
-    _scope,
-    check_names,
-    coalition_names,
-    structure,
-    unassigned,
-    valuation_masks,
-)
 
 
 # ---------------------------------------------------------------------------
-# plain recursive evaluation (no model, no caches)
+# plain recursive evaluation (no caches)
 
 
-def truth_eval(f, valuation):
+def truth_eval(f, valuation, model=None):
+    """f's value at the valuation, read left to right: ``|`` stops at a true
+    left side and a <> at its first holding assignment, so the variables
+    never read may be left out; the first one read and missing raises
+    KeyError. A <>{C} g holds when one of assignments(model, C, g), over the
+    valuation, makes g true; only a modal f needs the model."""
     if isinstance(f, Top):
         return True
     if isinstance(f, Var):
         return valuation[f.name]
     if isinstance(f, Not):
-        return not truth_eval(f.child, valuation)
+        return not truth_eval(f.child, valuation, model)
     if isinstance(f, Or):
-        return truth_eval(f.left, valuation) or truth_eval(f.right, valuation)
-    raise ValueError(f"no modal nodes here: {f!r}")
+        return truth_eval(f.left, valuation, model) or truth_eval(f.right, valuation, model)
+    if isinstance(f, Diamond):
+        return any(truth_eval(f.child, {**valuation, **assignment}, model)
+                   for assignment in assignments(model, f.coalition, f.child))
+    raise ValueError(f"not a formula: {f!r}")
 
 
 def vars_in(f):
@@ -79,15 +72,40 @@ def vars_in(f):
     raise ValueError(f"not a formula: {f!r}")
 
 
+def assignments(model, coalition, f):
+    """Each assignment a coalition can make to the variables of f that it
+    owns, taken in model order: dicts in itertools.product order, False
+    before True, the first variable changing slowest."""
+    mentioned = vars_in(f)
+    scope = [v for v in model.variables if v in mentioned and model.owner_of(v) in coalition]
+    return (dict(zip(scope, bits)) for bits in itertools.product((False, True), repeat=len(scope)))
+
+
 def brute_diamond(model, state, coalition, f):
-    """Exhaustive check of the coalition ability operator."""
-    owned = [v for v in model.variables if model.owner_of(v) in set(coalition)]
-    for bits in itertools.product((False, True), repeat=len(owned)):
-        merged = dict(state.valuation)
-        merged.update(zip(owned, bits))
-        if truth_eval(f, merged):
-            return True
-    return False
+    """The first of assignments(model, coalition, f) that makes f true at the
+    state, or None when none does: <>{coalition} f holds exactly when one does."""
+    return next((assignment for assignment in assignments(model, coalition, f)
+                 if truth_eval(f, {**state.valuation, **assignment}, model)), None)
+
+
+def brute_audit(model, state):
+    """(formula index, coalition, witness) of each inclusion-minimal coalition
+    that can make a critical formula true: formula by formula, then by size,
+    then in itertools.combinations order over the agents in model order. The
+    witness is brute_diamond's. A coalition with an able proper subset is not
+    minimal, so it is not tried."""
+    found = []
+    for index, f in enumerate(model.critical_formulas):
+        able = []
+        for size in range(1, len(model.agents) + 1):
+            for combo in itertools.combinations(model.agents, size):
+                if any(set(other) < set(combo) for other in able):
+                    continue
+                witness = brute_diamond(model, state, combo, f)
+                if witness is not None:
+                    able.append(combo)
+                    found.append((index, combo, witness))
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -151,22 +169,36 @@ def formula_prime_implicates(f):
     return brute_prime_implicates(len(names), formula_table(f, names), names)
 
 
+def true_sets(num_vars):
+    """For each variable j, the valuations m < 2^num_vars with bit j of m set,
+    as a bitset: bit m is set when variable j is true at m."""
+    return [sum(1 << m for m in range(1 << num_vars) if (m >> j) & 1) for j in range(num_vars)]
+
+
+def falsified(clause, true_at, num_vars):
+    """The valuations, as a bitset, at which every literal of the clause is
+    false; a literal is a (key, positive) pair and true_at[key] the
+    valuations where key is true."""
+    out = (1 << (1 << num_vars)) - 1
+    for key, positive in clause:
+        out &= ~true_at[key] if positive else true_at[key]
+    return out
+
+
 def brute_prime_implicates(num_vars, table, names=None):
-    """Prime implicates of a truth table, one valuation at a time.
+    """Prime implicates of a truth table, from the definition.
 
     Tries all 3^num_vars clauses over names (x1..xn by default) as sets of
-    (name, positive): a clause is implied when every model of the table
-    (bit m set, names[j] being bit j of m) satisfies it, and prime when, in
-    addition, no clause with one literal dropped is implied.
+    (name, positive), where bit m of the table is the function at the
+    valuation giving names[j] bit j of m. A clause is implied when no
+    valuation of the table falsifies it, and prime when, in addition, no
+    clause with one literal dropped is implied.
     """
     names = names or [f"x{j + 1}" for j in range(num_vars)]
-    models = [m for m in range(1 << num_vars) if (table >> m) & 1]
+    true_at = dict(zip(names, true_sets(num_vars)))
 
     def implied(clause):
-        return all(
-            any(bool((m >> names.index(name)) & 1) == positive for name, positive in clause)
-            for m in models
-        )
+        return not falsified(clause, true_at, num_vars) & table
 
     primes = set()
     for signs in itertools.product((None, True, False), repeat=num_vars):
@@ -213,13 +245,8 @@ def random_model(rng, max_vars=10, max_agents=6, max_formulas=4):
         partition[agents[i % num_agents]].append(v)
 
     def literal_conjunction(span_vars):
-        parts = [
-            Var(v) if rng.random() < 0.5 else Not(Var(v)) for v in span_vars
-        ]
-        out = parts[0]
-        for p in parts[1:]:
-            out = out & p
-        return out
+        parts = [Var(v) if rng.random() < 0.5 else Not(Var(v)) for v in span_vars]
+        return functools.reduce(lambda a, b: a & b, parts)
 
     formulas = []
     for _ in range(rng.randint(1, max_formulas)):
@@ -227,11 +254,7 @@ def random_model(rng, max_vars=10, max_agents=6, max_formulas=4):
         span = [rng.choice(partition[a]), rng.choice(partition[b])]
         extras = rng.randint(0, 2)
         span += rng.sample(variables, min(extras, len(variables)))
-        seen = []
-        for v in span:
-            if v not in seen:
-                seen.append(v)
-        f = literal_conjunction(seen)
+        f = literal_conjunction(dict.fromkeys(span))
         if rng.random() < 0.3:
             f = Or(f, literal_conjunction(rng.sample(variables, rng.randint(1, 2))))
         formulas.append(f)
@@ -471,237 +494,3 @@ def record_to_dict(record: TickRecord) -> dict:
         "valuation": dict(record.valuation),
         "secure": record.secure,
     }
-
-
-# ---------------------------------------------------------------------------
-# the audit as it was before truth tables: one assignment search per coalition
-
-
-def first_witness(evaluate, valuation, relevant):
-    """The first assignment to ``relevant`` making ``evaluate(trial, True)`` true, or None.
-
-    Assignments are tried in itertools.product order, False before True, the
-    rest of the valuation held fixed. Capped at DIAMOND_VARIABLE_CAP variables.
-    """
-    if len(relevant) > DIAMOND_VARIABLE_CAP:
-        raise BudgetExceededError(f"coalition controls {len(relevant)} variables of the formula")
-    trial = dict(valuation)
-    for combo in itertools.product((False, True), repeat=len(relevant)):
-        assignment = dict(zip(relevant, combo))
-        trial.update(assignment)
-        if evaluate(trial, True):
-            return assignment
-    return None
-
-
-def reference_audit_loop(model, state):
-    """audit_vulnerabilities by first_witness on each candidate coalition.
-
-    Coalitions are enumerated by ascending size; supersets of an already
-    reported coalition are skipped, which is exact because ability is
-    monotone under adding agents. An agent owning none of a formula's
-    variables adds nothing to a coalition, so only the formula's own agents
-    are combined, in model order, and an agent able alone joins no larger
-    coalition. A formula already true at the state is the exception: there
-    every agent alone is able, so no larger coalition is tried.
-    AUDIT_AGENT_CAP bounds the agents combined for one formula.
-    """
-    require(model, Model, "model")
-    require(state, SystemState, "state")
-    compiled = model.compiled
-    if any(compiled.coalitions):
-        raise ModalFormulaError("the audit requires propositional critical formulas")
-    for variable in model.variables:
-        state.value(variable)  # raises for a variable the state leaves unassigned
-    findings = []
-    for index, f in enumerate(model.critical_formulas):
-        used = compiled.variables[index]
-        owners = [(v, model.owner_of(v)) for v in model.variables if v in used]  # model order
-        if compiled.evaluators[index](state.valuation, True):
-            candidates = model.agents
-        else:
-            candidates = tuple(a for a in model.agents if a in compiled.agents[index])
-            if len(candidates) > AUDIT_AGENT_CAP:
-                raise BudgetExceededError(
-                    f"formula {index}: {len(candidates)} agents exceed the audit cap "
-                    f"of {AUDIT_AGENT_CAP}"
-                )
-        minimal: list[frozenset[str]] = []
-        for size in range(1, len(candidates) + 1):
-            for combo in itertools.combinations(candidates, size):
-                members = frozenset(combo)
-                if any(found <= members for found in minimal):
-                    continue
-                relevant = tuple(v for v, owner in owners if owner in members)
-                assignment = first_witness(compiled.evaluators[index], state.valuation, relevant)
-                if assignment is not None:
-                    minimal.append(members)
-                    witness = PartialValuation(members, assignment)
-                    findings.append(VulnerabilityFinding(index, f, combo, witness))
-            if size == 1:  # an agent able alone is in no larger minimal coalition
-                candidates = tuple(a for a in candidates if frozenset((a,)) not in minimal)
-    return tuple(findings)
-
-
-# ---------------------------------------------------------------------------
-# prime implicates clause by clause, and Horn renaming by 2-SAT: the code the
-# bitset merge and the renaming's truth table in coalguard.formula replaced
-
-
-@lru_cache(maxsize=None)  # one entry per variable count, at most the cap + 1
-def _all_clauses(
-    num_vars: int,
-) -> tuple[tuple[int, tuple[tuple[int, bool], ...], tuple[int, ...]], ...]:
-    """Every clause over x1..x{num_vars} as (falsified, literals, drops).
-
-    falsified is the bitset of the valuations that falsify the clause,
-    literals its (variable index, positive) pairs by index, and drops the
-    positions of the clauses with one literal dropped. A clause's position
-    sums 3^j for a literal x{j+1} and 2 * 3^j for its negation. Raises
-    BudgetExceededError past TRUTH_TABLE_VARIABLE_CAP variables.
-    """
-    if num_vars > TRUTH_TABLE_VARIABLE_CAP:
-        raise BudgetExceededError(
-            f"{num_vars} variables exceed the truth-table cap of {TRUTH_TABLE_VARIABLE_CAP}"
-        )
-    full = (1 << (1 << num_vars)) - 1
-    clauses = [(full, (), ())]
-    for j, mask in enumerate(valuation_masks(num_vars)):
-        size = len(clauses)
-        for digit, positive, falsified in ((1, True, full ^ mask), (2, False, mask)):
-            for code, (bits, literals, drops) in enumerate(clauses[:size]):
-                dropped = (*(d + digit * size for d in drops), code)
-                clauses.append((bits & falsified, (*literals, (j, positive)), dropped))
-    return tuple(clauses)
-
-
-def _prime_implicates(clauses, table: int) -> list[tuple[tuple[int, bool], ...]]:
-    """The literals of each clause of _all_clauses that the table implies (no
-    model falsifies it) while it implies none of the clause's drops."""
-    implied = [not bits & table for bits, _, _ in clauses]
-    return [
-        literals
-        for (_, literals, drops), holds in zip(clauses, implied)
-        if holds and not any(map(implied.__getitem__, drops))
-    ]
-
-
-def scan_prime_implicates(num_vars, table):
-    """The prime implicates of a truth table, as the clause scan lists them."""
-    return _prime_implicates(_all_clauses(num_vars), table)
-
-
-def horn_renaming_2sat(clauses):
-    """The variables to flip so that every clause keeps at most one positive
-    literal, or None when no renaming does (Lewis, JACM 1978).
-
-    A literal is a (variable, positive) pair. Clauses already Horn need no
-    flip; otherwise the standard 2-SAT reduction decides.
-    """
-    clauses = tuple(clauses)
-    if all(sum(positive for _, positive in clause) <= 1 for clause in clauses):
-        return frozenset()
-    # For every pair of literals in a clause, at most one may stay positive
-    # after renaming: flip-literal(l) = s_v when l is positive, ~s_v when
-    # negative; each pair contributes (flip(l1) | flip(l2)).
-    constraints = [pair for c in clauses for pair in itertools.combinations(sorted(c), 2)]
-    constrained = {v for pair in constraints for v, _ in pair}
-    solution = _solve_2sat(sorted(constrained), constraints)
-    if solution is None:
-        return None
-    return frozenset(v for v, flip in solution.items() if flip)
-
-
-def _solve_2sat(variables, clauses):
-    """Satisfy clauses of pairs of (variable, wanted-value) literals.
-
-    Tries each variable's True branch first; if its implication closure
-    conflicts, the opposite value is forced. A consistent closure can always
-    be committed in 2-SAT, so no deeper backtracking is needed.
-    """
-    implications: dict[tuple[str, bool], list[tuple[str, bool]]] = {}
-    for a, b in clauses:
-        implications.setdefault((a[0], not a[1]), []).append(b)
-        implications.setdefault((b[0], not b[1]), []).append(a)
-
-    assignment: dict[str, bool] = {}
-    for variable in variables:
-        if variable in assignment:
-            continue
-        closure = (_close((variable, True), assignment, implications)
-                   or _close((variable, False), assignment, implications))
-        if closure is None:
-            return None
-        assignment.update(closure)
-    return assignment
-
-
-def _close(start, assignment, implications):
-    trial: dict[str, bool] = {}
-    stack = [start]
-    while stack:
-        variable, value = stack.pop()
-        current = assignment.get(variable, trial.get(variable))
-        if current is not None:
-            if current != value:
-                return None
-            continue
-        trial[variable] = value
-        stack.extend(implications.get((variable, value), ()))
-    return trial
-
-
-# ---------------------------------------------------------------------------
-# eval_formula and diamond_holds as they were before formula._truth_table
-# served both, copied from the library as its references
-
-
-def eval_formula_reference(f, model, state):
-    """eval_formula over its own recursion, _eval."""
-    check_names(f, model)
-    valuation = getattr(state, "valuation", state)
-    require(valuation, Mapping, "a state's valuation")
-    try:
-        return _eval(f, model, valuation, {})
-    except KeyError as exc:
-        raise unassigned(exc.args[0]) from None
-
-
-def _eval(f, model, valuation, scopes):
-    """f's truth; scopes maps id(<> node) to the variables it assigns."""
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Var):
-        return valuation[f.name]
-    if isinstance(f, Not):
-        return not _eval(f.child, model, valuation, scopes)
-    if isinstance(f, Or):
-        return _eval(f.left, model, valuation, scopes) or _eval(f.right, model, valuation, scopes)
-    relevant = scopes.get(id(f))  # a Diamond: check_names refused any other node
-    if relevant is None:
-        relevant = scopes[id(f)] = _scope(model, f.coalition, structure(f.child)[0])
-    _check_budget(relevant)
-    trials = ({**valuation, **dict(zip(relevant, combo))}
-              for combo in itertools.product((False, True), repeat=len(relevant)))
-    return any(_eval(f.child, model, trial, scopes) for trial in trials)
-
-
-def diamond_holds_reference(model, state, coalition, f):
-    """diamond_holds by a compiled closure called once per assignment."""
-    require(state, SystemState, "state")
-    used, _ = check_names(f, model, "ability checks take a propositional formula")
-    members = coalition_names(coalition)
-    missing = members - model.agent_set
-    if missing:
-        raise UnknownAgentError(f"unknown agents: {sorted(missing, key=repr)}")
-    relevant = _scope(model, members, used)
-    _check_budget(relevant)
-    evaluate, trial = _compile(f, model, set()), dict(state.valuation)
-    try:
-        for combo in itertools.product((False, True), repeat=len(relevant)):
-            trial.update(zip(relevant, combo))
-            if evaluate(trial, True):
-                return True, PartialValuation(members, zip(relevant, combo))
-    except KeyError as exc:
-        raise unassigned(exc.args[0]) from None
-    return False, None

@@ -20,7 +20,6 @@ from coalguard import (
     Var,
     audit_vulnerabilities,
     build_state_graph,
-    diamond_holds,
     eval_formula,
     format_formula,
     formula_from_truth_table,
@@ -37,12 +36,12 @@ from coalguard import analysis as analysis_mod, disjoin, formula as formula_mod
 from coalguard.analysis import AUDIT_AGENT_CAP, SurveyRow, _connected
 from coalguard.formula import valuation_masks
 from helpers import (
+    brute_audit,
     brute_prime_implicates,
     random_formula,
     random_model,
     random_secure_state,
     read_clauses,
-    reference_audit_loop,
     reference_secure_path,
     truth_eval,
 )
@@ -228,10 +227,11 @@ def audit_compact(findings):
 
 
 @given(st.integers(0, 2**32 - 1))
-def test_audit_matches_the_per_coalition_loop(seed):
-    """The audit on truth tables finds the coalitions, in the same order, and
-    the witnesses that first_witness found coalition by coalition, at secure
-    starts, insecure ones and states where some formula already holds."""
+def test_audit_matches_exhaustive_reference(seed):
+    """The audit on truth tables lists brute_audit's minimal coalitions, in
+    its order, with its witnesses, over formulas wider than the random
+    models' own: at a secure start, at random starts, and at a start where
+    some formula already holds."""
     rng = random.Random(seed)
     model = random_model(rng, max_vars=9, max_agents=6, max_formulas=3)
     wider = [random_formula(rng, model.variables, depth=4) for _ in range(2)]
@@ -239,46 +239,17 @@ def test_audit_matches_the_per_coalition_loop(seed):
                   model.critical_formulas + tuple(wider))
     states = [random_secure_state(rng, model)]
     states += [SystemState(0, {v: rng.random() < 0.5 for v in model.variables}) for _ in range(3)]
-    for state in filter(None, states):
-        findings = audit_vulnerabilities(model, state)
-        assert audit_compact(findings) == audit_compact(reference_audit_loop(model, state))
-        assert all(type(value) is bool for f in findings for value in f.witness.assignment.values())
-
-
-def reference_audit(model, state):
-    """diamond_holds on every coalition of every agent, then the minimal ones."""
-    found = []
-    for index, f in enumerate(model.critical_formulas):
-        able = {}
-        for size in range(1, len(model.agents) + 1):
-            for combo in itertools.combinations(model.agents, size):
-                verdict, witness = diamond_holds(model, state, combo, f)
-                if verdict:
-                    able[combo] = dict(witness.assignment)
-        for combo, assignment in able.items():
-            if not any(set(other) < set(combo) for other in able):
-                found.append((index, combo, assignment))
-    return found
-
-
-@given(st.integers(0, 2**32 - 1))
-def test_audit_matches_exhaustive_reference(seed):
-    rng = random.Random(seed)
-    model = random_model(rng, max_vars=7, max_agents=5, max_formulas=3)
-    starts = [random_secure_state(rng, model)]
     masks = list(range(1 << len(model.variables)))
     rng.shuffle(masks)
     for mask in masks:  # an insecure start, where some formula already holds
         valuation = {v: bool((mask >> j) & 1) for j, v in enumerate(model.variables)}
         if any(truth_eval(f, valuation) for f in model.critical_formulas):
-            starts.append(SystemState(0, valuation))
+            states.append(SystemState(0, valuation))
             break
-    for state in starts:
-        if state is None:
-            continue
+    for state in filter(None, states):
         findings = audit_vulnerabilities(model, state)
-        compact = [(f.formula_index, f.coalition, dict(f.witness.assignment)) for f in findings]
-        assert compact == reference_audit(model, state)
+        assert audit_compact(findings) == brute_audit(model, state)
+        assert all(type(value) is bool for f in findings for value in f.witness.assignment.values())
 
 
 def test_xor_secure_set_disconnected(xor_model):
@@ -537,6 +508,8 @@ def test_audit_agent_budget():
     message = f"{past} agents exceed the audit cap of {AUDIT_AGENT_CAP}"
     with pytest.raises(BudgetExceededError, match=message):
         audit_vulnerabilities(wide, low)
+    at_cap = Model(agents, variables, partition, (disjoin(map(Var, variables[1:])),))
+    assert len(audit_vulnerabilities(at_cap, low)) == AUDIT_AGENT_CAP  # each able alone
     # where the formula already holds, every agent alone is able and none is combined
     high = SystemState(0, {v: True for v in variables})
     assert [f.coalition for f in audit_vulnerabilities(wide, high)] == [(a,) for a in agents]
@@ -592,23 +565,20 @@ def test_the_audit_runs_each_formula_once(monkeypatch):
     """The audit reads each critical formula's truth table and never searches
     a coalition's assignments one at a time, which would run the formula's
     evaluator once per assignment: over the seed-1 analyze scenarios its 120
-    evaluators run 120 times, where the per-coalition loop ran them 1,470."""
-    counts = {"table": 0, "loop": 0}
+    evaluators run 120 times, where the per-coalition search it replaced
+    ran them 1,470 times."""
+    calls = []
 
-    def counting(evaluate, key):
-        def counted(lanes, ones):
-            counts[key] += 1
-            return evaluate(lanes, ones)
-        return counted
+    def counting(evaluate):
+        return lambda lanes, ones: calls.append(ones) or evaluate(lanes, ones)
 
     for scenario in analyze_scenarios(monkeypatch):
         model = scenario.model
-        for key, audit in (("table", audit_vulnerabilities), ("loop", reference_audit_loop)):
-            evaluators = tuple(counting(e, key) for e in model.compiled.evaluators)
-            twin = Model(model.agents, model.variables, model.partition, model.critical_formulas)
-            object.__setattr__(twin, "compiled", model.compiled._replace(evaluators=evaluators))
-            audit(twin, scenario.initial_state)
-    assert counts == {"table": 120, "loop": 1470}
+        evaluators = tuple(map(counting, model.compiled.evaluators))
+        twin = Model(model.agents, model.variables, model.partition, model.critical_formulas)
+        object.__setattr__(twin, "compiled", model.compiled._replace(evaluators=evaluators))
+        audit_vulnerabilities(twin, scenario.initial_state)
+    assert len(calls) == 120
 
 
 def test_the_audit_reads_what_the_model_found(monkeypatch):

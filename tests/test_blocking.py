@@ -516,17 +516,15 @@ def renamed_cycle(size, names):
 
 
 def test_oracle_caches_serve_interleaved_models_with_other_names():
-    """The levels' masks are cached per pattern of the requesters' name ranks,
-    their plans per requester tuple and the trace's subset text per keep
-    tuple. Four 6-cycles take turns: two name their agents in name order, two
-    against it, each pair with other names, so a tick reads masks that a tick
-    of another model cached, and a plan that an earlier tick of its own built."""
+    """The levels are planned per requester tuple and the trace's subset text
+    cached per keep tuple. Four 6-cycles take turns: two name their agents in
+    name order, two against it, each pair with other names, so a tick reads
+    a plan that an earlier tick of its own model built."""
     plain = build_cycle_instance(6)
     forwards = renamed_cycle(6, [f"q{i + 1}" for i in range(6)])
     backwards = renamed_cycle(6, [f"r{6 - i}" for i in range(6)])
     reversed_too = renamed_cycle(6, [f"s{6 - i}" for i in range(6)])
     assert list(backwards[0].agents) != sorted(backwards[0].agents)
-    blocking_mod._level.cache_clear()
     blocking_mod._plan.cache_clear()
     text_hits = scenario_mod._subset_json.cache_info().hits
     for seed in range(3):
@@ -541,10 +539,9 @@ def test_oracle_caches_serve_interleaved_models_with_other_names():
                 record_to_dict(record), sort_keys=True, separators=(",", ":")
             )
     # 4 models x 3 levels (six requesters, three blocked), met by 3 seeds x 2
-    # calls: each model plans its levels once; the plans share two rank patterns
-    plans, levels = blocking_mod._plan.cache_info(), blocking_mod._level.cache_info()
+    # calls: each model plans its levels once
+    plans = blocking_mod._plan.cache_info()
     assert (plans.misses, plans.hits) == (4 * 3, 4 * 3 * 3 * 2 - 4 * 3)
-    assert (levels.misses, levels.hits) == (2 * 3, 4 * 3 - 2 * 3)
     assert scenario_mod._subset_json.cache_info().hits > text_hits
 
 

@@ -28,12 +28,12 @@ from coalguard import (
 from coalguard import formula as formula_mod
 from coalguard.formula import structure
 from helpers import (
-    eval_formula_reference,
     random_formula,
     random_model,
     random_requests,
     random_secure_state,
     run_batch,
+    truth_eval,
     vars_in,
 )
 
@@ -222,30 +222,39 @@ def outcome(call):
         return type(exc), str(exc)
 
 
+def truth_outcome(f, model, valuation):
+    """truth_eval's value, or the error eval_formula raises for the first
+    variable truth_eval reads and the valuation leaves out."""
+    try:
+        return truth_eval(f, valuation, model)
+    except KeyError as exc:
+        return UnknownVariableError, f"state does not assign {exc.args[0]!r}"
+
+
 @given(seeds, st.booleans(), st.booleans())
-def test_eval_formula_matches_its_former_recursion(seed, modal, partial):
-    """eval_formula against _eval, the recursion it had of its own, on modal
-    and propositional formulas over bools and the ints 0 and 1, in a plain
-    mapping and a SystemState: the same truth, or, where a partial state
-    leaves out a variable that f reads, the same error naming it."""
+def test_eval_formula_matches_truth_eval(seed, modal, partial):
+    """eval_formula against truth_eval, on modal and propositional formulas
+    over bools and the ints 0 and 1, in a plain mapping and a SystemState:
+    the same truth, or, where a partial state leaves out a variable that f
+    reads, the error naming the first one truth_eval reads: reads go left to
+    right, | stops at a true left side and <> at its first holding assignment."""
     rng = random.Random(seed)
     model = random_model(rng, max_vars=7, max_agents=4)
     f = modal_formula(rng, model) if modal else random_formula(rng, list(model.variables))
     for _ in range(4):
         valuation = {v: rng.choice((False, True, 0, 1)) for v in model.variables
                      if not partial or rng.random() < 0.8}
+        expected = truth_outcome(f, model, valuation)
         for state in (valuation, SystemState(0, valuation)):
-            expected = outcome(lambda: eval_formula_reference(f, model, state))
             got = outcome(lambda: eval_formula(f, model, state))
             assert got == expected if isinstance(expected, tuple) else got is bool(expected)
 
 
 def test_a_diamond_stops_at_its_first_holding_assignment():
     """<>{a1} (~x | y) holds at x = false, before any assignment reads y,
-    which the state leaves out: true, as under the former recursion, and
-    no UnknownVariableError."""
+    which the state leaves out: true, and no UnknownVariableError."""
     f, state = parse_formula("<>{a1} (~x | y)"), {"x": True}
-    assert eval_formula(f, BASE, state) is eval_formula_reference(f, BASE, state) is True
+    assert eval_formula(f, BASE, state) is truth_eval(f, state, BASE) is True
 
 
 @pytest.mark.parametrize("value", [2, -1, 1.0, None, "1"])

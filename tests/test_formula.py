@@ -39,14 +39,14 @@ from coalguard.formula import (
     structure,
     valuation_masks,
 )
-import helpers
 from helpers import (
+    brute_prime_implicates,
     enumerate_labelings,
+    falsified,
     formula_prime_implicates,
     formula_table,
-    horn_renaming_2sat,
     random_formula,
-    scan_prime_implicates,
+    true_sets,
     truth_eval,
     vars_in,
 )
@@ -345,17 +345,38 @@ def _tables(num_vars):
             + [draw() | draw() | draw() for _ in range(2)] + [0, full])
 
 
-@pytest.mark.parametrize("num_vars", range(11))
+def clause_code(clause):
+    """The code of a clause of (variable index, positive) literals: 3^j for a
+    literal x{j+1} and 2 * 3^j for its negation, summed."""
+    return sum((1 if positive else 2) * 3 ** j for j, positive in clause)
+
+
+@pytest.mark.parametrize("num_vars", range(TRUTH_TABLE_VARIABLE_CAP + 1))
 def test_prime_implicates_merged_on_bitsets_match_the_clause_scan(num_vars):
-    """The bitset merge lists the primes the clause-by-clause scan listed, in
-    its order (lowest clause code first), from no variables up to the cap."""
+    """The bitset merge lists the primes in code order, lowest first, each
+    clause's literals by variable. Up to 6 variables they are the primes of
+    brute_prime_implicates' scan of every clause, on every table up to 3
+    variables and on sampled ones. From 7 to the cap, where that scan is
+    slow, each clause is checked from the definition: the table implies it
+    but none with a literal dropped, and the clauses' conjunction is the table."""
     literals, steps, _ = _clause_codes(num_vars)
     assert len(literals) == 3 ** num_vars and len(steps) == num_vars
+    true_at, full = true_sets(num_vars), (1 << (1 << num_vars)) - 1
     for table in _tables(num_vars):
         primes = _decode(literals, _prime_implicates(steps, table))
-        assert primes == scan_prime_implicates(num_vars, table), (num_vars, table)
-    if num_vars == TRUTH_TABLE_VARIABLE_CAP:
-        helpers._all_clauses.cache_clear()  # the scan's clauses hold 56 MiB at 10
+        if num_vars <= 6:
+            expected = brute_prime_implicates(num_vars, table, list(range(num_vars)))
+            assert primes == sorted((tuple(sorted(c)) for c in expected), key=clause_code), table
+            continue
+        codes = list(map(clause_code, primes))
+        assert codes == sorted(set(codes)), table
+        conjunction = full
+        for clause in primes:
+            assert not falsified(clause, true_at, num_vars) & table, (table, clause)
+            for i in range(len(clause)):
+                assert falsified(clause[:i] + clause[i + 1:], true_at, num_vars) & table
+            conjunction &= ~falsified(clause, true_at, num_vars)
+        assert conjunction == table
 
 
 def test_no_variables_have_the_empty_clause_or_no_prime():
@@ -379,16 +400,29 @@ def test_the_horn_bit_test_is_horn_renamings_own():
     assert verdicts == {True, False}
 
 
-def test_horn_renaming_on_its_truth_table_matches_the_2sat_search():
-    """The renaming's truth table picks the solution the 2-SAT search
-    committed to: on every table's primes up to 3 variables, on sampled
-    4-variable tables, and on random clause sets over named variables."""
+def greatest_renaming(clauses):
+    """horn_renaming's documented answer: no flip for clauses already Horn;
+    else, of enumerate_labelings' flip sets of the names in clauses of two
+    or more literals, the greatest, the first name in sorted order the
+    highest bit; else None."""
+    clauses = [tuple(clause) for clause in clauses]
+    if all(sum(positive for _, positive in clause) <= 1 for clause in clauses):
+        return frozenset()
+    names = sorted({name for clause in clauses if len(clause) > 1 for name, _ in clause})
+    labelings = [flips for flips in enumerate_labelings(clauses) if flips <= set(names)]
+    return max(labelings, key=lambda flips: [name in flips for name in names], default=None)
+
+
+def test_horn_renaming_is_the_greatest_labeling():
+    """horn_renaming gives greatest_renaming's flips: on every table's primes
+    up to 3 variables, on sampled 4-variable tables, and on random clause
+    sets over named variables."""
     samples = [(n, table) for n in range(4) for table in _tables(n)]
     samples += [(4, table) for table in random.Random(0).sample(range(1 << 16), 300)]
     for num_vars, table in samples:
         literals, steps, _ = _clause_codes(num_vars)
         clauses = _decode(literals, _prime_implicates(steps, table))
-        assert horn_renaming(clauses) == horn_renaming_2sat(clauses), (num_vars, table)
+        assert horn_renaming(clauses) == greatest_renaming(clauses), (num_vars, table)
     rng = random.Random(5)
     outcomes = set()
     for _ in range(3000):
@@ -396,7 +430,7 @@ def test_horn_renaming_on_its_truth_table_matches_the_2sat_search():
         widths = [rng.randint(0, min(4, len(names))) for _ in range(rng.randint(0, 8))]
         clauses = [tuple((v, rng.random() < 0.6) for v in rng.sample(names, k)) for k in widths]
         found = horn_renaming(clauses)
-        assert found == horn_renaming_2sat(clauses), clauses
+        assert found == greatest_renaming(clauses), clauses
         outcomes.add("none" if found is None else "flips" if found else "kept")
     assert outcomes == {"none", "flips", "kept"}
 
