@@ -20,6 +20,7 @@ from coalguard import (
     Var,
     audit_vulnerabilities,
     build_state_graph,
+    diamond_holds,
     eval_formula,
     format_formula,
     formula_from_truth_table,
@@ -250,6 +251,36 @@ def test_audit_matches_exhaustive_reference(seed):
         findings = audit_vulnerabilities(model, state)
         assert audit_compact(findings) == brute_audit(model, state)
         assert all(type(value) is bool for f in findings for value in f.witness.assignment.values())
+
+
+def per_coalition_loop(model, state):
+    """diamond_holds on every coalition of every agent, then the minimal ones:
+    the audit's definition asked one coalition at a time."""
+    found = []
+    for index, f in enumerate(model.critical_formulas):
+        able = {}
+        for size in range(1, len(model.agents) + 1):
+            for combo in itertools.combinations(model.agents, size):
+                verdict, witness = diamond_holds(model, state, combo, f)
+                if verdict:
+                    able[combo] = dict(witness.assignment)
+        for combo, assignment in able.items():
+            if not any(set(other) < set(combo) for other in able):
+                found.append((index, combo, assignment))
+    return found
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_audit_matches_the_per_coalition_loop(seed):
+    """The audit on truth tables finds the coalitions, in the same order, and
+    the witnesses that diamond_holds finds coalition by coalition, at secure
+    starts and random ones."""
+    rng = random.Random(seed)
+    model = random_model(rng, max_vars=7, max_agents=5, max_formulas=3)
+    states = [random_secure_state(rng, model)]
+    states += [SystemState(0, {v: rng.random() < 0.5 for v in model.variables}) for _ in range(2)]
+    for state in filter(None, states):
+        assert audit_compact(audit_vulnerabilities(model, state)) == per_coalition_loop(model, state)
 
 
 def test_xor_secure_set_disconnected(xor_model):
