@@ -7,7 +7,6 @@ minimal coalitions; brute_prime_implicates for prime implicates; and
 enumerate_labelings for Horn renamings. Each enumerates its cases one by one.
 """
 
-import functools
 import itertools
 import random
 from collections import deque
@@ -245,8 +244,13 @@ def random_model(rng, max_vars=10, max_agents=6, max_formulas=4):
         partition[agents[i % num_agents]].append(v)
 
     def literal_conjunction(span_vars):
-        parts = [Var(v) if rng.random() < 0.5 else Not(Var(v)) for v in span_vars]
-        return functools.reduce(lambda a, b: a & b, parts)
+        parts = [
+            Var(v) if rng.random() < 0.5 else Not(Var(v)) for v in span_vars
+        ]
+        out = parts[0]
+        for p in parts[1:]:
+            out = out & p
+        return out
 
     formulas = []
     for _ in range(rng.randint(1, max_formulas)):
@@ -254,7 +258,11 @@ def random_model(rng, max_vars=10, max_agents=6, max_formulas=4):
         span = [rng.choice(partition[a]), rng.choice(partition[b])]
         extras = rng.randint(0, 2)
         span += rng.sample(variables, min(extras, len(variables)))
-        f = literal_conjunction(dict.fromkeys(span))
+        seen = []
+        for v in span:
+            if v not in seen:
+                seen.append(v)
+        f = literal_conjunction(seen)
         if rng.random() < 0.3:
             f = Or(f, literal_conjunction(rng.sample(variables, rng.randint(1, 2))))
         formulas.append(f)

@@ -15,9 +15,11 @@ For each mutant, the test files in TESTS run with ``-x`` under a timeout. A
 mutant is killed when they fail or time out, and survives when they pass.
 Pytest does not collect this file, and it is not part of the tier-1 run:
 
-    python tests/mutate.py                          # every target
-    python tests/mutate.py --only formula.horn_renaming --jobs 1
+    python tests/mutate.py
     python tests/mutate.py --root ../other-checkout --out mutants.json
+
+The timeout per mutant is 5 times the unmutated run, at least 30 s, and
+JOBS trees are tested at once.
 
 ``--root`` mutates and tests another checkout of the repository, so that two
 revisions' results can be compared mutant by mutant: a mutant is named by its
@@ -46,6 +48,7 @@ TARGETS = {
 }
 TESTS = ("tests/test_formula.py", "tests/test_compiled.py", "tests/test_model.py",
          "tests/test_analysis.py")
+JOBS = min(2, os.cpu_count() or 1)
 
 COMPARISONS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
                ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
@@ -135,40 +138,22 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                         help="the checkout to mutate (default: this one)")
-    parser.add_argument("--only", action="append", metavar="MODULE.FUNCTION",
-                        help="mutate only these targets (repeatable)")
-    parser.add_argument("--jobs", type=int, default=min(2, os.cpu_count()),
-                        help="trees tested at once (default: 2, or 1 on one CPU)")
-    parser.add_argument("--timeout", type=float, default=None,
-                        help="seconds per mutant (default: 5 times the unmutated run, "
-                             "at least 30)")
-    parser.add_argument("--list", action="store_true", help="list the mutants, run nothing")
     parser.add_argument("--out", type=Path, help="write the results here as JSON")
     args = parser.parse_args(argv)
-    if args.jobs < 1 or args.jobs > os.cpu_count():
-        parser.error(f"--jobs must be from 1 to {os.cpu_count()}")
-    known = {f"{module}.{name}" for module, names in TARGETS.items() for name in names}
-    if set(args.only or ()) - known:
-        parser.error(f"unknown targets {sorted(set(args.only) - known)}; known: {sorted(known)}")
 
     root = args.root.resolve()
     sources = {m: (root / "src" / "coalguard" / f"{m}.py").read_text(encoding="utf-8")
                for m in TARGETS}
-    todo = [(module, *mutant) for module in TARGETS for mutant in mutants(module, sources[module])
-            if not args.only or f"{module}.{mutant[0]}" in args.only]
-    if args.list:
-        for module, function, ordinal, kind, line, before, after, _ in todo:
-            print(f"{module}.{function} #{ordinal} {kind} line {line}: {before} -> {after}")
-        return 0
+    todo = [(module, *mutant) for module in TARGETS for mutant in mutants(module, sources[module])]
 
     began = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="coalguard-mutants-") as scratch:
-        trees = [_copy_tree(root, Path(scratch) / f"tree{i}") for i in range(args.jobs)]
+        trees = [_copy_tree(root, Path(scratch) / f"tree{i}") for i in range(JOBS)]
         unmutated = time.perf_counter()
         if not _run_tests(trees[0], None):
             print("the unmutated tests fail; no mutant was run", file=sys.stderr)
             return 1
-        timeout = args.timeout or max(30.0, 5 * (time.perf_counter() - unmutated))
+        timeout = max(30.0, 5 * (time.perf_counter() - unmutated))
         free = queue.Queue()  # the trees no mutant is being tested in
         for tree in trees:
             free.put(tree)
@@ -186,7 +171,7 @@ def main(argv=None):
             return {"module": module, "function": function, "ordinal": ordinal, "kind": kind,
                     "line": line, "before": before, "after": after, "killed": killed}
 
-        with ThreadPoolExecutor(args.jobs) as pool:
+        with ThreadPoolExecutor(JOBS) as pool:
             results = list(pool.map(run, todo))
 
     summary = {}
