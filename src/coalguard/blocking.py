@@ -52,7 +52,7 @@ class BlockingMatrix:
 
 def build_matrix(model: Model, report: SimulationReport) -> BlockingMatrix:
     """The matrix of one simulation report, with its column sums counted cell
-    by cell: the reference each greedy round's incremental counters equal."""
+    by cell; greedy_block keeps its own counters and does not call it."""
     require(model, Model, "model")
     require(report, SimulationReport, "report")
     rows, cols = report.became_true, report.implicated_agents
@@ -128,9 +128,9 @@ def greedy_block(
     values and re-evaluates only the formulas over those that changed. Each
     agent keeps a counter of the would-flip formulas it controls, moved as
     those formulas flip in or out, so no round rebuilds the matrix or sorts
-    by a tuple key; every round still equals ``simulate``, ``build_matrix``
-    and ``rank_agents`` on the surviving batch. Terminates after at most one
-    round per requester.
+    by a tuple key; every round still equals the round that reference_greedy
+    in tests/helpers.py builds from the definition on the surviving batch.
+    Terminates after at most one round per requester.
     """
     check_tie_break(tie_break)
     batch = check_batch(model, batch)

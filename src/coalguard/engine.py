@@ -17,7 +17,7 @@ from typing import Optional
 from .blocking import BlockReport, check_tie_break, greedy_block, nondet_block
 from .errors import CoalGuardError, PreconditionError, require
 from .model import ActionRequest, CheckedBatch, Model, SystemState, apply_actions, check_request
-from .model import check_batch, is_secure, simulate  # callers still read the batch layer here
+from .model import is_secure, simulate  # simulate: the benchmark reads engine.simulate
 
 POLICIES = ("none", "greedy", "nondeterministic")
 

@@ -363,16 +363,13 @@ def unassigned(variable: str) -> UnknownVariableError:
     return UnknownVariableError(f"state does not assign {variable!r}")
 
 
-def check_names(f: Formula, model, modal: Optional[str] = None) -> Structure:
+def check_names(f: Formula, model, modal: Optional[str] = None,
+                found: Optional[Structure] = None) -> Structure:
     """Raise PreconditionError for a model that is not a Model, then what
     checked_structure raises, then ModalFormulaError(modal) for a modal f if
     modal is given, then for the first undeclared variable or agent that f
-    names; else return f's structure."""
-    return _check_names(f, model, modal, None)
-
-
-def _check_names(f: Formula, model, modal: Optional[str], found: Optional[Structure]) -> Structure:
-    """check_names, reading f's structure from found when its entry walked f already."""
+    names; else return f's structure, read from found when its entry walked
+    f already."""
     if not isinstance(getattr(model, "variable_set", None), frozenset):  # Model is a layer up
         raise PreconditionError(f"model must be a Model, not {model!r}")
     used, coalitions = found or checked_structure(f)
@@ -418,7 +415,7 @@ def compile_formula(f: Formula, model) -> Evaluator:
     FORMULA_DEPTH_CAP levels raises BudgetExceededError."""
     found = checked_structure(f)
     if found[1]:
-        _check_names(f, model, None, found)
+        check_names(f, model, None, found)
     return _compile(f, model, set())
 
 

@@ -51,7 +51,7 @@ class Model:
         once, by a declared agent, and no agent or variable name repeats.
         Then check that the critical formulas name only declared variables
         and agents, raising what eval_formula would for the first that does
-        not, in index order, and compile them once."""
+        not, in index order, and compile them once, into ``compiled``."""
         try:
             agents, variables = tuple(self.agents), tuple(self.variables)
             normalized = {agent: tuple(owned) for agent, owned in self.partition.items()}
@@ -91,7 +91,15 @@ class Model:
             if not isinstance(f, Formula):
                 raise PreconditionError(f"critical formulas must be formulas, got {f!r}")
             facts.append(check_names(f, self))
-        object.__setattr__(self, "compiled", compile_model(self, facts))
+        used = tuple(names for names, _ in facts)
+        by_variable: dict[str, tuple[int, ...]] = {}
+        for index, names in enumerate(used):
+            for variable in names:
+                by_variable[variable] = by_variable.get(variable, ()) + (index,)
+        object.__setattr__(self, "compiled", CompiledModel(
+            tuple(_compile(f, self, set()) for f in formulas), used,
+            tuple(found for _, found in facts),
+            tuple(frozenset(map(self.owner_of, names)) for names in used), by_variable))
 
     def owner_of(self, variable: str) -> str:
         try:
@@ -124,20 +132,6 @@ class CompiledModel(NamedTuple):
     coalitions: tuple[frozenset[frozenset[str]], ...]
     agents: tuple[frozenset[str], ...]
     by_variable: Mapping[str, tuple[int, ...]]
-
-
-def compile_model(model: Model, facts: Sequence[tuple]) -> CompiledModel:
-    """The compiled form, given check_names' variables and coalitions of
-    each formula; Model construction builds it once, as model.compiled."""
-    evaluators = tuple(_compile(f, model, set()) for f in model.critical_formulas)
-    variables = tuple(used for used, _ in facts)
-    coalitions = tuple(found for _, found in facts)
-    agents = tuple(frozenset(map(model.owner_of, used)) for used in variables)
-    by_variable: dict[str, tuple[int, ...]] = {}
-    for index, used in enumerate(variables):
-        for variable in used:
-            by_variable[variable] = by_variable.get(variable, ()) + (index,)
-    return CompiledModel(evaluators, variables, coalitions, agents, by_variable)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@
 library's internals: they use only names coalguard exports.
 
 There is one oracle per semantics: truth_eval for a formula's value, modal
-included; brute_diamond for <> with its witness; brute_audit for the audit's
-minimal coalitions; brute_prime_implicates for prime implicates; and
-enumerate_labelings for Horn renamings. Each enumerates its cases one by one.
+included; brute_diamond for <>'s witness; brute_audit for the audit's minimal
+coalitions; brute_prime_implicates for prime implicates; enumerate_labelings
+for Horn renamings; reference_simulate for a batch's flips; reference_greedy
+for greedy blocking's rounds. Each enumerates its cases one by one.
 """
 
 import itertools
@@ -26,10 +27,6 @@ from coalguard import (
     TickRecord,
     Top,
     Var,
-    build_matrix,
-    eval_formula,
-    rank_agents,
-    simulate,
 )
 
 
@@ -360,9 +357,46 @@ def oracle_min_block(model, state, batch):
     raise AssertionError("even blocking every requester fails; start was insecure")
 
 
+def reference_simulate(model, state, batch):
+    """(became, implicated, after): the critical formulas false at the state
+    and true after the batch, every one evaluated in full; the requesters
+    owning a variable of one of them, in model order; the valuation after."""
+    after = run_batch(state.valuation, batch)
+    became = tuple(index for index, f in enumerate(model.critical_formulas)
+                   if not truth_eval(f, state.valuation, model) and truth_eval(f, after, model))
+    flipped = set().union(*(vars_in(model.critical_formulas[i]) for i in became))
+    requesters = {r.agent for r in batch}
+    implicated = tuple(a for a in model.agents if a in requesters and set(model.owned(a)) & flipped)
+    return became, implicated, after
+
+
+def reference_greedy(model, state, batch, tie_break):
+    """(rounds, kept batch) of greedy blocking. While the kept batch makes
+    critical formulas true, a round has them as rows, each with the agents
+    owning its variables, and as columns reference_simulate's implicated
+    requesters, each counting the rows it is in. It ranks them by higher
+    count, then by first request ("fifo") or by name ("lex"), and blocks the
+    first. A round is a dict of a GreedyIteration's and its matrix's fields."""
+    kept, rounds = tuple(batch), []
+    while True:
+        rows, columns, _ = reference_simulate(model, state, kept)
+        if not rows:
+            return rounds, kept
+        row_agents = tuple(frozenset(map(model.owner_of, vars_in(model.critical_formulas[i])))
+                           for i in rows)
+        marks = tuple(tuple(a in row for a in columns) for row in row_agents)
+        counts = dict(zip(columns, map(sum, zip(*marks))))  # each column's marked rows
+        tie = [r.agent for r in kept].index if tie_break == "fifo" else str  # position or name
+        ranking = tuple(sorted(columns, key=lambda a: (-counts[a], tie(a))))
+        rounds.append(dict(became_true=rows, implicated=columns, row_agents=row_agents,
+                           marks=marks, counters=tuple(counts.values()), ranking=ranking,
+                           blocked_agent=ranking[0]))
+        kept = tuple(r for r in kept if r.agent != ranking[0])
+
+
 def assert_counts_match_reference(model, state, batch, report):
     """Each oracle round lists every keep-set of its size once, in name
-    order, each with the count of critical formulas ``eval_formula`` finds
+    order, each with the count of critical formulas ``truth_eval`` finds
     false after the batch restricted to it; the frontier is the keep-sets
     with the highest count, and the representative one of them."""
     asking = {r.agent for r in batch}
@@ -372,9 +406,7 @@ def assert_counts_match_reference(model, state, batch, report):
         assert keeps == sorted(itertools.combinations(requesters, round_.cardinality))
         for keep, count in round_.evaluated:
             after = run_batch(state.valuation, batch, asking - set(keep))
-            assert count == sum(
-                not eval_formula(f, model, after) for f in model.critical_formulas
-            )
+            assert count == sum(not truth_eval(f, after, model) for f in model.critical_formulas)
         best = max(count for _, count in round_.evaluated)
         assert round_.frontier == tuple(keep for keep, count in round_.evaluated if count == best)
         assert round_.representative in round_.frontier
@@ -390,13 +422,11 @@ def reference_run(model, state, requests, config, pushes):
     sequence of requests that join the queue before tick t, one tick each.
 
     The queue is a list. Each tick drops from its front the requests of the
-    agents still blocked, takes up to the cap, blocks the top-ranked agent
-    of ``simulate``, ``build_matrix`` and ``rank_agents`` on what is kept
-    until nothing would become true (blocking no one under "none"), applies
-    the kept writes and sets each blocked agent's release: the tick named by
-    BlockUntilTick, or the tick after this one plus a draw from the
-    strategy's own seed if it has one, else from the run's. Under DropTick
-    an agent is blocked for its tick only."""
+    agents still blocked, takes up to the cap, blocks reference_greedy's
+    agents (no one under "none"), applies the kept writes and sets each
+    blocked agent's release: the tick named by BlockUntilTick, or the tick
+    after this one plus a draw from the strategy's own seed if it has one,
+    else from the run's. Under DropTick an agent is blocked for its tick only."""
     strategy = config.blocking_strategy
     own_seed = getattr(strategy, "seed", None)
     draws = random.Random(config.random_seed if own_seed is None else own_seed)
@@ -411,13 +441,8 @@ def reference_run(model, state, requests, config, pushes):
             request = queue.pop(0)
             if release.get(request.agent, now) <= now:
                 batch.append(request)
-        blocked = []
-        while config.policy == "greedy":
-            kept = [r for r in batch if r.agent not in blocked]
-            report = simulate(model, state, kept)
-            if not report.became_true:
-                break
-            blocked.append(rank_agents(build_matrix(model, report), config.tie_break, kept)[0])
+        rounds = reference_greedy(model, state, batch, config.tie_break)[0]
+        blocked = [item["blocked_agent"] for item in rounds] if config.policy == "greedy" else []
         for agent in blocked:
             if isinstance(strategy, BlockUntilTick):
                 release[agent] = strategy.release_tick

@@ -43,11 +43,12 @@ from pathlib import Path
 TARGETS = {
     "formula": ("_truth_table", "eval_formula", "_compile", "_exists", "_clause_codes",
                 "_prime_implicates", "_decode", "find_horn_labeling", "horn_renaming"),
-    "model": ("diamond_holds",),
+    "model": ("diamond_holds", "simulate"),
     "analysis": ("audit_vulnerabilities",),
+    "blocking": ("greedy_block", "_false_counter"),
 }
 TESTS = ("tests/test_formula.py", "tests/test_compiled.py", "tests/test_model.py",
-         "tests/test_analysis.py")
+         "tests/test_analysis.py", "tests/test_blocking.py", "tests/test_engine.py")
 JOBS = min(2, os.cpu_count() or 1)
 
 COMPARISONS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,

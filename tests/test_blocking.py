@@ -11,11 +11,9 @@ from coalguard import (
     BudgetExceededError,
     Diamond,
     EngineConfig,
-    GreedyIteration,
     Model,
     OwnershipViolationError,
     PreconditionError,
-    SimulationReport,
     SystemState,
     UnknownVariableError,
     Var,
@@ -23,7 +21,6 @@ from coalguard import (
     brute_force_min_block,
     build_cycle_instance,
     build_matrix,
-    eval_formula,
     greedy_block,
     is_secure,
     nondet_block,
@@ -42,7 +39,9 @@ from helpers import (
     random_requests,
     random_scenario,
     record_to_dict,
+    reference_greedy,
     stays_secure,
+    truth_eval,
 )
 
 
@@ -422,7 +421,7 @@ def modal_case(rng):
     model = Model(base.agents, base.variables, base.partition, tuple(formulas))
     for _ in range(256):
         valuation = {v: rng.random() < 0.5 for v in model.variables}
-        if not any(eval_formula(f, model, valuation) for f in model.critical_formulas):
+        if not any(truth_eval(f, valuation, model) for f in model.critical_formulas):
             break
     else:
         return None
@@ -431,22 +430,6 @@ def modal_case(rng):
     first = rng.choice(batch)
     batch += (ActionRequest(first.agent, first.variable, not first.new_value, len(batch)),)
     return model, state, batch
-
-
-def reference_greedy(model, state, batch, tie_break):
-    """Greedy as one full simulate, matrix and ranking per surviving batch."""
-    current, iterations = tuple(batch), []
-    while True:
-        report = simulate(model, state, current)
-        if not report.became_true:
-            return tuple(iterations), current
-        matrix = build_matrix(model, report)
-        ranking = rank_agents(matrix, tie_break, current)
-        top = ranking[0]
-        iterations.append(
-            GreedyIteration(report.became_true, report.implicated_agents, matrix, ranking, top)
-        )
-        current = tuple(r for r in current if r.agent != top)
 
 
 def hub_case(rng, size, count):
@@ -580,23 +563,33 @@ def test_oracle_rounds_with_agents_out_of_name_order(seed, size, naming):
     )
 
 
+def greedy_matching_reference(model, state, batch, tie_break):
+    """greedy_block's report, once each round equals reference_greedy's in
+    every field, marks included, and the blocked agents and the allowed
+    batch equal the reference's."""
+    report = greedy_block(model, state, batch, tie_break)
+    rounds, allowed = reference_greedy(model, state, batch, tie_break)
+    assert [{"became_true": item.became_true, "implicated": item.implicated,
+             "row_agents": item.matrix.row_agents, "marks": item.matrix.marks,
+             "counters": item.matrix.counters, "ranking": item.ranking,
+             "blocked_agent": item.blocked_agent} for item in report.iterations] == rounds
+    assert all((item.matrix.formula_indices, item.matrix.agents) == (
+        item.became_true, item.implicated) for item in report.iterations)
+    assert report.blocked == tuple(item["blocked_agent"] for item in rounds)
+    assert report.allowed_batch == allowed
+    return report
+
+
 @given(st.integers(0, 2**32 - 1), st.sampled_from(("fifo", "lex")))
 def test_greedy_rounds_match_full_resimulation(seed, tie_break):
     rng = random.Random(seed)
     case = modal_case(rng)
     assume(case is not None)
-    model, state, batch = case
-    report = greedy_block(model, state, batch, tie_break)
-    iterations, allowed = reference_greedy(model, state, batch, tie_break)
-    assert report.iterations == iterations
-    assert report.blocked == tuple(item.blocked_agent for item in iterations)
-    assert report.allowed_batch == allowed
+    greedy_matching_reference(*case, tie_break)
 
 
 def test_greedy_rounds_on_the_cycle_match_full_resimulation():
-    model, state, batch = build_cycle_instance(30, seed=3)
-    report = greedy_block(model, state, batch)
-    assert report.iterations == reference_greedy(model, state, batch, "fifo")[0]
+    greedy_matching_reference(*build_cycle_instance(30, seed=3), "fifo")
 
 
 def flip_in_case():
@@ -626,10 +619,8 @@ def flip_in_case():
 ])
 def test_greedy_ranks_a_formula_flipping_in_mid_loop_as_the_reference(tie_break, rounds):
     model, state, batch = flip_in_case()
-    report = greedy_block(model, state, batch, tie_break)
-    iterations, allowed = reference_greedy(model, state, batch, tie_break)
-    assert report.iterations == iterations
-    assert report.allowed_batch == allowed == batch[1:3]  # d and e write
+    report = greedy_matching_reference(model, state, batch, tie_break)
+    assert report.allowed_batch == batch[1:3]  # d and e write
     got = [(item.became_true, item.implicated, item.ranking) for item in report.iterations]
     assert got == rounds
     assert report.blocked == tuple(ranking[0] for _, _, ranking in rounds)
@@ -644,33 +635,4 @@ def test_greedy_rounds_on_growing_cycles(size, rounds):
 
 @pytest.mark.parametrize("tie_break", ["fifo", "lex"])
 def test_greedy_on_a_200_cycle_matches_the_reference_field_by_field(tie_break):
-    model, state, batch = build_cycle_instance(200, 0)
-    report = greedy_block(model, state, batch, tie_break)
-    iterations, allowed = reference_greedy(model, state, batch, tie_break)
-    assert len(report.iterations) == len(iterations)
-    for got, want in zip(report.iterations, iterations):
-        assert got.became_true == want.became_true
-        assert got.implicated == want.implicated
-        assert got.matrix.formula_indices == want.matrix.formula_indices
-        assert got.matrix.agents == want.matrix.agents
-        assert got.matrix.row_agents == want.matrix.row_agents
-        assert got.matrix.marks == want.matrix.marks
-        assert got.matrix.counters == want.matrix.counters
-        assert got.ranking == want.ranking
-        assert got.blocked_agent == want.blocked_agent
-    assert report.allowed_batch == allowed
-
-
-@given(st.integers(0, 2**32 - 1), st.sampled_from(("fifo", "lex")))
-def test_greedy_marks_are_derived_from_row_agents(seed, tie_break):
-    rng = random.Random(seed)
-    case = modal_case(rng)
-    assume(case is not None)
-    model, state, batch = case
-    for item in greedy_block(model, state, batch, tie_break).iterations:
-        matrix = item.matrix
-        assert matrix.marks == tuple(
-            tuple(a in row for a in matrix.agents) for row in matrix.row_agents
-        )
-        report = SimulationReport(item.became_true, item.implicated, state)
-        assert matrix.marks == build_matrix(model, report).marks
+    greedy_matching_reference(*build_cycle_instance(200, 0), tie_break)

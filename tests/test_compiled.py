@@ -25,16 +25,15 @@ from coalguard import (
     parse_formula,
     simulate,
 )
-from coalguard import formula as formula_mod
+from coalguard import formula as formula_mod, model as model_mod
 from coalguard.formula import structure
 from helpers import (
     random_formula,
     random_model,
     random_requests,
     random_secure_state,
-    run_batch,
+    reference_simulate,
     truth_eval,
-    vars_in,
 )
 
 seeds = st.integers(0, 2**32 - 1)
@@ -89,22 +88,6 @@ def test_lane_mode_matches_eval_formula_in_every_lane(seed):
         assert (result >> (width * i)) & 1 == eval_formula(f, model, valuation)
 
 
-def reference_simulate(model, state, batch):
-    """Every critical formula re-evaluated before and after the batch."""
-    after = run_batch(state.valuation, batch)
-    became = tuple(
-        index
-        for index, f in enumerate(model.critical_formulas)
-        if not eval_formula(f, model, state) and eval_formula(f, model, after)
-    )
-    flipped = set().union(*(vars_in(model.critical_formulas[i]) for i in became))
-    requesters = {r.agent for r in batch}
-    implicated = tuple(
-        a for a in model.agents if a in requesters and set(model.owned(a)) & flipped
-    )
-    return became, implicated, after
-
-
 @given(seeds)
 def test_indexed_simulate_matches_full_reevaluation(seed):
     rng = random.Random(seed)
@@ -153,10 +136,12 @@ def test_unknown_names_still_raise(text, error):
 def test_each_entry_checks_a_modal_formulas_names_once(monkeypatch):
     """A <> trusts the names its entry checked and reads only its own
     coalition's variables: building a model over two nested <>s checks its
-    names once, not 3 times, and evaluating it once, not 4 times."""
+    names once, not 3 times, and evaluating it once, not 4 times. Model
+    reaches check_names through model's namespace, so both are counted."""
     calls = []
-    check = formula_mod._check_names
-    monkeypatch.setattr(formula_mod, "_check_names", lambda *a: calls.append(a) or check(*a))
+    check = formula_mod.check_names
+    for module in (formula_mod, model_mod):
+        monkeypatch.setattr(module, "check_names", lambda *a: calls.append(a) or check(*a))
     f = parse_formula("<>{a1} <>{a2} (x & y)")
     model = two_agent_model(format_formula(f))
     assert len(calls) == 1

@@ -30,13 +30,13 @@ from coalguard.cli import main
 
 ROOT = pathlib.Path(__file__).parent.parent
 # the most lines src/coalguard/*.py may hold; it may fall, but not grow
-SOURCE_LINES_CAP = 2855
+SOURCE_LINES_CAP = 2846
 # the most Python tokens they may hold, as stdlib tokenize reads them, less the
 # layout and comment tokens (NL, NEWLINE, INDENT, DEDENT, COMMENT, ENDMARKER):
 # joining lines to fit under the line cap does not lower it
-SOURCE_TOKENS_CAP = 16945
+SOURCE_TOKENS_CAP = 16878
 # the most lines tests/helpers.py may hold: one oracle per semantics
-HELPERS_LINES_CAP = 504
+HELPERS_LINES_CAP = 529
 
 
 @pytest.mark.parametrize(
